@@ -17,7 +17,7 @@ from .errors import (
     PreconditionFailed,
     PriorMassOnState1,
 )
-from .filters import social_action_likelihoods
+from .filters import bayes_batch, social_action_likelihoods
 from .model import PomdpModel, QuadraticCost, StoppingModel
 from .orders import Comparison, mlr_compare
 from .rng import make_rng
@@ -411,19 +411,14 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
     ts = np.linspace(0.0, 1.0, grid_size)
     pts = np.column_stack([1 - ts, ts])
     pred = pts @ P
-    sig = pred @ B
-    Y = B.shape[1]
     interp = []
     M_nodes = grid_size - 1
-    for y in range(Y):
-        post = pred * B[:, y][None, :]
-        s = sig[:, y]
-        safe = s > 0
-        post[safe] /= s[safe, None]
+    for y in range(B.shape[1]):
+        post, s = bayes_batch(pred, B[:, y], pts)
         t = np.clip(post[:, 1] * M_nodes, 0, M_nodes)
         lo = np.minimum(np.floor(t).astype(int), M_nodes - 1)
         frac = t - lo
-        interp.append((lo, frac, s * safe))
+        interp.append((lo, frac, s))
     base = pts @ r
 
     def solve(M: float) -> np.ndarray:
@@ -504,10 +499,9 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
             x2 = (Pc[x] < rng.random(n)[:, None]).sum(axis=1)
             ys = (Bc[x2] < rng.random(n)[:, None]).sum(axis=1)
             states[rows, arm] = x2
-            pred = beliefs[rows, arm] @ P
-            post = pred * B[:, ys].T
-            post /= post.sum(axis=1, keepdims=True)
-            beliefs[rows, arm] = post
+            prior = beliefs[rows, arm]
+            beliefs[rows, arm], _ = bayes_batch(prior @ P, B[:, ys].T,
+                                                prior)
             disc *= rho
         return total
 

@@ -27,7 +27,7 @@ from .errors import (
 from .grid import GridValue
 from .model import PomdpModel, StoppingModel, model_from_json
 from .rng import make_rng, uniform_simplex
-from .solver import grid_value_oracle, lovejoy_bounds, \
+from .solver import evaluate_value, grid_value_oracle, lovejoy_bounds, \
     solve_finite_horizon, value_iteration_discounted
 from .stopgrid import solve_stopping_grid
 
@@ -117,10 +117,6 @@ def cmd_solve(args) -> int:
     if isinstance(model, StoppingModel):
         sol = solve_stopping_grid(model, args.resolution,
                                   epsilon=args.epsilon or 1e-9)
-        rows = ["pi2,value,action"]
-        for p, v in zip(sol.points, sol.values):
-            rows.append(f"{p[1]:.12g},{v:.12g},"
-                        f"{1 if sol.stop_value[0] <= 0 else 0}")
         mask = sol.stop_mask
         rows = ["index,value,stop"] + [
             f"{i},{v:.12g},{int(s)}"
@@ -157,9 +153,7 @@ def cmd_solve(args) -> int:
                                          method=args.method)
     if args.query:
         pi = np.asarray([float(t) for t in args.query.split(",")])
-        value, _, action = __import__(
-            "pomdpkit.solver", fromlist=["evaluate_value"]
-        ).evaluate_value(res.final, pi)
+        value, _, action = evaluate_value(res.final, pi)
         _emit(json.dumps({"value": value, "action": action}) + "\n",
               args.out)
         return 0
@@ -378,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pomdpkit",
         description="POMDP solvers, structural checkers and estimators")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker count for sharded estimators")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve a model")
@@ -407,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("check", help="assumption reports")
     cp.add_argument("--model", required=True)
     cp.add_argument("--rho", type=float)
-    cp.add_argument("--assumptions", action="store_true")
     cp.add_argument("--out")
     cp.set_defaults(func=cmd_check)
 

@@ -1,5 +1,14 @@
-"""Belief-state recursions: HMM filter/predictor, social-learning filter,
-risk-sensitive update and seeded trajectory simulation."""
+"""Belief-state recursions: HMM filter/predictor, the batched Bayes
+kernel, social-learning filter, risk-sensitive update and seeded
+trajectory simulation.
+
+Every batched posterior in the package goes through :func:`bayes_batch`.
+Its zero-likelihood rule: a row whose normalizer is at most
+``ZERO_LIKELIHOOD`` keeps its prior belief and reports ``sigma = 0``, so
+a continuation weighted by sigma drops it.  The single-belief updates
+below instead raise :class:`ZeroLikelihood`, because there the
+observation comes from the caller.
+"""
 
 from __future__ import annotations
 
@@ -27,6 +36,24 @@ def _bayes(unnormalized: np.ndarray) -> FilterStep:
     if sigma <= ZERO_LIKELIHOOD:
         raise ZeroLikelihood(f"observation has zero mass (sigma={sigma!r})")
     return FilterStep(unnormalized / sigma, sigma)
+
+
+def bayes_batch(pred: np.ndarray, lik: np.ndarray,
+                prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise Bayes update ``posterior ∝ pred * lik``.
+
+    ``pred`` (n, X) holds predicted beliefs ``P'(u) pi``, ``lik`` the
+    likelihoods ``B_y(u)`` (broadcast against ``pred``) and ``prior``
+    (n, X) the beliefs returned for zero-likelihood rows.  Returns
+    ``(posterior, sigma)`` with ``sigma`` the row sums of ``pred * lik``;
+    rows with ``sigma <= ZERO_LIKELIHOOD`` get their prior and sigma 0.
+    """
+    post = pred * lik
+    sigma = post.sum(axis=1)
+    zero = sigma <= ZERO_LIKELIHOOD
+    post = post / np.where(zero, 1.0, sigma)[:, None]
+    post[zero] = prior[zero]
+    return post, np.where(zero, 0.0, sigma)
 
 
 def hmm_filter_step(pi, y: int, u: int, model: PomdpModel) -> FilterStep:

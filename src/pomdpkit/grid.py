@@ -1,5 +1,5 @@
 """Simplex-grid value machinery shared by the grid oracle, policy
-evaluation and the reduced-grid bounds.
+evaluation, the stopping grid and the reduced-grid bounds.
 
 Grid nodes are the lattice points ``k / resolution`` (all compositions of
 ``resolution`` into X parts, in lexicographic order).  Off-grid beliefs
@@ -7,6 +7,14 @@ are evaluated by linear interpolation for X = 2, by nearest neighbor for
 X >= 3 (the oracle default), or by barycentric interpolation on the
 standard simplicial subdivision of the lattice, which is exact for
 piecewise linear functions and never overshoots a concave one.
+
+Every grid backup runs on one engine in two parts.
+:func:`posterior_maps` builds once, through :func:`filters.bayes_batch`,
+the interpolation data of the posteriors ``T(pi, y, u)`` of a belief
+batch; :func:`continuation` then gives
+``sum_y sigma(pi, y, u) V(T(pi, y, u))`` for any value table.
+:func:`converge` iterates a sweep to a sup-norm tolerance.  Posteriors
+of zero-likelihood observations carry ``sigma = 0`` and drop out.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import PreconditionFailed
+from .filters import bayes_batch
 from .model import PomdpModel
 
 
@@ -137,6 +147,48 @@ def nearest_lattice_index(pis: np.ndarray, resolution: int) -> np.ndarray:
     return lattice_rank(comps, M)
 
 
+def posterior_maps(pis: np.ndarray, P: np.ndarray, B: np.ndarray, interp):
+    """Interpolation data ``(idx, w, sigma)`` of the posteriors
+    ``T(pi, y, u)`` of the beliefs ``pis``, one triple per observation.
+
+    ``P`` and ``B`` are the kernels of action u and ``interp`` maps an
+    (n, X) belief array to lattice ``(idx, w)``.  The triples come one at
+    a time; a caller that sweeps many times keeps them in a list.
+    """
+    pred = pis @ P
+    for y in range(B.shape[1]):
+        post, sigma = bayes_batch(pred, B[:, y], pis)
+        yield (*interp(post), sigma)
+
+
+def continuation(values: np.ndarray, maps) -> np.ndarray:
+    """``sum_y sigma(pi, y, u) V(T(pi, y, u))`` over one action's maps."""
+    total = 0.0
+    for idx, w, sigma in maps:
+        total = total + (values[idx] * w).sum(axis=1) * sigma
+        # release this map before a lazy ``maps`` builds the next one
+        del idx, w, sigma
+    return total
+
+
+def converge(step, values: np.ndarray, epsilon: float,
+             max_iterations: int):
+    """Iterate ``values, aux = step(values)`` until successive tables
+    differ by at most ``epsilon`` in sup norm; returns the last pair.
+
+    Raises :class:`PreconditionFailed` when ``max_iterations`` sweeps do
+    not get there.
+    """
+    for _ in range(max_iterations):
+        new, aux = step(values)
+        gap = np.max(np.abs(new - values))
+        values = new
+        if gap <= epsilon:
+            return values, aux
+    raise PreconditionFailed(f"grid value iteration did not reach "
+                             f"epsilon={epsilon} in {max_iterations} sweeps")
+
+
 class GridValue:
     """Value table over the simplex lattice with a Bellman sweep engine."""
 
@@ -173,51 +225,27 @@ class GridValue:
         return (self.values[idx] * w).sum(axis=1)
 
     # -- Bellman machinery -------------------------------------------------
+    def _posterior_maps(self, pis: np.ndarray) -> list:
+        m = self.model
+        return [posterior_maps(pis, m.P(u), m.B(u), self._interp)
+                for u in range(1, m.num_actions + 1)]
+
+    def _q_values(self, costs: np.ndarray, maps: list,
+                  values: np.ndarray) -> np.ndarray:
+        rho = self.model.discount
+        return np.column_stack([costs[:, u] + rho * continuation(values, mu)
+                                for u, mu in enumerate(maps)])
+
     def _build_maps(self):
-        """Precompute sigma and interpolation data of every grid backup."""
-        model = self.model
-        n = len(self.points)
-        U, Y = model.num_actions, model.num_obs
-        self._sigma = np.zeros((U, n, Y))
-        idx_list = []
-        w_list = []
-        for u in range(1, U + 1):
-            pred = self.points @ model.P(u)        # (n, X) rows P'(u) pi
-            sig = pred @ model.B(u)                # (n, Y)
-            self._sigma[u - 1] = sig
-            iu = []
-            wu = []
-            for y in range(Y):
-                post = pred * model.B(u)[:, y][None, :]
-                safe = sig[:, y] > 0
-                norm = np.where(safe, sig[:, y], 1.0)
-                post = post / norm[:, None]
-                post[~safe] = self.points[~safe]
-                idx, w = self._interp(post)
-                w = w * safe[:, None]
-                iu.append(idx)
-                wu.append(w)
-            idx_list.append(iu)
-            w_list.append(wu)
-        self._maps = (idx_list, w_list)
-        self._costs = self.points @ model.costs    # (n, U)
+        """Posterior maps and stage costs of every grid backup."""
+        self._maps = [list(mu) for mu in self._posterior_maps(self.points)]
+        self._costs = self.points @ self.model.costs    # (n, U)
 
     def sweep(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One min-over-actions Bellman backup on the grid."""
         if self._maps is None:
             self._build_maps()
-        model = self.model
-        rho = model.discount
-        idx_list, w_list = self._maps
-        n = len(self.points)
-        U, Y = model.num_actions, model.num_obs
-        Q = np.empty((n, U))
-        for u in range(U):
-            cont = np.zeros(n)
-            for y in range(Y):
-                iv = (values[idx_list[u][y]] * w_list[u][y]).sum(axis=1)
-                cont += iv * self._sigma[u, :, y]
-            Q[:, u] = self._costs[:, u] + rho * cont
+        Q = self._q_values(self._costs, self._maps, values)
         return Q.min(axis=1), Q.argmin(axis=1) + 1
 
     def iterate(self, epsilon: float | None = None,
@@ -229,16 +257,9 @@ class GridValue:
             pol = None
             for _ in range(horizon):
                 V, pol = self.sweep(V)
-            self.values = V
-            self.policy_table = pol
-            return self
-        V = self.values
-        for _ in range(max_iterations):
-            V2, pol = self.sweep(V)
-            gap = np.max(np.abs(V2 - V))
-            V = V2
-            if gap <= epsilon:
-                break
+        else:
+            V, pol = converge(self.sweep, self.values, epsilon,
+                              max_iterations)
         self.values = V
         self.policy_table = pol
         return self
@@ -248,30 +269,23 @@ class GridValue:
         """Fixed-policy evaluation sweeps (actions are 1-indexed)."""
         if self._maps is None:
             self._build_maps()
-        model = self.model
-        rho = model.discount
-        idx_list, w_list = self._maps
+        rho = self.model.discount
         n = len(self.points)
         a0 = actions - 1
-        rows = np.arange(n)
-        V = np.zeros(n)
-        cost = self._costs[rows, a0]
-        for _ in range(max_iterations):
+        cost = self._costs[np.arange(n), a0]
+        sels = [a0 == u for u in range(len(self._maps))]
+        parts = [(sel, [(idx[sel], w[sel], sigma[sel])
+                        for idx, w, sigma in mu])
+                 for sel, mu in zip(sels, self._maps)]
+
+        def step(V):
             cont = np.zeros(n)
-            for u in range(model.num_actions):
-                sel = a0 == u
-                if not sel.any():
-                    continue
-                for y in range(model.num_obs):
-                    iv = (V[idx_list[u][y][sel]]
-                          * w_list[u][y][sel]).sum(axis=1)
-                    cont[sel] += iv * self._sigma[u, sel, y]
-            V2 = cost + rho * cont
-            gap = np.max(np.abs(V2 - V))
-            V = V2
-            if gap <= epsilon:
-                break
-        self.values = V
+            for sel, mu in parts:
+                cont[sel] = continuation(V, mu)
+            return cost + rho * cont, None
+
+        self.values, _ = converge(step, np.zeros(n), epsilon,
+                                  max_iterations)
         self.policy_table = actions
         return self
 
@@ -289,21 +303,7 @@ class GridValue:
 
     def lookahead_actions(self, pis: np.ndarray) -> np.ndarray:
         """Vectorized one-step Bellman actions for many beliefs."""
-        model = self.model
         pis = np.atleast_2d(pis)
-        n = pis.shape[0]
-        Q = np.empty((n, model.num_actions))
-        for u in range(1, model.num_actions + 1):
-            pred = pis @ model.P(u)
-            sig = pred @ model.B(u)
-            q = pis @ model.cost_vector(u)
-            for y in range(model.num_obs):
-                s = sig[:, y]
-                safe = s > 0
-                post = pred * model.B(u)[:, y][None, :]
-                post[safe] /= s[safe, None]
-                post[~safe] = pis[~safe]
-                vals = self.batch_values(post)
-                q = q + model.discount * vals * s * safe
-            Q[:, u - 1] = q
+        Q = self._q_values(pis @ self.model.costs,
+                           self._posterior_maps(pis), self.values)
         return Q.argmin(axis=1) + 1

@@ -94,6 +94,8 @@ class PomdpModel:
         if c.shape != (X, U):
             raise DimensionMismatch(f"costs must be (X, U) = ({X}, {U}), "
                                     f"got {c.shape}")
+        if not np.isfinite(c).all():
+            raise NegativeEntry("costs must be finite")
         if X < 2:
             raise DimensionMismatch("at least two states required")
         P = P.copy()
@@ -111,6 +113,8 @@ class PomdpModel:
             tc = np.asarray(tc, dtype=float)
             if tc.shape != (X,):
                 raise DimensionMismatch("terminal cost must have length X")
+            if not np.isfinite(tc).all():
+                raise NegativeEntry("terminal cost must be finite")
         if self.horizon is not None and self.horizon < 1:
             raise DimensionMismatch("horizon must be a positive integer")
         object.__setattr__(self, "transitions", _frozen(P))
@@ -325,7 +329,6 @@ class StoppingModel:
     stop_cost: object
     continue_cost: object
     discount: float = 1.0
-    filter_weights: np.ndarray | None = None  # risk-sensitive diag(R2)
 
     def __post_init__(self):
         object.__setattr__(self, "P", stochastic_matrix(self.P, action=2))
@@ -339,12 +342,6 @@ class StoppingModel:
                     raise NegativeEntry("belief cost must be finite")
         if not 0.0 <= self.discount <= 1.0:
             raise InvalidDiscount(self.discount)
-        if self.filter_weights is not None:
-            w = np.asarray(self.filter_weights, dtype=float)
-            if w.shape != (self.num_states,) or (w <= 0).any():
-                raise DimensionMismatch(
-                    "filter weights must be positive, one per state")
-            object.__setattr__(self, "filter_weights", _frozen(w))
 
     @property
     def num_states(self) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpInfeasible, PreconditionFailed
+from .filters import bayes_batch
 from .model import PomdpModel, belief_cost_value
 from .orders import blackwell_factorize
 from .rng import make_rng, uniform_simplex
@@ -346,11 +347,10 @@ def _simulate_paths(model: PomdpModel, policy_batch, pi0: np.ndarray,
             sel = a0 == u
             if not sel.any():
                 continue
-            pred = beliefs[sel] @ model.transitions[u]
-            post = pred * model.observations[u][:, ys[sel]].T
-            sums = post.sum(axis=1, keepdims=True)
-            sums[sums <= 0] = 1.0
-            new_beliefs[sel] = post / sums
+            prior = beliefs[sel]
+            new_beliefs[sel], _ = bayes_batch(
+                prior @ model.transitions[u],
+                model.observations[u][:, ys[sel]].T, prior)
         beliefs = new_beliefs
         disc *= rho
     return total

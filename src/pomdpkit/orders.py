@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedExact
+from .grid import simplex_lattice
 from .simplexlp import solve_lp
 
 ORDER_TOL = 1e-12
@@ -188,21 +189,6 @@ def _copositive_2state(G: np.ndarray, tol: float) -> OrderVerdict:
     t = (c - b) / (a + c - 2 * b)
     pi = np.array([t, 1 - t])
     return fails({"belief": tuple(pi), "value": float(pi @ G @ pi)})
-
-
-def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
-    """All points k/resolution on the simplex (compositions grid)."""
-    pts = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], resolution, dim)
-    return np.asarray(pts, dtype=float) / resolution
 
 
 def _copositive_verdicts(gammas, method: CopositiveMethod,

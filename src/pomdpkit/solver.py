@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Blowup, DimensionMismatch
-from .grid import GridValue, barycentric_weights, simplex_lattice
+from .errors import Blowup, DimensionMismatch, PreconditionFailed
+from .grid import GridValue, barycentric_weights
 from .model import PomdpModel
 from .simplexlp import solve_lp
 
@@ -90,7 +90,6 @@ def evaluate_value(gamma: VectorSet, pi) -> tuple[float, np.ndarray, int]:
     vals = gamma.vectors @ pi
     best = float(vals.min())
     tied = np.flatnonzero(vals <= best + DEDUP_TOL)
-    order = _sort_order(gamma.vectors[tied], gamma.actions[tied])
     # among ties the lowest action wins, then the lexicographically
     # smallest vector
     acts = gamma.actions[tied]
@@ -358,7 +357,8 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
             bound = epsilon * rho / (1.0 - rho)
             sets = history if return_history else [current]
             return SolveResult(sets, bound, discounted=True)
-    raise Blowup(max_iterations, len(current), budget)
+    raise PreconditionFailed(f"value iteration did not reach epsilon="
+                             f"{epsilon} in {max_iterations} backups")
 
 
 def policy_evaluation(model: PomdpModel, policy, epsilon: float,
@@ -403,8 +403,8 @@ def grid_value_oracle(model: PomdpModel, resolution: int,
     return grid
 
 
-def _lovejoy_grid(model: PomdpModel, max_points: int) -> tuple:
-    """Largest lattice whose size fits the requested point budget."""
+def _lovejoy_resolution(model: PomdpModel, max_points: int) -> int:
+    """Largest lattice resolution whose size fits the point budget."""
     X = model.num_states
     res = 1
     while True:
@@ -412,7 +412,7 @@ def _lovejoy_grid(model: PomdpModel, max_points: int) -> tuple:
         if size > max_points:
             break
         res += 1
-    return simplex_lattice(X, res), res
+    return res
 
 
 def _lattice_size(X: int, res: int) -> int:
@@ -445,16 +445,18 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
 
     The upper recursion prunes each backed-up set to the argmin vectors
     at the grid beliefs (at most ``grid_points`` survive), which can only
-    raise the envelope.  The lower recursion backs up grid values through
-    barycentric interpolation; interpolating a concave function never
-    overestimates it, so the table underestimates the exact value at all
-    stages.
+    raise the envelope.  The lower recursion runs :class:`GridValue`
+    sweeps with barycentric interpolation on the lattice; interpolating a
+    concave function never overestimates it, so the table underestimates
+    the exact value at all stages.
     """
     N = horizon if horizon is not None else model.horizon
     if N is None:
         raise DimensionMismatch("lovejoy_bounds needs a horizon")
     X = model.num_states
-    pts, res = _lovejoy_grid(model, max(grid_points, X))
+    res = _lovejoy_resolution(model, max(grid_points, X))
+    lower_grid = GridValue(model, res, interpolation="freudenthal")
+    pts = lower_grid.points
     if grid_points < X:
         # too few points for a lattice: prune at the barycenter plus the
         # first vertices (the lower interpolant keeps the full lattice)
@@ -463,22 +465,6 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
             e[None, :] for e in extra])
     else:
         upper_pts = pts
-    idxw = {}
-    rho = model.discount
-    U, Y = model.num_actions, model.num_obs
-    # precompute filter maps at grid points for the lower recursion
-    sig_all = np.zeros((U, len(pts), Y))
-    for u in range(1, U + 1):
-        pred = pts @ model.P(u)
-        sig = pred @ model.B(u)
-        sig_all[u - 1] = sig
-        for y in range(Y):
-            post = pred * model.B(u)[:, y][None, :]
-            safe = sig[:, y] > 0
-            post[safe] /= sig[safe, y][:, None]
-            post[~safe] = pts[~safe]
-            idxw[(u, y)] = barycentric_weights(post, res)
-
     terminal = model.terminal_vector()
     upper = [vector_set(terminal[None, :], [1], stage=N)]
     lower = [pts @ terminal]
@@ -488,14 +474,6 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
         mask = sorted(set(np.argmin(vals, axis=1).tolist()))
         upper.append(VectorSet(full.vectors[mask], full.actions[mask],
                                stage=full.stage))
-        Vlow = lower[-1]
-        Q = np.empty((len(pts), U))
-        for u in range(1, U + 1):
-            cont = np.zeros(len(pts))
-            for y in range(Y):
-                idx, w = idxw[(u, y)]
-                cont += (Vlow[idx] * w).sum(axis=1) * sig_all[u - 1][:, y]
-            Q[:, u - 1] = pts @ model.cost_vector(u) + rho * cont
-        lower.append(Q.min(axis=1))
+        lower.append(lower_grid.sweep(lower[-1])[0])
     bounds = LovejoyBounds(upper, lower, pts, res, model)
     return bounds

@@ -1,8 +1,9 @@
 """Grid dynamic programming for two-action stopping models.
 
-Value iteration starts from the stop cost (stopping immediately is
-always available), so the sweeps decrease monotonically and converge
-even in the undiscounted case.
+Value iteration runs on the lattice backup engine of :mod:`grid` and
+starts from the stop cost (stopping immediately is always available), so
+the sweeps decrease monotonically and converge even in the undiscounted
+case.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import barycentric_weights, simplex_lattice
+from .filters import bayes_batch
+from .grid import (barycentric_weights, continuation, converge,
+                   posterior_maps, simplex_lattice)
 from .model import StoppingModel, belief_cost_batch
 
 
@@ -28,90 +31,42 @@ class StoppingGridSolution:
     def stop_mask(self) -> np.ndarray:
         return self.stop_value <= self.continue_value + 1e-12
 
-    def value(self, pi) -> float:
-        return float(self._interp(np.asarray(pi, float)[None, :])[0])
+    def _weights(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return barycentric_weights(pis, self.resolution)
 
-    def _interp(self, pis: np.ndarray) -> np.ndarray:
-        X = pis.shape[1]
-        if X == 2:
-            # lattice row k holds pi = (k/M, (M-k)/M)
-            M = self.resolution
-            t = np.clip(pis[:, 0] * M, 0, M)
-            lo = np.minimum(np.floor(t).astype(int), M - 1)
-            frac = t - lo
-            return self.values[lo] * (1 - frac) + self.values[lo + 1] * frac
-        idx, w = barycentric_weights(pis, self.resolution)
-        return (self.values[idx] * w).sum(axis=1)
+    def value(self, pi) -> float:
+        idx, w = self._weights(np.asarray(pi, float)[None, :])
+        return float((self.values[idx] * w).sum())
 
     def actions(self, pis: np.ndarray) -> np.ndarray:
         """Lookahead stop/continue decisions (1 stop, 2 continue)."""
         pis = np.atleast_2d(np.asarray(pis, dtype=float))
         sm = self.model
         stop = belief_cost_batch(sm.stop_cost, pis)
-        cont = belief_cost_batch(sm.continue_cost, pis)
-        pred = _weighted_prediction(sm, pis)
-        sig = pred @ sm.B
-        for y in range(sm.num_obs):
-            s = sig[:, y]
-            safe = s > 0
-            post = pred * sm.B[:, y][None, :]
-            post[safe] /= s[safe, None]
-            post[~safe] = pis[~safe]
-            cont = cont + sm.discount * self._interp(post) * s * safe
+        maps = posterior_maps(pis, sm.P, sm.B, self._weights)
+        cont = belief_cost_batch(sm.continue_cost, pis) \
+            + sm.discount * continuation(self.values, maps)
         return np.where(stop <= cont + 1e-12, 1, 2)
 
     def action(self, pi) -> int:
         return int(self.actions(np.asarray(pi)[None, :])[0])
 
 
-def _weighted_prediction(sm: StoppingModel, pis: np.ndarray) -> np.ndarray:
-    w = sm.filter_weights
-    base = pis if w is None else pis * w[None, :]
-    return base @ sm.P
-
-
 def solve_stopping_grid(sm: StoppingModel, resolution: int,
                         epsilon: float = 1e-9,
                         max_iterations: int = 100_000
                         ) -> StoppingGridSolution:
-    X = sm.num_states
-    pts = simplex_lattice(X, resolution)
+    pts = simplex_lattice(sm.num_states, resolution)
     stop_vals = belief_cost_batch(sm.stop_cost, pts)
     cont_base = belief_cost_batch(sm.continue_cost, pts)
+    maps = list(posterior_maps(
+        pts, sm.P, sm.B, lambda pis: barycentric_weights(pis, resolution)))
 
-    pred = _weighted_prediction(sm, pts)
-    sig = pred @ sm.B
-    Y = sm.num_obs
-    interp = []
-    for y in range(Y):
-        s = sig[:, y]
-        safe = s > 0
-        post = pred * sm.B[:, y][None, :]
-        post[safe] /= s[safe, None]
-        post[~safe] = pts[~safe]
-        if X == 2:
-            M = resolution
-            t = np.clip(post[:, 0] * M, 0, M)
-            lo = np.minimum(np.floor(t).astype(int), M - 1)
-            frac = t - lo
-            idx = np.stack([lo, lo + 1], axis=1)
-            w = np.stack([1 - frac, frac], axis=1)
-        else:
-            idx, w = barycentric_weights(post, resolution)
-        interp.append((idx, w * safe[:, None]))
+    def step(V):
+        cont = cont_base + sm.discount * continuation(V, maps)
+        return np.minimum(stop_vals, cont), cont
 
-    V = stop_vals.copy()
-    cont_vals = cont_base.copy()
-    for _ in range(max_iterations):
-        cont_vals = cont_base.copy()
-        for y in range(Y):
-            idx, w = interp[y]
-            cont_vals += sm.discount * (V[idx] * w).sum(axis=1) * sig[:, y]
-        V2 = np.minimum(stop_vals, cont_vals)
-        gap = np.max(np.abs(V2 - V))
-        V = V2
-        if gap <= epsilon:
-            break
+    V, cont_vals = converge(step, stop_vals, epsilon, max_iterations)
     return StoppingGridSolution(sm, pts, V, stop_vals, cont_vals,
                                 resolution)
 
@@ -153,11 +108,9 @@ def batched_stopping_costs(sm: StoppingModel, policy_values, pi0s,
                              < u[:, None]).sum(axis=1)
             yv = rng.random(going.size)
             ys = (Bc[states[going]] < yv[:, None]).sum(axis=1)
-            pred = beliefs[going] @ sm.P
-            post = pred * sm.B[:, ys].T
-            sums = post.sum(axis=1, keepdims=True)
-            sums[sums <= 0] = 1.0
-            beliefs[going] = post / sums
+            prior = beliefs[going]
+            beliefs[going], _ = bayes_batch(prior @ sm.P, sm.B[:, ys].T,
+                                            prior)
         disc *= sm.discount
     # paths still alive at the horizon stop and pay the stop cost
     if alive.any():

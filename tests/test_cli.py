@@ -36,6 +36,17 @@ class TestSolveCommand:
         assert rc == 0
         assert "stages" in capsys.readouterr().out
 
+    def test_non_finite_cost_file_exit_code(self, tmp_path, capsys):
+        doc = json.loads(model_to_json(build_machine_replacement(
+            0.3, 0.9, 0.8, 0.5, [1.0, 0.0], rho=0.9)))
+        doc["c"][0][1] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", "--model", str(path), "--epsilon", "1e-4"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "NegativeEntry"
+
     def test_unknown_preset_exit_code(self, capsys):
         rc = main(["solve", "--model", "nope", "--horizon", "2"])
         assert rc == 2
@@ -45,7 +56,7 @@ class TestSolveCommand:
 
 class TestCheckCommand:
     def test_assumption_report(self, capsys):
-        rc = main(["check", "--model", "example1", "--assumptions"])
+        rc = main(["check", "--model", "example1"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         for key in ("C", "F1", "F2", "F3", "F4", "S"):

@@ -3,10 +3,14 @@ trajectory simulation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import P_TP2_3, random_belief_pair, random_tp2_stochastic
+from pomdpkit.cli import load_model
 from pomdpkit.errors import ZeroLikelihood
 from pomdpkit.filters import (
+    bayes_batch,
     hmm_filter_step,
     hmm_predictor_step,
     normalizer_vector,
@@ -153,6 +157,49 @@ class TestOrderPreservation:
         assert np.allclose(t1, [0.0, 0.5, 0.5])
         assert np.allclose(t2, [0.0, 2 / 3, 1 / 3])
         assert fosd_compare(t1, t2) is Comparison.GE
+
+
+PRESETS = ("example1", "example2", "example3", "example4",
+           "machine-replacement", "sampling", "search")
+
+
+@st.composite
+def preset_batches(draw):
+    """A preset, one of its actions and observations, and a belief batch
+    whose rows may put zero mass on some states."""
+    model = load_model(draw(st.sampled_from(PRESETS)))
+    X = model.num_states
+    u = draw(st.integers(1, model.num_actions))
+    y = draw(st.integers(1, model.num_obs))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1e-3, 0.2, 0.5, 1.0])
+                 | st.floats(0.0, 1.0), min_size=X, max_size=X)
+        .filter(lambda r: sum(r) > 0), min_size=1, max_size=6))
+    pis = np.asarray(rows)
+    return model, u, y, pis / pis.sum(axis=1, keepdims=True)
+
+
+class TestBayesBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(preset_batches())
+    def test_matches_scalar_filter_row_by_row(self, case):
+        model, u, y, pis = case
+        post, sigma = bayes_batch(pis @ model.P(u), model.B(u)[:, y - 1],
+                                  pis)
+        for pi, p, s in zip(pis, post, sigma):
+            try:
+                ref = hmm_filter_step(pi, y, u, model)
+            except ZeroLikelihood:
+                assert np.array_equal(p, pi) and s == 0.0
+                continue
+            assert np.allclose(p, ref.posterior, rtol=0, atol=1e-12)
+            assert s == pytest.approx(ref.normalizer, rel=0, abs=1e-12)
+
+    def test_zero_likelihood_returns_prior(self):
+        prior = np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]])
+        post, sigma = bayes_batch(prior, np.array([0.0, 1.0]), prior)
+        assert np.array_equal(post, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        assert np.array_equal(sigma, [0.0, 0.7, 1.0])
 
 
 class TestSocialLearning:

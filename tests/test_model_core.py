@@ -6,6 +6,7 @@ import pytest
 from helpers import P_TP2_3
 from pomdpkit.errors import (
     DimensionMismatch,
+    NegativeEntry,
     NonIncreasingLevels,
     NonStochasticRow,
 )
@@ -72,6 +73,17 @@ class TestValidateModel:
         raw["X"] = 3
         with pytest.raises(DimensionMismatch):
             validate_model(raw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_costs_rejected(self, bad):
+        m = validate_model(machine_replacement_raw())
+        costs = np.array(m.costs)
+        costs[1, 0] = bad
+        with pytest.raises(NegativeEntry):
+            PomdpModel(m.transitions, m.observations, costs, 0.9)
+        with pytest.raises(NegativeEntry):
+            PomdpModel(m.transitions, m.observations, m.costs, 1.0,
+                       horizon=3, terminal_cost=[0.0, bad])
 
     def test_undiscounted_requires_declaration(self):
         raw = machine_replacement_raw()

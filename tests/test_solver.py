@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import random_tp2_stochastic
-from pomdpkit.apps import build_machine_replacement
-from pomdpkit.errors import Blowup
+from pomdpkit.apps import build_machine_replacement, build_quickest_detection
+from pomdpkit.errors import Blowup, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
@@ -26,6 +26,7 @@ from pomdpkit.solver import (
     value_iteration_discounted,
     vector_set,
 )
+from pomdpkit.stopgrid import solve_stopping_grid
 
 
 def replacement(rho=1.0, horizon=None):
@@ -240,6 +241,11 @@ class TestDiscounted:
         extra = bellman_backup_step(res.final, m)
         assert sup_difference(extra, res.final) <= 1e-6
 
+    def test_iteration_cap_is_not_a_vector_blowup(self):
+        with pytest.raises(PreconditionFailed):
+            value_iteration_discounted(replacement(rho=0.9), 1e-6,
+                                       max_iterations=1)
+
 
 class TestPolicyEvaluation:
     def test_optimal_greedy_recovers_value(self):
@@ -311,6 +317,13 @@ class TestLovejoy:
 
 
 class TestGridOracle:
+    def test_iteration_cap_raises(self):
+        sm = build_quickest_detection(
+            [0.0, 1.0], [[0.9]], [0.1], [[0.7, 0.3], [0.2, 0.8]],
+            d=0.05, beta=1.0, delay_kind="classical")
+        with pytest.raises(PreconditionFailed):
+            solve_stopping_grid(sm, 200, epsilon=1e-10, max_iterations=1)
+
     def test_zero_cost_zero_table(self):
         m = PomdpModel(np.stack([np.eye(2)]), np.full((1, 2, 2), 0.5),
                        np.zeros((2, 1)), 1.0, horizon=3)
