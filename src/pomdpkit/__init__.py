@@ -4,7 +4,7 @@ Modules
 -------
 model        POMDP/MDP data model, validation, cost reductions
 orders       stochastic orders, TP2/copositivity tests, Blackwell factor
-filters      belief recursions and the batched Bayes kernel
+filters      belief recursions, the batched Bayes kernel and the path sampler
 bounds       dominating transition matrices and the sandwich filter
 solver       vector-set solvers (incremental pruning, Monahan, bounds)
 grid         simplex lattice and the shared grid backup engine

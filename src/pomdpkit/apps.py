@@ -17,7 +17,9 @@ from .errors import (
     PreconditionFailed,
     PriorMassOnState1,
 )
-from .filters import bayes_batch, social_action_likelihoods
+from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
+                      social_action_likelihoods)
+from .grid import converge
 from .model import PomdpModel, QuadraticCost, StoppingModel
 from .orders import Comparison, mlr_compare
 from .rng import make_rng
@@ -307,15 +309,13 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
             target[g, a] = (mass[1] / s) if s > 0 else pi[1]
     lo = np.clip((target * (grid_size - 1)).astype(int), 0, grid_size - 2)
     frac = target * (grid_size - 1) - lo
-    V = np.zeros(grid_size)
-    for _ in range(max_iterations):
+
+    def step(V):
         interp = V[lo] * (1 - frac) + V[lo + 1] * frac   # (grid, A)
-        cont = cont_cost + rho * (interp * sig).sum(axis=1)
-        V2 = np.minimum(0.0, cont)
-        gap = np.max(np.abs(V2 - V))
-        V = V2
-        if gap <= epsilon:
-            break
+        return np.minimum(0.0, cont_cost
+                          + rho * (interp * sig).sum(axis=1)), None
+
+    V, _ = converge(step, np.zeros(grid_size), epsilon, max_iterations)
     stop = V >= -1e-12   # stopping attains the zero branch
     intervals = []
     start = None
@@ -422,17 +422,13 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
     base = pts @ r
 
     def solve(M: float) -> np.ndarray:
-        V = np.full(grid_size, M)
-        for _ in range(100_000):
+        def step(V):
             cont = base.copy()
             for lo, frac, s in interp:
                 cont += rho * (V[lo] * (1 - frac) + V[lo + 1] * frac) * s
-            V2 = np.maximum(M, cont)
-            gap = np.max(np.abs(V2 - V))
-            V = V2
-            if gap <= vi_tol:
-                return V
-        raise PreconditionFailed("retirement grid solve did not converge")
+            return np.maximum(M, cont), None
+
+        return converge(step, np.full(grid_size, M), vi_tol, 100_000)[0]
 
     M_hi = float(r.max() / (1.0 - rho))
     Ms = np.linspace(0.0, M_hi, m_steps)
@@ -475,15 +471,15 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
         frac = t - lo
         return gamma[lo] * (1 - frac) + gamma[lo + 1] * frac
 
+    sampler = PathSampler(P[None], B[None])
+
     def run(policy: str) -> np.ndarray:
         rng = make_rng(seed)
         n = episodes
         beliefs = rng.dirichlet(np.ones(2), size=(n, 2))  # (n, arm, X)
-        cdf = np.cumsum(beliefs, axis=2)
-        states = (cdf < rng.random((n, 2))[:, :, None]).sum(axis=2)
+        states = sample_index(cumulative(beliefs.reshape(2 * n, 2)),
+                              rng).reshape(n, 2)
         total = np.zeros(n)
-        Pc = np.cumsum(P, axis=1)
-        Bc = np.cumsum(B, axis=1)
         disc = 1.0
         rows = np.arange(n)
         for k in range(horizon):
@@ -496,12 +492,8 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
             arm = (score[:, 1] > score[:, 0] + 1e-12).astype(int)
             x = states[rows, arm]
             total += disc * r[x]
-            x2 = (Pc[x] < rng.random(n)[:, None]).sum(axis=1)
-            ys = (Bc[x2] < rng.random(n)[:, None]).sum(axis=1)
-            states[rows, arm] = x2
-            prior = beliefs[rows, arm]
-            beliefs[rows, arm], _ = bayes_batch(prior @ P, B[:, ys].T,
-                                                prior)
+            states[rows, arm], ys = sampler.draw(0, x, rng)
+            beliefs[rows, arm] = sampler.filter(0, beliefs[rows, arm], ys)
             disc *= rho
         return total
 

@@ -24,6 +24,7 @@ from .errors import (
     PomdpKitError,
     PreconditionFailed,
 )
+from .filters import PathSampler, simulate_trajectory
 from .grid import GridValue
 from .model import PomdpModel, StoppingModel, model_from_json
 from .rng import make_rng, uniform_simplex
@@ -173,16 +174,15 @@ def cmd_filter(args) -> int:
 
         lo, hi = rank1_bounds(P)
         X = P.shape[0]
-        x = 0
+        sampler = PathSampler(P[None], B[None])
+        x = np.zeros(1, dtype=int)
         ys = []
         for _ in range(args.steps):
-            x = int(rng.choice(X, p=P[x]))
-            ys.append(int(rng.choice(B.shape[1], p=B[x])) + 1)
+            x, y = sampler.draw(0, x, rng)
+            ys.append(int(y[0]) + 1)
         run = sandwich_filter(lo, P, hi, B, ys, np.full(X, 1.0 / X))
         _emit(run.to_csv(), args.out)
         return 0
-    from .filters import simulate_trajectory
-
     pomdp = model if isinstance(model, PomdpModel) else None
     if pomdp is None:
         raise DimensionMismatch("trajectory simulation needs a POMDP model")
@@ -310,8 +310,6 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model, args.rho)
     if not isinstance(model, PomdpModel):
         raise DimensionMismatch("simulate needs a POMDP model")
-    from .filters import simulate_trajectory
-
     res = value_iteration_discounted(model, 1e-6) \
         if model.discount < 1 else solve_finite_horizon(
             model, args.steps, method="ip")

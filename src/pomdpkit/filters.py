@@ -1,6 +1,6 @@
 """Belief-state recursions: HMM filter/predictor, the batched Bayes
-kernel, social-learning filter, risk-sensitive update and seeded
-trajectory simulation.
+kernel, the batched path sampler, social-learning filter, risk-sensitive
+update and seeded trajectory simulation.
 
 Every batched posterior in the package goes through :func:`bayes_batch`.
 Its zero-likelihood rule: a row whose normalizer is at most
@@ -8,6 +8,9 @@ Its zero-likelihood rule: a row whose normalizer is at most
 a continuation weighted by sigma drops it.  The single-belief updates
 below instead raise :class:`ZeroLikelihood`, because there the
 observation comes from the caller.
+
+Every sampled state and observation goes through :func:`sample_index`,
+and every simulated path through :class:`PathSampler`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroLikelihood
-from .model import PomdpModel
+from .model import PomdpModel, belief
 from .rng import make_rng
 
 ZERO_LIKELIHOOD = 1e-300
@@ -54,6 +57,51 @@ def bayes_batch(pred: np.ndarray, lik: np.ndarray,
     post = post / np.where(zero, 1.0, sigma)[:, None]
     post[zero] = prior[zero]
     return post, np.where(zero, 0.0, sigma)
+
+
+def cumulative(p) -> np.ndarray:
+    """Cumulative sums along the last axis, scaled to end at exactly one."""
+    cdf = np.cumsum(np.asarray(p, dtype=float), axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def sample_index(cdf: np.ndarray, rng) -> np.ndarray:
+    """One inverse-CDF draw per row of ``cdf`` (rows from :func:`cumulative`).
+
+    Draws ``u ~ U[0, 1)`` per row, in row order, and returns the number
+    of entries ``<= u``: the rule of ``Generator.choice``.  An index of
+    probability zero is never returned, even for ``u = 0``.
+    """
+    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+
+
+class PathSampler:
+    """Paths of the chain ``x' ~ P(u)[x]``, ``y ~ B(u)[x']`` and their
+    filtered beliefs.
+
+    ``P`` (U, X, X) and ``B`` (U, X, Y) are the stacked kernels; actions,
+    states and observations are 0-indexed.
+    """
+
+    def __init__(self, P, B):
+        self.P = np.asarray(P, dtype=float)
+        self.B = np.asarray(B, dtype=float)
+        self._Pc = cumulative(self.P)
+        self._Bc = cumulative(self.B)
+
+    def draw(self, actions, states, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Next states and observations: one draw per row for every next
+        state, then one per row for every observation.  ``actions`` is
+        one action for all rows or one per row."""
+        states = sample_index(self._Pc[actions, states], rng)
+        return states, sample_index(self._Bc[actions, states], rng)
+
+    def filter(self, u: int, beliefs: np.ndarray,
+               ys: np.ndarray) -> np.ndarray:
+        """Posteriors of the rows that took action ``u`` and saw ``ys``."""
+        post, _ = bayes_batch(beliefs @ self.P[u], self.B[u][:, ys].T,
+                              beliefs)
+        return post
 
 
 def hmm_filter_step(pi, y: int, u: int, model: PomdpModel) -> FilterStep:
@@ -151,10 +199,10 @@ def simulate_trajectory(model: PomdpModel, policy, horizon: int,
         raise DimensionMismatch("horizon must be >= 1")
     rng = make_rng(seed)
     X = model.num_states
-    pi = (np.full(X, 1.0 / X) if pi0 is None
-          else np.asarray(pi0, dtype=float))
-    x = int(rng.choice(X, p=pi))
-    states = [x + 1]
+    pi = np.full(X, 1.0 / X) if pi0 is None else belief(pi0)
+    sampler = PathSampler(model.transitions, model.observations)
+    x = sample_index(cumulative(pi[None]), rng)
+    states = [int(x[0]) + 1]
     beliefs = [pi.copy()]
     observations = []
     actions = []
@@ -163,17 +211,15 @@ def simulate_trajectory(model: PomdpModel, policy, horizon: int,
     for k in range(horizon):
         u = int(policy(pi))
         actions.append(u)
-        cost_terms.append(rho ** k * model.costs[x, u - 1])
-        x = int(rng.choice(X, p=model.P(u)[x]))
-        y = int(rng.choice(model.num_obs, p=model.B(u)[x]))
-        step = hmm_filter_step(pi, y + 1, u, model)
-        pi = step.posterior
-        states.append(x + 1)
-        observations.append(y + 1)
-        beliefs.append(pi.copy())
+        cost_terms.append(rho ** k * model.costs[x[0], u - 1])
+        x, y = sampler.draw(u - 1, x, rng)
+        pi = sampler.filter(u - 1, pi[None], y)[0]
+        states.append(int(x[0]) + 1)
+        observations.append(int(y[0]) + 1)
+        beliefs.append(pi)
     total = float(np.sum(cost_terms))
     if model.horizon is not None and horizon >= model.horizon:
-        total += rho ** horizon * float(model.terminal_vector()[x])
+        total += rho ** horizon * float(model.terminal_vector()[x[0]])
     return Trajectory(
         states=np.asarray(states),
         observations=np.asarray(observations),

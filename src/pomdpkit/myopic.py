@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpInfeasible, PreconditionFailed
-from .filters import bayes_batch
+from .filters import PathSampler, cumulative, sample_index
 from .model import PomdpModel, belief_cost_value
 from .orders import blackwell_factorize
 from .rng import make_rng, uniform_simplex
@@ -323,36 +323,23 @@ def _simulate_paths(model: PomdpModel, policy_batch, pi0: np.ndarray,
     ``policy_batch`` maps an (n, X) belief array to 1-indexed actions;
     ``stage_costs(states, actions, beliefs)`` gives per-path costs.
     """
-    X = model.num_states
-    n = n_runs
-    beliefs = np.tile(pi0, (n, 1))
-    cdf0 = np.cumsum(pi0)
-    states = np.searchsorted(cdf0, rng.random(n), side="right")
-    total = np.zeros(n)
-    Pc = np.cumsum(np.asarray(model.transitions), axis=2)  # (U, X, X)
-    Bc = np.cumsum(np.asarray(model.observations), axis=2)
-    rho = model.discount
+    sampler = PathSampler(model.transitions, model.observations)
+    beliefs = np.tile(pi0, (n_runs, 1))
+    states = sample_index(cumulative(beliefs), rng)
+    total = np.zeros(n_runs)
     disc = 1.0
     for k in range(horizon):
         actions = policy_batch(beliefs)
         total += disc * stage_costs(states, actions, beliefs)
         a0 = actions - 1
-        u_draw = rng.random(n)
-        states = (Pc[a0, states] < u_draw[:, None]).sum(axis=1)
-        y_draw = rng.random(n)
-        ys = (Bc[a0, states] < y_draw[:, None]).sum(axis=1)
-        # filter update, vectorized across paths
+        states, ys = sampler.draw(a0, states, rng)
         new_beliefs = np.empty_like(beliefs)
         for u in range(model.num_actions):
             sel = a0 == u
-            if not sel.any():
-                continue
-            prior = beliefs[sel]
-            new_beliefs[sel], _ = bayes_batch(
-                prior @ model.transitions[u],
-                model.observations[u][:, ys[sel]].T, prior)
+            if sel.any():
+                new_beliefs[sel] = sampler.filter(u, beliefs[sel], ys[sel])
         beliefs = new_beliefs
-        disc *= rho
+        disc *= model.discount
     return total
 
 
@@ -370,12 +357,9 @@ def percent_loss(model: PomdpModel, pair: MyopicPair, pi0,
     pi0 = np.asarray(pi0, dtype=float)
     actual = np.asarray(model.costs)
 
-    def overlap_mask(pis):
-        return pair.upper_actions(pis) == pair.lower_actions(pis)
-
     def patched_policy(pis):
         acts = pair.upper_actions(pis)
-        acts[~overlap_mask(pis)] = 1
+        acts[~overlap_indicator_pair(pair, pis)] = 1
         return acts
 
     def actual_costs(states, actions, beliefs):
@@ -385,8 +369,8 @@ def percent_loss(model: PomdpModel, pair: MyopicPair, pi0,
 
     def tilde_costs(states, actions, beliefs):
         base = actual[states, actions - 1]
-        out = np.where(overlap_mask(beliefs), base, cheap[states])
-        return out
+        return np.where(overlap_indicator_pair(pair, beliefs), base,
+                        cheap[states])
 
     rng1 = make_rng(seed)
     j_patched = _simulate_paths(model, patched_policy, pi0, n_runs,

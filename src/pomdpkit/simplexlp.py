@@ -165,10 +165,10 @@ def solve_lp(
 ) -> LpResult:
     """Minimize ``c @ x`` subject to ``A_ub x <= b_ub`` and ``A_eq x = b_eq``.
 
-    Variables are >= 0 except for indices in ``free_vars`` (or all of them
-    when ``free_vars == "all"``), which are split internally.  On numeric
-    trouble the solve retries once with an epsilon-perturbed right-hand
-    side, which breaks the degeneracy that causes it.
+    Variables are >= 0 except for indices in ``free_vars``, which are
+    split internally.  On numeric trouble the solve retries once with an
+    epsilon-perturbed right-hand side, which breaks the degeneracy that
+    causes it.
     """
     try:
         return _solve_core(c, A_ub, b_ub, A_eq, b_eq, free_vars, 0.0)
@@ -213,10 +213,7 @@ def _solve_core(c, A_ub, b_ub, A_eq, b_eq, free_vars,
     if perturb:
         b = b + perturb * (1.0 + np.arange(b.size))
 
-    if free_vars == "all":
-        free = list(range(n))
-    else:
-        free = sorted(set(int(i) for i in free_vars))
+    free = sorted(set(int(i) for i in free_vars))
     if free:
         A = np.hstack([A, -A[:, free]])
         c = np.concatenate([c, -c[free]])
@@ -277,17 +274,3 @@ def _solve_core(c, A_ub, b_ub, A_eq, b_eq, free_vars,
         x[i] -= x_full[n + k]
     return LpResult("optimal", x=x, value=float(c[:n] @ x))
 
-
-def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                nvars: int | None = None, free_vars=()) -> bool:
-    """Feasibility check for the given constraint system."""
-    if nvars is None:
-        if A_ub is not None:
-            nvars = np.atleast_2d(A_ub).shape[1]
-        elif A_eq is not None:
-            nvars = np.atleast_2d(A_eq).shape[1]
-        else:
-            raise LpNumericFailure("no constraints supplied")
-    res = solve_lp(np.zeros(nvars), A_ub, b_ub, A_eq, b_eq,
-                   free_vars=free_vars)
-    return res.optimal

@@ -334,8 +334,7 @@ def sup_difference(A: VectorSet, B: VectorSet) -> float:
 def value_iteration_discounted(model: PomdpModel, epsilon: float,
                                method: str = "ip",
                                budget: int = VECTOR_BUDGET,
-                               max_iterations: int = 10_000,
-                               return_history: bool = False):
+                               max_iterations: int = 10_000):
     """Iterate Bellman backups until ``sup |V_n - V_{n-1}| <= epsilon``.
 
     The sup-difference is computed exactly with LPs over the two vector
@@ -346,17 +345,14 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
     if not 0 <= rho < 1:
         raise DimensionMismatch("discounted solving needs rho < 1")
     current = vector_set(np.zeros((1, model.num_states)), [1], stage=0)
-    history = [current]
     for n in range(1, max_iterations + 1):
         nxt = bellman_backup_step(current, model, method, budget)
         nxt = VectorSet(nxt.vectors, nxt.actions, stage=n)
-        history.append(nxt)
         gap = sup_difference(nxt, current)
         current = nxt
         if gap <= epsilon:
             bound = epsilon * rho / (1.0 - rho)
-            sets = history if return_history else [current]
-            return SolveResult(sets, bound, discounted=True)
+            return SolveResult([current], bound, discounted=True)
     raise PreconditionFailed(f"value iteration did not reach epsilon="
                              f"{epsilon} in {max_iterations} backups")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import bayes_batch
+from .filters import PathSampler, cumulative, sample_index
 from .grid import (barycentric_weights, continuation, converge,
                    posterior_maps, simplex_lattice)
 from .model import StoppingModel, belief_cost_batch
@@ -79,15 +79,12 @@ def batched_stopping_costs(sm: StoppingModel, policy_values, pi0s,
     (1/2) per alive path; paths absorb at the stop decision with the
     stop cost paid once.
     """
-    pi0s = np.atleast_2d(np.asarray(pi0s, dtype=float))
-    n, X = pi0s.shape
-    beliefs = pi0s.copy()
-    cdf = np.cumsum(pi0s, axis=1)
-    states = (cdf < rng.random(n)[:, None]).sum(axis=1)
+    beliefs = np.atleast_2d(np.asarray(pi0s, dtype=float)).copy()
+    n = len(beliefs)
+    sampler = PathSampler(sm.P[None], sm.B[None])
+    states = sample_index(cumulative(beliefs), rng)
     total = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    Pc = np.cumsum(sm.P, axis=1)
-    Bc = np.cumsum(sm.B, axis=1)
     disc = 1.0
     for k in range(horizon):
         if not alive.any():
@@ -103,14 +100,8 @@ def batched_stopping_costs(sm: StoppingModel, policy_values, pi0s,
         if going.size:
             total[going] += disc * belief_cost_batch(
                 sm.continue_cost, beliefs[going])
-            u = rng.random(going.size)
-            states[going] = (Pc[states[going]]
-                             < u[:, None]).sum(axis=1)
-            yv = rng.random(going.size)
-            ys = (Bc[states[going]] < yv[:, None]).sum(axis=1)
-            prior = beliefs[going]
-            beliefs[going], _ = bayes_batch(prior @ sm.P, sm.B[:, ys].T,
-                                            prior)
+            states[going], ys = sampler.draw(0, states[going], rng)
+            beliefs[going] = sampler.filter(0, beliefs[going], ys)
         disc *= sm.discount
     # paths still alive at the horizon stop and pay the stop cost
     if alive.any():

@@ -205,15 +205,10 @@ def evaluate_threshold_policy(sm: StoppingModel, theta, n_paths: int,
                               seed: int, horizon: int | None = None
                               ) -> np.ndarray:
     """Per-path sampled discounted costs of a linear threshold policy."""
-    rng = make_rng(seed)
-    K = horizon or truncation_horizon(sm)
-    pi0 = uniform_simplex(rng, n_paths, sm.num_states)
     theta = np.asarray(theta, dtype=float)
-
-    def batch_policy(pis, idx):
-        return linear_threshold_actions(theta, pis)
-
-    return batched_stopping_costs(sm, batch_policy, pi0, K, rng)
+    return evaluate_stop_policy(
+        sm, lambda pis: linear_threshold_actions(theta, pis), n_paths,
+        seed, horizon)
 
 
 def evaluate_stop_policy(sm: StoppingModel, actions_fn, n_paths: int,

@@ -264,6 +264,12 @@ class TestSocialLearning:
                                          beta=0.0, rho=0.9, grid_size=200)
         assert res.stop_mask.all()
 
+    def test_iteration_cap_raises(self):
+        # one sweep leaves 63 of the 500 stop decisions wrong
+        with pytest.raises(PreconditionFailed):
+            solve_social_learning_stop(self.COSTS, self.B, d=1.8, beta=2.0,
+                                       rho=0.9, max_iterations=1)
+
 
 class TestGittins:
     P = [[0.8, 0.2], [0.3, 0.7]]

@@ -10,11 +10,14 @@ from helpers import P_TP2_3, random_belief_pair, random_tp2_stochastic
 from pomdpkit.cli import load_model
 from pomdpkit.errors import ZeroLikelihood
 from pomdpkit.filters import (
+    PathSampler,
     bayes_batch,
+    cumulative,
     hmm_filter_step,
     hmm_predictor_step,
     normalizer_vector,
     risk_sensitive_step,
+    sample_index,
     simulate_trajectory,
     social_action_likelihoods,
     social_learning_step,
@@ -200,6 +203,51 @@ class TestBayesBatch:
         post, sigma = bayes_batch(prior, np.array([0.0, 1.0]), prior)
         assert np.array_equal(post, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         assert np.array_equal(sigma, [0.0, 0.7, 1.0])
+
+
+class _PresetUniforms:
+    """Stands in for a Generator: ``random(n)`` returns the next n of the
+    preset uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.asarray(out, dtype=float)
+
+
+class TestPathSampler:
+    def test_zero_probability_index_never_drawn(self):
+        p = np.array([[0.0, 0.25, 0.0, 0.75],
+                      [0.5, 0.0, 0.5, 0.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        for row, cdf in zip(p, cumulative(p)):
+            # u = 0 and every CDF value a draw can take exactly
+            for u in np.concatenate([[0.0], cdf[cdf < 1.0]]):
+                idx = sample_index(cdf[None], _PresetUniforms([u]))[0]
+                assert row[idx] > 0, (row, u, idx)
+        # a deterministic swap chain read through an identity kernel
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sampler = PathSampler(P[None], np.eye(2)[None])
+        states, ys = sampler.draw(0, np.array([0, 1]),
+                                  _PresetUniforms([0.0] * 4))
+        assert states.tolist() == [1, 0]
+        assert ys.tolist() == [1, 0]
+
+    def test_draw_frequencies_match_kernels(self):
+        sm = load_model("qd-ph")
+        P, B = np.asarray(sm.P), np.asarray(sm.B)
+        n = 100_000
+        sampler = PathSampler(P[None], B[None])
+        for x in range(P.shape[0]):
+            states, ys = sampler.draw(0, np.full(n, x), make_rng(x))
+            joint = np.zeros_like(B)
+            np.add.at(joint, (states, ys), 1.0)
+            freq = joint / n
+            want = P[x][:, None] * B
+            se = np.sqrt(want * (1 - want) / n)
+            assert (np.abs(freq - want) <= 4 * se).all(), (x, freq, want)
 
 
 class TestSocialLearning:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pomdpkit.rng import make_rng
-from pomdpkit.simplexlp import lp_feasible, solve_lp
+from pomdpkit.simplexlp import solve_lp
 
 
 class TestBasics:
@@ -50,8 +50,8 @@ class TestBasics:
         assert res.optimal
 
     def test_feasibility_helper(self):
-        assert lp_feasible(A_ub=[[1, 1]], b_ub=[1])
-        assert not lp_feasible(A_eq=[[1, 1]], b_eq=[-1])
+        assert solve_lp(np.zeros(2), A_ub=[[1, 1]], b_ub=[1]).optimal
+        assert not solve_lp(np.zeros(2), A_eq=[[1, 1]], b_eq=[-1]).optimal
 
 
 class TestAgainstEnumeration:
