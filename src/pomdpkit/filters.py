@@ -200,6 +200,9 @@ def simulate_trajectory(model: PomdpModel, policy, horizon: int,
     rng = make_rng(seed)
     X = model.num_states
     pi = np.full(X, 1.0 / X) if pi0 is None else belief(pi0)
+    if pi.size != X:
+        raise DimensionMismatch(f"pi0 has {pi.size} entries, the model "
+                                f"has {X} states")
     sampler = PathSampler(model.transitions, model.observations)
     x = sample_index(cumulative(pi[None]), rng)
     states = [int(x[0]) + 1]

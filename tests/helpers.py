@@ -3,6 +3,9 @@ model generators used across modules."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from pomdpkit.errors import LpInfeasible
@@ -86,3 +89,12 @@ def sandwich_model(rng) -> tuple[PomdpModel, object]:
                 return m, lp_feasibility_C1_C2(m)
             except LpInfeasible:
                 continue
+
+
+def lp_fixture(name: str) -> dict:
+    """A recorded LP from ``data/lp_fixtures.json`` as ``solve_lp``
+    keyword arguments."""
+    path = Path(__file__).parent / "data" / "lp_fixtures.json"
+    lp = json.loads(path.read_text())[name]
+    del lp["note"]
+    return lp

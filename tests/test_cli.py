@@ -47,6 +47,15 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().err)["error"] == \
             "NegativeEntry"
 
+    @pytest.mark.parametrize("argv", [["--horizon", "10"], []],
+                             ids=["horizon-10", "discounted"])
+    def test_search_preset_solves(self, argv, capsys):
+        # both once died with LpNumericFailure (exit 2) in a pruning LP
+        rc = main(["solve", "--model", "search"] + argv)
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["discounted"] == (not argv)
+
     def test_unknown_preset_exit_code(self, capsys):
         rc = main(["solve", "--model", "nope", "--horizon", "2"])
         assert rc == 2

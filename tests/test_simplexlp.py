@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import lp_fixture
 from pomdpkit.rng import make_rng
-from pomdpkit.simplexlp import solve_lp
+from pomdpkit.simplexlp import LpResult, solve_lp
 
 
 class TestBasics:
@@ -111,3 +112,30 @@ class TestAgainstEnumeration:
                            A_eq=A_eq, b_eq=[1.0], free_vars=[3])
             assert res.optimal
             assert res.value <= 1e-6  # margin cannot be positive
+
+
+class TestCounters:
+    def test_defaults_change_nothing(self):
+        res = LpResult("optimal", x=np.zeros(1), value=0.0)
+        assert (res.pivots, res.refactorizations, res.bland,
+                res.retried) == (0, 0, False, False)
+
+    def test_crash_basis_phase1_pivots(self):
+        """Every row of the recorded pruning LP but the simplex equality
+        is a <= row with zero rhs, so it starts on its slack; only the
+        equality row needs an artificial.  A zero objective leaves phase 2
+        nothing to do, so every pivot counted is phase 1's."""
+        lp = lp_fixture("search_prune")
+        assert len(lp["b_ub"]) == 91 and not any(lp["b_ub"])
+        lp["c"] = np.zeros(len(lp["c"]))
+        res = solve_lp(**lp)
+        assert res.optimal
+        assert res.pivots == 2
+        assert (res.refactorizations, res.bland, res.retried) == \
+            (0, False, False)
+
+    def test_pivots_counted(self):
+        res = solve_lp([-1, -1], A_ub=[[1, 1]], b_ub=[1])
+        assert res.optimal and res.pivots == 1
+        # the origin is optimal on the slack basis: no pivot at all
+        assert solve_lp([1, 1], A_ub=[[1, 1]], b_ub=[1]).pivots == 0

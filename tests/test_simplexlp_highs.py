@@ -1,0 +1,196 @@
+"""Differential tests of the embedded simplex against scipy's HiGHS.
+
+scipy is a test-only dependency, so the module skips itself without it.
+The control ``highs_lp`` has the contract of ``solve_lp``; statuses must
+agree and optimal values must agree to ``VALUE_TOL``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+from helpers import lp_fixture
+from pomdpkit import solver
+from pomdpkit.cli import load_model
+from pomdpkit.simplexlp import LpResult, solve_lp
+
+VALUE_TOL = 1e-9
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
+
+
+def highs_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, free_vars=()):
+    """``solve_lp`` solved by ``linprog(method="highs")``.
+
+    HiGHS's presolve may call an unbounded LP infeasible, so a
+    non-optimal status is decided again with a zero objective: that LP is
+    never unbounded, and it is optimal exactly when the original LP is
+    feasible.
+    """
+    c = np.asarray(c, dtype=float)
+    free = set(free_vars)
+    bounds = [(None, None) if i in free else (0, None)
+              for i in range(c.size)]
+
+    def run(cost):
+        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs", options=HIGHS_OPTIONS)
+        # 0 optimal, 2 infeasible, 3 unbounded; anything else is a failure
+        assert res.status in (0, 2, 3), res.message
+        return res
+
+    res = run(c)
+    if res.status == 0:
+        return LpResult("optimal", x=res.x, value=float(res.fun))
+    feasible = run(np.zeros_like(c)).status == 0
+    return LpResult("unbounded" if feasible else "infeasible")
+
+
+def assert_agrees(lp):
+    ours = solve_lp(**lp)
+    control = highs_lp(**lp)
+    assert ours.status == control.status
+    if control.optimal:
+        assert abs(ours.value - control.value) <= VALUE_TOL
+
+
+class TestRecordedFixtures:
+    def test_search_prune(self):
+        lp = lp_fixture("search_prune")
+        assert np.asarray(lp["A_ub"]).shape == (91, 6)
+        assert_agrees(lp)
+
+    def test_per_belief_infeasible(self):
+        lp = lp_fixture("per_belief_infeasible")
+        assert np.asarray(lp["A_ub"]).shape == (63, 8)
+        assert highs_lp(**lp).status == "infeasible"
+        assert_agrees(lp)
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Small-integer LPs with zero and negative right-hand sides,
+    duplicated rows and, optionally, a free variable and a simplex
+    equality row over the other variables."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 6))
+    coef = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    b = np.array(draw(st.lists(st.integers(-2, 2), min_size=m,
+                               max_size=m)), dtype=float)
+    dup = draw(st.lists(st.integers(0, m - 1), max_size=3))
+    A = np.vstack([A, A[dup]])
+    b = np.concatenate([b, b[dup]])
+    c = np.array(draw(st.lists(coef, min_size=n, max_size=n)), dtype=float)
+    free = draw(st.sampled_from([(), (n - 1,)]))
+    lp = {"c": c, "A_ub": A, "b_ub": b, "free_vars": free}
+    if draw(st.booleans()):
+        row = np.ones((1, n))
+        row[0, list(free)] = 0.0
+        lp.update(A_eq=row, b_eq=[1.0])
+    return lp
+
+
+@st.composite
+def envelope_lps(draw):
+    """Pruning LPs ``min z st (g - g_k)' pi <= z`` on the simplex, over
+    near-duplicate gradient vectors (all-zero right-hand side)."""
+    X = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # spreads from 1e-9 to 1e-7 fall between the kernel's pivot
+    # thresholds, where it is off by up to about 1e-7 (see TestKnownGap)
+    spread = draw(st.sampled_from([0.0, 1e-10, 1e-5, 1e-3, 1.0]))
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=X)
+    vecs = base + spread * rng.normal(size=(k + 1, X))
+    dup = draw(st.lists(st.integers(0, k), max_size=2))
+    vecs = np.vstack([vecs, vecs[dup]])
+    diff = vecs[0][None, :] - vecs[1:]
+    c = np.zeros(X + 1)
+    c[-1] = 1.0
+    return {"c": c,
+            "A_ub": np.hstack([diff, -np.ones((len(diff), 1))]),
+            "b_ub": np.zeros(len(diff)),
+            "A_eq": np.hstack([np.ones((1, X)), np.zeros((1, 1))]),
+            "b_eq": [1.0], "free_vars": [X]}
+
+
+class TestGeneratedLps:
+    @settings(max_examples=400, deadline=None)
+    @given(degenerate_lps())
+    def test_degenerate_integer_lps(self, lp):
+        assert_agrees(lp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelope_lps())
+    def test_envelope_pruning_lps(self, lp):
+        assert_agrees(lp)
+
+
+class TestKnownGap:
+    """Gradient gaps between the pivot thresholds ``TOL`` and ``PIVOT_TOL``.
+
+    The ratio test looks only at rows whose entry exceeds ``PIVOT_TOL``
+    while any does, so a row with a smaller positive entry does not block
+    the step and ends up violated.  Here ``g0 - g2 = (1e-8, 1e-8)`` forces
+    ``z >= 1e-8``, yet the kernel returns ``pi = (0, 1)``, ``z = -2e-8``.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="rows with entries below "
+                       "PIVOT_TOL do not block the ratio test")
+    def test_gaps_below_pivot_tol(self):
+        g = np.array([[-1.83 + 1e-8, 1.8],
+                      [-1.83, 1.8 + 2e-8],
+                      [-1.83, 1.8 - 1e-8]])
+        diff = g[0] - g[1:]
+        assert_agrees({"c": [0.0, 0.0, 1.0],
+                       "A_ub": np.hstack([diff, -np.ones((2, 1))]),
+                       "b_ub": np.zeros(2),
+                       "A_eq": [[1.0, 1.0, 0.0]], "b_eq": [1.0],
+                       "free_vars": [2]})
+
+
+def highs_control(call):
+    """Run ``call`` with every solver LP solved by HiGHS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_lp", highs_lp)
+        return call()
+
+
+@pytest.fixture(scope="module")
+def search():
+    return load_model("search")
+
+
+class TestSearchPreset:
+    """The ``search`` preset at horizon 10 and under discounted VI, where
+    the kernel once raised ``LpNumericFailure``."""
+
+    def test_horizon_10_envelope_matches_highs(self, search):
+        ours = solver.solve_finite_horizon(search, 10)
+        control = highs_control(
+            lambda: solver.solve_finite_horizon(search, 10))
+        X = search.num_states
+        rng = np.random.default_rng(0)
+        pis = np.vstack([rng.dirichlet(np.ones(X), 200), np.eye(X)])
+        assert len(ours.stage_sets) == len(control.stage_sets) == 11
+        # near-ties at PRUNE_TOL may keep different vectors, so compare
+        # envelopes, not vector counts
+        for a, b in zip(ours.stage_sets, control.stage_sets):
+            assert a.stage == b.stage
+            np.testing.assert_allclose(solver.evaluate_batch(a, pis),
+                                       solver.evaluate_batch(b, pis),
+                                       rtol=0, atol=VALUE_TOL)
+
+    def test_discounted_vi_matches_highs(self, search):
+        uniform = np.full(search.num_states, 1.0 / search.num_states)
+        ours = solver.value_iteration_discounted(search, 1e-6)
+        control = highs_control(
+            lambda: solver.value_iteration_discounted(search, 1e-6))
+        assert abs(ours.value(uniform) - control.value(uniform)) \
+            <= VALUE_TOL
