@@ -43,12 +43,6 @@ def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
     return np.asarray(pts, dtype=float) / resolution
 
 
-def lattice_index_map(dim: int, resolution: int) -> dict:
-    """Map from integer composition tuples to row index in the lattice."""
-    pts = np.rint(simplex_lattice(dim, resolution) * resolution).astype(int)
-    return {tuple(p): i for i, p in enumerate(pts)}
-
-
 def _comb_table(n: int, k: int) -> np.ndarray:
     T = np.zeros((n + 1, k + 1), dtype=np.int64)
     for i in range(n + 1):

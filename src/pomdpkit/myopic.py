@@ -23,9 +23,10 @@ from .filters import PathSampler, cumulative, sample_index
 from .model import PomdpModel, belief_cost_value
 from .orders import blackwell_factorize
 from .rng import make_rng, uniform_simplex
-from .simplexlp import solve_lp
+from .simplexlp import dual_feasible, solve_lp
 
 STRICTNESS = 1e-6
+BELIEF_CHUNK = 1024  # beliefs per lockstep batch; bounds the tableau memory
 
 
 @dataclass(frozen=True)
@@ -147,13 +148,26 @@ def myopic_actions(pair: MyopicPair, pi) -> tuple[int, int]:
     return pair.lower_action(pi), pair.upper_action(pi)
 
 
+@dataclass
+class BoundsCounters:
+    """What a ``PerBeliefBounds`` engine has done so far."""
+
+    solves: int = 0   # lockstep ``dual_feasible`` calls
+    pivots: int = 0
+    bland: int = 0    # problems that switched to Bland's rule
+    beliefs: int = 0  # beliefs with both bounds decided
+
+
 class PerBeliefBounds:
-    """Per-belief myopic bounds for U > 2 via feasibility LPs.
+    """Per-belief myopic bounds for U > 2 via feasibility problems.
 
     For a given belief, the upper bound is the smallest action some
-    feasible transform makes myopically optimal; the lower bound is the
-    largest.  Feasible transforms found along the way are cached as
-    certificates so later beliefs usually avoid the LPs entirely.
+    transform in the C1 polytope makes myopically optimal; the lower
+    bound is the largest action some transform in the C2 polytope does.
+    Each probe (polytope, action) is decided for a whole chunk of
+    beliefs at once by ``dual_feasible``: C1 for a = 1..U over the beliefs
+    still undecided, then C2 for a = U..1, then the order check
+    ``lower <= upper`` at every belief.  ``counters`` sums the work.
     """
 
     def __init__(self, model: PomdpModel, delta: float = STRICTNESS):
@@ -164,79 +178,72 @@ class PerBeliefBounds:
         self.b = {}
         for tag, direction in (("C1", "increasing"), ("C2", "decreasing")):
             A, b = _monotone_polytope(model, direction, delta)
-            res = solve_lp(np.ones(X), A_ub=A, b_ub=b)
-            if not res.optimal:
+            if not dual_feasible(A[None], b[None]).feasible[0]:
                 raise LpInfeasible(tag)
             self.A[tag], self.b[tag] = A, b
         # E[u] @ f adds the transform contribution to C_u
         self.E = np.stack([np.eye(X) - model.discount * model.P(u)
                            for u in range(1, U + 1)])
         self.c = model.costs  # (X, U)
-        self._pool = {"C1": [], "C2": []}
+        self.counters = BoundsCounters()
 
-    def _feasible(self, tag: str, pi: np.ndarray, action: int):
-        """Transform in the tag polytope making ``action`` myopic at pi."""
-        i = action - 1
-        others = [u for u in range(self.U) if u != i]
-        base = pi @ self.c  # (U,)
-        lin = np.stack([pi @ self.E[u] for u in range(self.U)])  # (U, X)
-        for f in self._pool[tag]:
-            vals = base + lin @ f
-            if vals[i] <= vals[others].min() + 1e-12:
-                return f
-        rows = [lin[i] - lin[u] for u in others]
-        rhs = [base[u] - base[i] for u in others]
-        A = np.vstack([self.A[tag], np.asarray(rows)])
-        b = np.concatenate([self.b[tag], np.asarray(rhs)])
-        res = solve_lp(np.ones(self.X), A_ub=A, b_ub=b)
-        if res.optimal:
-            self._pool[tag].append(res.x)
-            return res.x
-        return None
+    def _scan(self, tag: str, pis: np.ndarray, actions
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """First action of ``actions`` that a transform in the tag
+        polytope makes myopic at each belief (0 where none does), with
+        that transform."""
+        base = pis @ self.c  # (B, U)
+        lin = np.einsum("bx,uxy->buy", pis, self.E)  # (B, U, X)
+        found = np.zeros(len(pis), dtype=int)
+        fs = np.zeros((len(pis), self.X))
+        todo = np.arange(len(pis))
+        A, b = self.A[tag], self.b[tag]
+        for a in actions:
+            if not todo.size:
+                break
+            i = a - 1
+            others = [u for u in range(self.U) if u != i]
+            L, c = lin[todo], base[todo]
+            rows = L[:, [i]] - L[:, others]
+            rhs = c[:, others] - c[:, [i]]
+            M = np.concatenate(
+                [np.broadcast_to(A, (todo.size,) + A.shape), rows], axis=1)
+            res = dual_feasible(M, np.hstack(
+                [np.broadcast_to(b, (todo.size, b.size)), rhs]))
+            self.counters.solves += 1
+            self.counters.pivots += res.pivots
+            self.counters.bland += res.bland
+            hit = todo[res.feasible]
+            found[hit] = a
+            fs[hit] = res.f[res.feasible]
+            todo = todo[~res.feasible]
+        return found, fs
+
+    def _decide(self, pis: np.ndarray):
+        """``(lower, upper, f_upper, f_lower)`` arrays for one chunk."""
+        hi, f_upper = self._scan("C1", pis, range(1, self.U + 1))
+        lo, f_lower = self._scan("C2", pis, range(self.U, 0, -1))
+        if ((hi > 0) & (lo > hi)).any():
+            raise PreconditionFailed(
+                "myopic bounds are not ordered on this model")
+        self.counters.beliefs += len(pis)
+        return lo, hi, f_upper, f_lower
 
     def bounds(self, pi) -> tuple[int, int, np.ndarray, np.ndarray]:
         """``(mu_lower, mu_upper, f_upper, f_lower)`` at one belief."""
-        pi = np.asarray(pi, dtype=float)
-        mu_upper, f_upper = None, None
-        for a in range(1, self.U + 1):
-            f = self._feasible("C1", pi, a)
-            if f is not None:
-                mu_upper, f_upper = a, f
-                break
-        mu_lower, f_lower = None, None
-        for a in range(self.U, 0, -1):
-            f = self._feasible("C2", pi, a)
-            if f is not None:
-                mu_lower, f_lower = a, f
-                break
-        return mu_lower, mu_upper, f_upper, f_lower
+        lo, hi, f_upper, f_lower = self._decide(
+            np.asarray(pi, dtype=float)[None])
+        return (int(lo[0]) or None, int(hi[0]) or None,
+                f_upper[0] if hi[0] else None, f_lower[0] if lo[0] else None)
 
-    def overlap_indicator(self, pis: np.ndarray,
-                          assume_ordered: bool = True) -> np.ndarray:
-        """Overlap mask ``mu_upper == mu_lower`` for many beliefs.
-
-        With ``assume_ordered`` the lower bound is only probed at the
-        upper bound's action (valid because the bounds always bracket
-        the optimal policy, hence each other); the assumption is spot
-        checked on the first beliefs of every call.
-        """
+    def overlap_indicator(self, pis: np.ndarray) -> np.ndarray:
+        """Overlap mask ``mu_upper == mu_lower`` for many beliefs, decided
+        ``BELIEF_CHUNK`` beliefs at a time."""
         pis = np.atleast_2d(pis)
         out = np.zeros(len(pis), dtype=bool)
-        for k, pi in enumerate(pis):
-            if not assume_ordered or k < 25:
-                lo, hi, _, _ = self.bounds(pi)
-                if lo is not None and hi is not None and lo > hi:
-                    raise PreconditionFailed(
-                        "myopic bounds are not ordered on this model")
-                out[k] = lo == hi
-                continue
-            hi = None
-            for a in range(1, self.U + 1):
-                if self._feasible("C1", pi, a) is not None:
-                    hi = a
-                    break
-            out[k] = (hi is not None
-                      and self._feasible("C2", pi, hi) is not None)
+        for start in range(0, len(pis), BELIEF_CHUNK):
+            lo, hi, _, _ = self._decide(pis[start:start + BELIEF_CHUNK])
+            out[start:start + BELIEF_CHUNK] = (hi > 0) & (lo == hi)
         return out
 
 

@@ -27,6 +27,21 @@ envelope comparisons:
   numerically.
 
 Every solve reports plain counters on its ``LpResult``.
+
+``dual_feasible`` decides a whole batch of feasibility problems
+``M f <= b, f >= 0`` at once, through their duals
+``min b'z s.t. -M'z + s = 1, z, s >= 0``.  A dual starts feasible on its
+slack basis, so there is no phase 1, and its tableau has one row per
+variable of ``f`` plus the objective row.  The dual is optimal exactly
+when the primal is feasible and unbounded exactly when it is infeasible.
+All tableaus of a batch pivot in lockstep as one 3-D array, with Dantzig
+pricing, a Harris two-pass ratio test and a per-problem switch to Bland's
+rule after a stall.  Every verdict carries a certificate that is checked
+in numpy before it is returned: the point ``f`` read off the final
+objective row for a feasible problem, the Farkas ray ``z`` of the
+unbounded column (``z >= 0``, ``M'z >= 0``, ``b'z < 0``) for an
+infeasible one.  A certificate that fails its check raises
+``LpNumericFailure``.
 """
 
 from __future__ import annotations
@@ -45,6 +60,9 @@ STALL_TOL = 1e-13      # objective decrease that counts as progress
 REPAIR_TOL = 1e-8      # residual norm a column needs to join a repaired basis
 DRIVE_OUT_TOL = 1e-6   # pivot that drives an artificial out after phase 1
 PERTURB = 1e-10        # right-hand-side perturbation of the retry
+CERT_TOL = 1e-9        # certificate residual per unit of row size (1 + |M| f),
+                       # on equilibrated rows and a unit-sum ray
+DUAL_MAX_ITER = 10000  # lockstep pivots before dual_feasible gives up
 
 
 @dataclass
@@ -302,3 +320,150 @@ def _solve_core(c, A_ub, b_ub, A_eq, b_eq, free_vars,
     for k, i in enumerate(free):
         x[i] -= x_full[n + k]
     return LpResult("optimal", x=x, value=float(c[:n] @ x))
+
+
+@dataclass
+class FeasibilityBatch:
+    """Verdicts and certificates of ``dual_feasible`` for B problems."""
+
+    feasible: np.ndarray  # (B,) bool
+    f: np.ndarray         # (B, X): M f <= b, f >= 0; zero where infeasible
+    ray: np.ndarray       # (B, m): Farkas rays; zero where feasible
+    pivots: int = 0
+    bland: int = 0        # problems that switched to Bland's rule
+
+
+def dual_feasible(M, b) -> FeasibilityBatch:
+    """Decide ``M[k] f <= b[k], f >= 0`` for every k of a batch.
+
+    ``M`` has shape (B, m, X) and ``b`` shape (B, m).  Each problem is
+    decided through its dual ``min b'z s.t. -M'z + s = 1, z, s >= 0``,
+    and all duals pivot in lockstep.  Rows are equilibrated first, as in
+    ``solve_lp``; a zero row keeps scale 1, so its right-hand side alone
+    decides it.  Raises ``LpNumericFailure`` when a certificate fails its
+    check or ``DUAL_MAX_ITER`` lockstep pivots leave a problem undecided.
+    """
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    B, m, X = M.shape
+    scale = np.abs(M).max(axis=2, initial=0.0)
+    scale[scale == 0] = 1.0
+    Ms = M / scale[..., None]
+    bs = b / scale
+    n = m + X  # columns z, then s; the last tableau column is the rhs
+    T = np.zeros((B, X + 1, n + 1))
+    T[:, :X, :m] = -Ms.transpose(0, 2, 1)
+    T[:, :X, m:n] = np.eye(X)
+    T[:, :X, n] = 1.0
+    T[:, X, :m] = bs
+    basis = np.tile(np.arange(m, n), (B, 1))
+    live = np.arange(B)  # original index of each tableau still pivoting
+    stall = np.zeros(B, dtype=int)
+    bland = np.zeros(B, dtype=bool)
+    stall_limit = 3 * (X + n)
+    out = FeasibilityBatch(np.zeros(B, dtype=bool), np.zeros((B, X)),
+                           np.zeros((B, m)))
+    for it in range(DUAL_MAX_ITER + 1):
+        red = T[:, X, :n]
+        enter = np.where(bland, (red < -TOL).argmax(axis=1),
+                         red.argmin(axis=1))
+        k = np.arange(live.size)
+        col = T[k, :X, enter]
+        optimal = red[k, enter] >= -TOL
+        # pivot entries must exceed TOL relative to the column's largest
+        big = col > TOL * np.maximum(np.abs(col).max(axis=1), 1.0)[:, None]
+        unbounded = ~optimal & ~big.any(axis=1)
+        done = optimal | unbounded
+        if done.any():
+            _certify(out, live[done], optimal[done], T[done], basis[done],
+                     enter[done], Ms[live[done]], bs[live[done]],
+                     scale[live[done]])
+            keep = ~done
+            T, basis, stall, bland = T[keep], basis[keep], stall[keep], \
+                bland[keep]
+            live, enter, col, big = live[keep], enter[keep], col[keep], \
+                big[keep]
+            k = np.arange(live.size)
+        if not live.size:
+            return out
+        if it == DUAL_MAX_ITER:
+            break
+        row = _leaving_rows(T[:, :X, n], col, big, basis, bland)
+        before = T[:, X, n].copy()
+        prow = T[k, row] / T[k, row, enter][:, None]
+        factors = T[k, :, enter]
+        factors[k, row] = 0.0
+        T -= factors[:, :, None] * prow[:, None, :]
+        T[k, row] = prow
+        basis[k, row] = enter
+        out.pivots += live.size
+        # -T[:, X, n] is the dual objective, which must fall
+        progress = T[:, X, n] > before + STALL_TOL
+        stall = np.where(progress, 0, stall + 1)
+        switch = ~bland & (stall > stall_limit)
+        out.bland += int(switch.sum())
+        bland |= switch
+    raise LpNumericFailure("lockstep iteration limit exceeded")
+
+
+def _leaving_rows(rhs, col, big, basis, bland) -> np.ndarray:
+    """Batched Harris two-pass ratio test on the entering columns.
+
+    The first pass bounds the step by every positive entry, however
+    small, relaxed by ``TIE_TOL``, so no row is skipped and none ends more
+    than ``TIE_TOL`` below zero.  The second pivots on the largest
+    pivotable (``big``) entry whose ratio fits, or under Bland's rule on
+    the one with the smallest basis index.  Only where no such entry
+    fits, because a sub-pivot entry (rounding noise on a zero) binds, is
+    the bound taken over the pivotable entries alone.
+    """
+    rhs = np.maximum(rhs, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (rhs + TIE_TOL) / col
+        bound = np.where(col > 0, ratio, np.inf).min(axis=1)
+        fits = big & (rhs <= bound[:, None] * col)
+        noise = ~fits.any(axis=1)
+        if noise.any():
+            bound = np.where(noise, np.where(big, ratio, np.inf).min(axis=1),
+                             bound)
+            fits = big & (rhs <= bound[:, None] * col)
+    largest = np.where(fits, col, -np.inf).argmax(axis=1)
+    first = np.where(fits, basis, basis.max(initial=0) + 1).argmin(axis=1)
+    return np.where(bland, first, largest)
+
+
+def _certify(out: FeasibilityBatch, idx, optimal, T, basis, enter, Ms, bs,
+             scale):
+    """Read off, check and store the certificates of finished tableaus.
+
+    ``Ms`` and ``bs`` are the equilibrated problems, which the checks use;
+    rays are stored rescaled to the original rows, with unit sum.
+    """
+    X = T.shape[1] - 1
+    m = Ms.shape[1]
+    f = np.maximum(T[optimal, X, m:m + X], 0.0)
+    excess = np.einsum("kmx,kx->km", Ms[optimal], f) - bs[optimal]
+    size = 1.0 + np.einsum("kmx,kx->km", np.abs(Ms[optimal]), f)
+    if (excess > CERT_TOL * size).any():
+        raise LpNumericFailure("feasibility certificate failed its check")
+    # the unbounded column's ray: the entering variable at 1, and each
+    # basic variable grows by minus its column entry, where no entry is
+    # pivotable; the noise-level positive ones are clipped to zero
+    no = ~optimal
+    k = np.arange(int(no.sum()))
+    d = np.zeros((k.size, m + X))
+    d[k, enter[no]] = 1.0
+    np.put_along_axis(d, basis[no],
+                      np.maximum(-T[no][k, :X, enter[no]], 0.0), axis=1)
+    z = d[:, :m]
+    total = z.sum(axis=1, keepdims=True)
+    if (total <= 0).any():
+        raise LpNumericFailure("Farkas ray has no constraint weight")
+    z = z / total
+    if ((np.einsum("kmx,km->kx", Ms[no], z) < -CERT_TOL).any()
+            or ((bs[no] * z).sum(axis=1) >= 0).any()):
+        raise LpNumericFailure("infeasibility certificate failed its check")
+    out.feasible[idx] = optimal
+    out.f[idx[optimal]] = f
+    ray = z / scale[no]
+    out.ray[idx[no]] = ray / ray.sum(axis=1, keepdims=True)

@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, determinism and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -101,6 +102,17 @@ class TestMyopicCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_table1d_per_belief_bytes(self, capsys):
+        # per-belief bounds on example3; digest recorded when each bound
+        # was still decided by one simplex LP per (belief, action)
+        rc = main(["myopic", "--table1d", "--samples", "300",
+                   "--seed", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "5e757d4f06c41bc5a27792ed5a4ccfd9"
+            "d801a4fa7923db5de413e551e72c3a06")
 
 
 class TestSpsaCommand:

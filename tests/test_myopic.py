@@ -1,5 +1,8 @@
 """Myopic bound construction, overlap volume and loss estimation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from pomdpkit.errors import LpInfeasible, PreconditionFailed
 from pomdpkit.grid import GridValue
 from pomdpkit.model import PomdpModel
 from pomdpkit.myopic import (
+    BoundsCounters,
     PerBeliefBounds,
     blackwell_myopic_region,
     lp_feasibility_C1_C2,
@@ -20,6 +24,8 @@ from pomdpkit.myopic import (
 )
 from pomdpkit.presets import example1, example3
 from pomdpkit.rng import make_rng, uniform_simplex
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestFeasibilityLPs:
@@ -161,6 +167,40 @@ class TestPerBeliefBounds:
         e1[0] = 1.0
         lo, hi, _, _ = engine.bounds(e1)
         assert lo == hi == 1
+
+    @pytest.mark.parametrize("rho", [0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_masks_match_recorded_per_lp_engine(self, rho):
+        rec = json.loads(DATA.joinpath("overlap_masks.json").read_text())
+        pis = uniform_simplex(make_rng(rec["seed"]), rec["beliefs"], 8)
+        mask = PerBeliefBounds(example3(rho)).overlap_indicator(pis)
+        assert np.packbits(mask).tobytes().hex() == rec["masks"][str(rho)]
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_transforms_certify_the_reported_actions(self, rho):
+        m = example3(rho)
+        engine = PerBeliefBounds(m)
+        for pi in uniform_simplex(make_rng(12), 40, 8):
+            lo, hi, f_upper, f_lower = engine.bounds(pi)
+            for tag, action, f in (("C1", hi, f_upper), ("C2", lo, f_lower)):
+                assert (f >= 0).all()
+                slack = engine.b[tag] - engine.A[tag] @ f
+                assert slack.min() >= -1e-9
+                vals = pi @ transformed_costs(m, f)
+                assert vals[action - 1] <= vals.min() + 1e-9
+
+    def test_unordered_bounds_raise(self):
+        # swapping the polytopes turns the upper bound into a lower one
+        engine = PerBeliefBounds(example3(0.5))
+        engine.A = {"C1": engine.A["C2"], "C2": engine.A["C1"]}
+        engine.b = {"C1": engine.b["C2"], "C2": engine.b["C1"]}
+        with pytest.raises(PreconditionFailed):
+            engine.overlap_indicator(uniform_simplex(make_rng(13), 50, 8))
+
+    def test_counters(self):
+        engine = PerBeliefBounds(example3(0.5))
+        engine.overlap_indicator(uniform_simplex(make_rng(14), 50, 8))
+        assert engine.counters == BoundsCounters(
+            solves=14, pivots=3314, bland=0, beliefs=50)
 
 
 class TestOverlapVolume:

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import lp_fixture
 from pomdpkit.rng import make_rng
-from pomdpkit.simplexlp import LpResult, solve_lp
+from pomdpkit.simplexlp import TOL, LpResult, _leaving_rows, solve_lp
 
 
 class TestBasics:
@@ -139,3 +139,27 @@ class TestCounters:
         assert res.optimal and res.pivots == 1
         # the origin is optimal on the slack basis: no pivot at all
         assert solve_lp([1, 1], A_ub=[[1, 1]], b_ub=[1]).pivots == 0
+
+
+class TestLockstepRatioTest:
+    """``_leaving_rows`` on one entering column (rows of a batch of 1)."""
+
+    @staticmethod
+    def leave(rhs, col):
+        rhs = np.array([rhs], dtype=float)
+        col = np.array([col], dtype=float)
+        big = col > TOL * max(1.0, np.abs(col).max())
+        basis = np.arange(col.shape[1])[None]
+        return int(_leaving_rows(rhs, col, big, basis,
+                                 np.array([False]))[0])
+
+    def test_small_positive_entry_bounds_the_step(self):
+        # an entry between TOL and PIVOT_TOL still blocks a larger step
+        assert self.leave([1e-9, 1.0], [1e-8, 1.0]) == 0
+
+    def test_largest_entry_among_fitting_rows(self):
+        assert self.leave([0.0, 0.0, 1.0], [0.5, 2.0, 1.0]) == 1
+
+    def test_rounding_noise_does_not_become_the_pivot(self):
+        # the 1e-12 entry would bind, but it is below the pivot tolerance
+        assert self.leave([0.0, 2.0], [1e-12, 1.0]) == 1

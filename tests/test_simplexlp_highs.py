@@ -2,7 +2,9 @@
 
 scipy is a test-only dependency, so the module skips itself without it.
 The control ``highs_lp`` has the contract of ``solve_lp``; statuses must
-agree and optimal values must agree to ``VALUE_TOL``.
+agree and optimal values must agree to ``VALUE_TOL``.  The lockstep
+``dual_feasible`` must give HiGHS's verdict on every problem of a batch,
+with a certificate that passes its numpy check.
 """
 
 import numpy as np
@@ -13,9 +15,12 @@ from hypothesis import strategies as st
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 from helpers import lp_fixture
-from pomdpkit import solver
+from pomdpkit import simplexlp, solver
 from pomdpkit.cli import load_model
-from pomdpkit.simplexlp import LpResult, solve_lp
+from pomdpkit.errors import LpNumericFailure
+from pomdpkit.myopic import _monotone_polytope
+from pomdpkit.presets import example3
+from pomdpkit.simplexlp import CERT_TOL, LpResult, dual_feasible, solve_lp
 
 VALUE_TOL = 1e-9
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -68,6 +73,142 @@ class TestRecordedFixtures:
         assert np.asarray(lp["A_ub"]).shape == (63, 8)
         assert highs_lp(**lp).status == "infeasible"
         assert_agrees(lp)
+
+
+def highs_feasible(M, b) -> bool:
+    """Whether ``M f <= b, f >= 0`` has a solution, by HiGHS.
+
+    The dual simplex leaves some ``example3`` probes with status 4
+    ("model status unknown"); those are decided again by HiGHS's
+    interior-point method.
+    """
+    for method in ("highs-ds", "highs-ipm"):
+        res = linprog(np.zeros(M.shape[1]), A_ub=M, b_ub=b,
+                      bounds=(0, None), method=method)
+        if res.status in (0, 2):
+            return res.status == 0
+    raise AssertionError(res.message)
+
+
+def assert_dual_agrees(M, b):
+    """``dual_feasible`` on the batch gives HiGHS's verdicts, and every
+    certificate passes: ``M f <= b, f >= 0`` for a feasible problem,
+    ``z >= 0, M'z >= 0, b'z < 0`` for an infeasible one, to
+    ``CERT_TOL`` per unit of row size."""
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    res = dual_feasible(M, b)
+    assert res.feasible.shape == (len(M),)
+    for k in range(len(M)):
+        assert res.feasible[k] == highs_feasible(M[k], b[k])
+        scale = np.abs(M[k]).max(axis=1, initial=0.0)
+        if res.feasible[k]:
+            f = res.f[k]
+            assert (f >= 0).all()
+            size = np.maximum(scale, 1.0) + np.abs(M[k]) @ f
+            assert (M[k] @ f - b[k] <= CERT_TOL * size).all()
+            assert not res.ray[k].any()
+        else:
+            z = res.ray[k]
+            assert (z >= 0).all()
+            assert (z @ M[k]).min() >= -CERT_TOL * max(1.0, scale.max())
+            assert b[k] @ z < 0
+            assert not res.f[k].any()
+    return res
+
+
+def belief_probe(rho, tag, action, pi):
+    """Per-belief bound problem of ``example3``: a transform in the tag
+    polytope that makes ``action`` myopic at ``pi``."""
+    m = example3(rho)
+    A, b = _monotone_polytope(
+        m, "increasing" if tag == "C1" else "decreasing", 1e-6)
+    E = np.stack([np.eye(8) - rho * m.P(u) for u in range(1, 9)])
+    lin = np.einsum("x,uxy->uy", pi, E)
+    base = pi @ m.costs
+    others = [u for u in range(8) if u != action - 1]
+    rows = lin[action - 1] - lin[others]
+    rhs = base[others] - base[action - 1]
+    return np.vstack([A, rows]), np.concatenate([b, rhs])
+
+
+@st.composite
+def small_feasibility_batches(draw):
+    """Batches of small-integer ``M f <= b`` with zero rows, negative
+    right-hand sides and duplicated rows."""
+    B = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    X = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    M = rng.integers(-3, 4, size=(B, m, X)).astype(float)
+    b = rng.integers(-2, 3, size=(B, m)).astype(float)
+    zero = draw(st.lists(st.integers(0, m - 1), max_size=2))
+    M[:, zero] = 0.0
+    dup = draw(st.lists(st.integers(0, m - 1), max_size=3))
+    return (np.concatenate([M, M[:, dup]], axis=1),
+            np.concatenate([b, b[:, dup]], axis=1))
+
+
+class TestDualFeasible:
+    def test_recorded_per_belief_fixture(self):
+        lp = lp_fixture("per_belief_infeasible")
+        M = np.asarray(lp["A_ub"])[None]
+        b = np.asarray(lp["b_ub"])[None]
+        assert M.shape == (1, 63, 8)
+        res = assert_dual_agrees(M, b)
+        assert not res.feasible[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.3, 0.95), st.sampled_from(["C1", "C2"]),
+           st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.2, 1.0, 5.0]))
+    def test_example3_belief_probes(self, rho, tag, action, seed, alpha):
+        pi = np.random.default_rng(seed).dirichlet(np.full(8, alpha))
+        M, b = belief_probe(rho, tag, action, pi)
+        assert_dual_agrees(M[None], b[None])
+
+    def test_near_vertex_belief_probe(self):
+        # tableau entries grow to about 1e7 on the way; an entry of 7e-8
+        # is then rounding noise and must not be taken as a pivot
+        pi = np.array([2.994232135164629e-22, 6.3231071587212346e-06,
+                       8.94207820448972e-27, 1.2495623224721431e-05,
+                       6.638228366844047e-14, 1.8934429043583725e-07,
+                       6.354639115746263e-19, 0.9999809919252597])
+        M, b = belief_probe(0.5223585634113783, "C1", 6, pi)
+        assert not assert_dual_agrees(M[None], b[None]).feasible[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_feasibility_batches())
+    def test_small_integer_batches(self, batch):
+        assert_dual_agrees(*batch)
+
+    def test_mixed_batch_matches_single_problems(self):
+        pi = np.random.default_rng(5).dirichlet(np.ones(8))
+        probes = [belief_probe(0.6, tag, a, pi)
+                  for tag in ("C1", "C2") for a in range(1, 9)]
+        M = np.stack([p[0] for p in probes])
+        b = np.stack([p[1] for p in probes])
+        res = assert_dual_agrees(M, b)
+        assert 0 < res.feasible.sum() < len(M)
+        for k in range(len(M)):
+            one = dual_feasible(M[k:k + 1], b[k:k + 1])
+            assert one.feasible[0] == res.feasible[k]
+            np.testing.assert_array_equal(one.f[0], res.f[k])
+            np.testing.assert_array_equal(one.ray[0], res.ray[k])
+
+    def test_empty_batch(self):
+        res = dual_feasible(np.zeros((0, 4, 3)), np.zeros((0, 4)))
+        assert res.feasible.shape == (0,)
+        assert res.f.shape == (0, 3) and res.ray.shape == (0, 4)
+        assert res.pivots == 0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        lp = lp_fixture("per_belief_infeasible")
+        monkeypatch.setattr(simplexlp, "DUAL_MAX_ITER", 1)
+        with pytest.raises(LpNumericFailure):
+            dual_feasible(np.asarray(lp["A_ub"])[None],
+                          np.asarray(lp["b_ub"])[None])
 
 
 @st.composite
