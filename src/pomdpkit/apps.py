@@ -21,7 +21,7 @@ from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
 from .grid import converge
 from .model import PomdpModel, QuadraticCost, StoppingModel
-from .orders import Comparison, mlr_compare
+from .orders import Comparison, mlr_compare, mlr_halfspaces
 from .rng import make_rng
 from .solver import (
     VectorSet,
@@ -317,15 +317,10 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
 
     V, _ = converge(step, np.zeros(grid_size), epsilon, max_iterations)
     stop = V >= -1e-12   # stopping attains the zero branch
-    intervals = []
-    start = None
-    for g in range(grid_size):
-        if stop[g] and start is None:
-            start = ts[g]
-        if (not stop[g] or g == grid_size - 1) and start is not None:
-            end = ts[g] if not stop[g] else ts[g]
-            intervals.append((float(start), float(end)))
-            start = None
+    # maximal runs of stopping points, closed at their last point
+    edges = np.diff(np.concatenate([[0], stop.astype(int), [0]]))
+    intervals = [(float(ts[a]), float(ts[b - 1])) for a, b in
+                 zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
     return SocialLearningStopResult(ts, V, stop, intervals)
 
 
@@ -549,22 +544,10 @@ def project_to_mlr_band(pi, lower=None, upper=None, iterations: int = 400
     pi = np.asarray(pi, dtype=float)
     X = pi.size
     halfspaces = []
-    if lower is not None:
-        lo = np.asarray(lower, dtype=float)
-        for i in range(X):
-            for j in range(i + 1, X):
-                a = np.zeros(X)
-                a[i] = lo[j]
-                a[j] = -lo[i]
-                halfspaces.append(a)     # a @ x <= 0  <=>  x >= lo (MLR)
+    if lower is not None:       # a @ x <= 0  <=>  x >= lower (MLR)
+        halfspaces += list(mlr_halfspaces(lower, below=False))
     if upper is not None:
-        hi = np.asarray(upper, dtype=float)
-        for i in range(X):
-            for j in range(i + 1, X):
-                a = np.zeros(X)
-                a[i] = -hi[j]
-                a[j] = hi[i]
-                halfspaces.append(a)
+        halfspaces += list(mlr_halfspaces(upper, below=True))
     sets = halfspaces + ["simplex"]
     x = pi.copy()
     mem = [np.zeros(X) for _ in sets]

@@ -1,8 +1,8 @@
 """Dominating transition matrices and the MLR sandwich filter.
 
 Rank-1 and LP constructions of transition matrices that bracket a given
-chain in the copositive order, plus the per-step sandwich run that
-brackets the exact posterior between cheap lower/upper filters.
+chain in the copositive order, plus the sandwich run that brackets the
+exact posterior between cheap lower/upper filters.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpInfeasible, NotTP2, OrderingViolation
-from .orders import Comparison, mlr_compare, is_tp2
+from .orders import is_tp2, mlr_halfspaces, mlr_rows
 from .simplexlp import solve_lp
 
 
@@ -33,51 +33,29 @@ def rank1_bounds(P) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _mlr_row_constraints(ref: np.ndarray, direction: str) -> tuple:
-    """Linear constraints on a row r with r <=r ref (or >=r).
-
-    ``r <=r ref`` means ref(i) r(j) <= r(i) ref(j) for i < j.
-    """
-    X = ref.size
-    rows = []
-    for i in range(X):
-        for j in range(i + 1, X):
-            row = np.zeros(X)
-            # ref_i r_j - r_i ref_j <= 0
-            row[j] = ref[i]
-            row[i] = -ref[j]
-            rows.append(row if direction == "lower" else -row)
-    return np.asarray(rows), np.zeros(len(rows))
-
-
 def _lp_bound_row(target: np.ndarray, ref: np.ndarray, eps: float,
                   direction: str) -> np.ndarray:
     """Closest row (L1) to ``target`` that is MLR-bounded by ``ref``."""
     X = target.size
-    A_mlr, b_mlr = _mlr_row_constraints(ref, direction)
-    # variables: r (X) then t (X) with |r - target| <= t
+    mlr = mlr_halfspaces(ref, below=direction == "lower")
+    m = len(mlr)
+    # variables: r (X) then t (X); |r - target| <= t is the row pair
+    # r_i - t_i <= target_i, -r_i - t_i <= -target_i for each i
     nv = 2 * X
-    A_ub = []
-    b_ub = []
-    for row, b in zip(A_mlr, b_mlr):
-        A_ub.append(np.concatenate([row, np.zeros(X)]))
-        b_ub.append(b)
-    for i in range(X):
-        e = np.zeros(nv)
-        e[i] = 1.0
-        e[X + i] = -1.0
-        A_ub.append(e.copy())
-        b_ub.append(target[i])
-        e = np.zeros(nv)
-        e[i] = -1.0
-        e[X + i] = -1.0
-        A_ub.append(e)
-        b_ub.append(-target[i])
+    idx = np.arange(X)
+    pair = m + 2 * idx
+    A_ub = np.zeros((m + 2 * X, nv))
+    A_ub[:m, :X] = mlr
+    A_ub[pair, idx] = 1.0
+    A_ub[pair, X + idx] = -1.0
+    A_ub[pair + 1, idx] = -1.0
+    A_ub[pair + 1, X + idx] = -1.0
+    b_ub = np.concatenate([np.zeros(m),
+                           np.column_stack([target, -target]).ravel()])
     A_eq = np.zeros((1, nv))
     A_eq[0, :X] = 1.0
     c = np.concatenate([np.zeros(X), np.ones(X)])
-    res = solve_lp(c, A_ub=np.asarray(A_ub), b_ub=np.asarray(b_ub),
-                   A_eq=A_eq, b_eq=[1.0])
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0])
     if not res.optimal or res.value > eps + 1e-9:
         raise LpInfeasible(
             f"no row within L1 distance {eps} is MLR-{direction} bounded")
@@ -131,9 +109,8 @@ class CountingPredictor:
         self.multiplies = 0
 
     def predict(self, pi: np.ndarray) -> np.ndarray:
-        mass = np.zeros(self.rank)
-        for i in range(self.X):
-            mass[self.group_of[i]] += pi[i]
+        # bincount adds pi into its row groups in state order
+        mass = np.bincount(self.group_of, weights=pi, minlength=self.rank)
         self.multiplies += self.rank * self.X
         return mass @ self.rows
 
@@ -143,30 +120,62 @@ class SandwichStep:
     lower: np.ndarray
     exact: np.ndarray
     upper: np.ndarray
-    lower_mean: float
-    exact_mean: float
-    upper_mean: float
-    lower_map: int
-    exact_map: int
-    upper_map: int
+
+
+def _means(posteriors: np.ndarray) -> np.ndarray:
+    """Conditional means over state levels 1..X of every posterior.
+
+    Each row is one dot product, the same sum as ``levels @ row``.
+    """
+    levels = np.arange(1, posteriors.shape[-1] + 1, dtype=float)
+    return (levels @ posteriors[..., None])[..., 0]
 
 
 @dataclass
 class SandwichRun:
-    steps: list
+    posteriors: np.ndarray    # (steps, 3, X): lower, exact, upper filters
     lower_multiplies: int
     exact_multiplies: int
+
+    @property
+    def steps(self) -> list:
+        return [SandwichStep(*p) for p in self.posteriors]
 
     def to_csv(self) -> str:
         out = io.StringIO()
         w = csv.writer(out)
         w.writerow(["k", "map_lower", "map_exact", "map_upper",
                     "mean_lower", "mean_exact", "mean_upper"])
-        for k, s in enumerate(self.steps):
-            w.writerow([k + 1, s.lower_map, s.exact_map, s.upper_map,
-                        f"{s.lower_mean:.12g}", f"{s.exact_mean:.12g}",
-                        f"{s.upper_mean:.12g}"])
+        maps = self.posteriors.argmax(axis=-1) + 1
+        for k, (m, mean) in enumerate(zip(maps.tolist(),
+                                          _means(self.posteriors)), 1):
+            w.writerow([k, *m, *(f"{v:.12g}" for v in mean)])
         return out.getvalue()
+
+
+MEAN_TOL = 1e-9   # slack of the conditional-mean bracket
+
+_CHECKS = ("lower filter not MLR below", "upper filter not MLR above",
+           "conditional means out of order", "MAP estimates out of order")
+
+
+def _check_sandwich(posteriors: np.ndarray) -> None:
+    """Raise at the first step whose posteriors break the sandwich, with
+    the first failing check of that step in :data:`_CHECKS` order."""
+    lo, ex, hi = posteriors[:, 0], posteriors[:, 1], posteriors[:, 2]
+    means = _means(posteriors)
+    maps = posteriors.argmax(axis=-1)
+    failed = np.stack([
+        ~mlr_rows(lo, ex)[1],
+        ~mlr_rows(ex, hi)[1],
+        ~((means[:, 0] <= means[:, 1] + MEAN_TOL)
+          & (means[:, 1] <= means[:, 2] + MEAN_TOL)),
+        ~((maps[:, 0] <= maps[:, 1]) & (maps[:, 1] <= maps[:, 2])),
+    ])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        k = int(bad[0])
+        raise OrderingViolation(k + 1, _CHECKS[int(np.argmax(failed[:, k]))])
 
 
 def sandwich_filter(P_lower, P, P_upper, B, observations, pi0,
@@ -177,41 +186,28 @@ def sandwich_filter(P_lower, P, P_upper, B, observations, pi0,
     one, their conditional means (state levels 1..X) must bracket the
     exact mean and the MAP estimates must be ordered; a violation means
     the copositive-order preconditions did not actually hold and raises
-    :class:`OrderingViolation`.
+    :class:`OrderingViolation` at the first failing step.  The checks run
+    over all steps after the recursion; an observation of zero
+    likelihood ends the recursion, and is reported only when the steps
+    before it pass.
     """
-    P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     pi0 = np.asarray(pi0, dtype=float)
-    X = P.shape[0]
-    levels = np.arange(1, X + 1, dtype=float)
-    lo_pred = CountingPredictor(P_lower)
-    hi_pred = CountingPredictor(P_upper)
-    exact_pred = CountingPredictor(P)
-    pis = {"lo": pi0.copy(), "ex": pi0.copy(), "hi": pi0.copy()}
-    steps = []
+    preds = [CountingPredictor(M) for M in (P_lower, P, P_upper)]
+    posteriors = np.empty((len(observations), 3, pi0.size))
+    prev = (pi0, pi0, pi0)
+    zero_step = None
     for k, y in enumerate(observations):
-        col = B[:, int(y) - 1]
-        for key, pred in (("lo", lo_pred), ("ex", exact_pred),
-                          ("hi", hi_pred)):
-            unnorm = col * pred.predict(pis[key])
-            total = unnorm.sum()
-            if total <= 0:
-                raise OrderingViolation(k + 1, "zero-likelihood observation")
-            pis[key] = unnorm / total
-        lo, ex, hi = pis["lo"], pis["ex"], pis["hi"]
-        if check:
-            if mlr_compare(lo, ex) not in (Comparison.LE, Comparison.EQ):
-                raise OrderingViolation(k + 1, "lower filter not MLR below")
-            if mlr_compare(ex, hi) not in (Comparison.LE, Comparison.EQ):
-                raise OrderingViolation(k + 1, "upper filter not MLR above")
-        means = (float(levels @ lo), float(levels @ ex), float(levels @ hi))
-        if check and not (means[0] <= means[1] + 1e-9
-                          and means[1] <= means[2] + 1e-9):
-            raise OrderingViolation(k + 1, "conditional means out of order")
-        maps = (int(np.argmax(lo)) + 1, int(np.argmax(ex)) + 1,
-                int(np.argmax(hi)) + 1)
-        if check and not maps[0] <= maps[1] <= maps[2]:
-            raise OrderingViolation(k + 1, "MAP estimates out of order")
-        steps.append(SandwichStep(lo.copy(), ex.copy(), hi.copy(),
-                                  *means, *maps))
-    return SandwichRun(steps, lo_pred.multiplies, exact_pred.multiplies)
+        unnorm = B[:, int(y) - 1] * np.stack(
+            [pred.predict(p) for pred, p in zip(preds, prev)])
+        totals = unnorm.sum(axis=1)
+        if (totals <= 0).any():
+            zero_step = k
+            break
+        posteriors[k] = unnorm / totals[:, None]
+        prev = posteriors[k]
+    if check:
+        _check_sandwich(posteriors[:zero_step])
+    if zero_step is not None:
+        raise OrderingViolation(zero_step + 1, "zero-likelihood observation")
+    return SandwichRun(posteriors, preds[0].multiplies, preds[1].multiplies)

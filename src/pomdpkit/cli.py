@@ -251,24 +251,26 @@ def _table_rows(example, rhos, samples, seed, per_belief=False,
 
 def cmd_myopic(args) -> int:
     rhos = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    samples = args.samples
+    if samples is None:
+        samples = 20_000 if args.table1d else 1_000_000
     if args.table1a:
         # the bundled benchmark table corresponds to a 0.05 strictness
         # margin in the monotone-cost LPs; the library default stays 1e-6
         delta = 0.05 if args.delta is None else args.delta
-        rows = _table_rows(presets.example1, rhos, args.samples, args.seed,
+        rows = _table_rows(presets.example1, rhos, samples, args.seed,
                            loss_rho=0.4 if args.loss else None,
                            paths=args.paths, horizon=args.horizon,
                            delta=delta)
     elif args.table1c:
-        rows = _table_rows(presets.example2, rhos, args.samples, args.seed)
+        rows = _table_rows(presets.example2, rhos, samples, args.seed)
     elif args.table1d:
-        rows = _table_rows(presets.example3, rhos,
-                           min(args.samples, 20000), args.seed,
+        rows = _table_rows(presets.example3, rhos, samples, args.seed,
                            per_belief=True)
     else:
         model = load_model(args.model, args.rho)
         rows = _table_rows(lambda r: model, [model.discount],
-                           args.samples, args.seed,
+                           samples, args.seed,
                            per_belief=model.num_actions > 2)
     _emit(myopic.table_csv(rows), args.out)
     return 0
@@ -408,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--rho", type=float)
     mp.add_argument("--loss", action="store_true",
                     help="include percent-loss columns (table1a)")
-    mp.add_argument("--samples", type=int, default=1_000_000)
+    mp.add_argument("--samples", type=int,
+                    help="beliefs sampled per volume (default 20000 for "
+                         "--table1d, 1000000 otherwise)")
     mp.add_argument("--delta", type=float,
                     help="strictness margin for the cost LPs")
     mp.add_argument("--paths", type=int, default=1000)

@@ -57,29 +57,17 @@ def fails(witness) -> OrderVerdict:
     return OrderVerdict(Verdict.FAILS, witness)
 
 
-def _check_pair(pi1: np.ndarray, pi2: np.ndarray) -> tuple:
+def _check_pair(pi1, pi2, ndim: int = 1) -> tuple:
     pi1 = np.asarray(pi1, dtype=float)
     pi2 = np.asarray(pi2, dtype=float)
-    if pi1.shape != pi2.shape or pi1.ndim != 1:
+    if pi1.shape != pi2.shape or pi1.ndim != ndim:
         raise DimensionMismatch(
-            f"beliefs must be equal-length vectors, got {pi1.shape} "
+            f"beliefs must be equal-shape {ndim}-d arrays, got {pi1.shape} "
             f"vs {pi2.shape}")
     return pi1, pi2
 
 
-def mlr_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
-    """Likelihood-ratio comparison of two beliefs.
-
-    ``GE`` means pi1 dominates: pi1(i) pi2(j) <= pi2(i) pi1(j) for all
-    i < j, i.e. the ratio pi1/pi2 is increasing.
-    """
-    pi1, pi2 = _check_pair(pi1, pi2)
-    outer12 = np.outer(pi1, pi2)
-    # ge_violated iff some i<j has pi1(i) pi2(j) > pi2(i) pi1(j)
-    diff = outer12 - outer12.T  # diff[i, j] = pi1(i) pi2(j) - pi2(i) pi1(j)
-    upper = np.triu(diff, k=1)
-    ge = (upper <= tol).all()
-    le = (upper >= -tol).all()
+def _verdict(ge: bool, le: bool) -> Comparison:
     if ge and le:
         return Comparison.EQ
     if ge:
@@ -87,6 +75,40 @@ def mlr_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
     if le:
         return Comparison.LE
     return Comparison.INCOMPARABLE
+
+
+def mlr_rows(pi1, pi2, tol: float = ORDER_TOL) -> tuple:
+    """Row-wise likelihood-ratio test of two (n, X) arrays of beliefs.
+
+    Returns boolean arrays ``(ge, le)``: ``ge[k]`` holds when row k of
+    pi1 dominates row k of pi2, i.e. pi1(i) pi2(j) <= pi2(i) pi1(j) to
+    ``tol`` for all i < j, and ``le[k]`` when it is dominated.
+    """
+    pi1, pi2 = _check_pair(pi1, pi2, ndim=2)
+    i, j = np.triu_indices(pi1.shape[1], k=1)
+    diff = pi1[:, i] * pi2[:, j] - pi1[:, j] * pi2[:, i]
+    return (diff <= tol).all(axis=1), (diff >= -tol).all(axis=1)
+
+
+def mlr_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
+    """Likelihood-ratio comparison of two beliefs, the one-row case of
+    :func:`mlr_rows`: ``GE`` means pi1 dominates (pi1/pi2 increasing)."""
+    pi1, pi2 = _check_pair(pi1, pi2)
+    ge, le = mlr_rows(pi1[None], pi2[None], tol)
+    return _verdict(ge[0], le[0])
+
+
+def mlr_halfspaces(ref, below: bool) -> np.ndarray:
+    """Rows ``a`` with ``a @ r <= 0`` iff r <=r ref (``below``) or
+    r >=r ref: ``ref(i) r(j) - ref(j) r(i)``, negated for ``>=r``, one
+    row per pair i < j in row-major order."""
+    ref = np.asarray(ref, dtype=float)
+    i, j = np.triu_indices(ref.size, k=1)
+    sign = 1.0 if below else -1.0
+    rows = np.zeros((i.size, ref.size))
+    k = np.arange(i.size)
+    rows[k, j], rows[k, i] = sign * ref[i], -sign * ref[j]
+    return rows
 
 
 def fosd_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
@@ -95,15 +117,7 @@ def fosd_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
     t1 = np.cumsum(pi1[::-1])[::-1]
     t2 = np.cumsum(pi2[::-1])[::-1]
     d = t1 - t2
-    ge = (d >= -tol).all()
-    le = (d <= tol).all()
-    if ge and le:
-        return Comparison.EQ
-    if ge:
-        return Comparison.GE
-    if le:
-        return Comparison.LE
-    return Comparison.INCOMPARABLE
+    return _verdict((d >= -tol).all(), (d <= tol).all())
 
 
 def is_tp2(M, tol: float = ORDER_TOL) -> OrderVerdict:

@@ -296,30 +296,19 @@ def solve_finite_horizon(model: PomdpModel, horizon: int,
 def sup_envelope_gap(A: VectorSet, B: VectorSet) -> float:
     """Exact ``max_pi [min_A(pi) - min_B(pi)]`` via one LP per B vector."""
     X = A.dim
+    nA = len(A)
+    c = np.zeros(X + 1)
+    c[X] = -1.0
+    A_eq = np.zeros((1, X + 1))
+    A_eq[0, :X] = 1.0
     best = -np.inf
-    for j in range(len(B)):
-        delta = B.vectors[j]
+    for j, delta in enumerate(B.vectors):
         # max t st t <= (g - delta)' pi for g in A; delta argmin for B
-        rows = []
-        rhs = []
-        for g in A.vectors:
-            row = np.zeros(X + 1)
-            row[:X] = delta - g
-            row[X] = 1.0
-            rows.append(row)
-            rhs.append(0.0)
-        for k in range(len(B)):
-            if k == j:
-                continue
-            row = np.zeros(X + 1)
-            row[:X] = delta - B.vectors[k]
-            rows.append(row)
-            rhs.append(0.0)
-        c = np.zeros(X + 1)
-        c[X] = -1.0
-        A_eq = np.zeros((1, X + 1))
-        A_eq[0, :X] = 1.0
-        res = solve_lp(c, A_ub=np.asarray(rows), b_ub=np.asarray(rhs),
+        rows = np.zeros((nA + len(B) - 1, X + 1))
+        rows[:nA, :X] = delta - A.vectors
+        rows[:nA, X] = 1.0
+        rows[nA:, :X] = delta - np.delete(B.vectors, j, axis=0)
+        res = solve_lp(c, A_ub=rows, b_ub=np.zeros(len(rows)),
                        A_eq=A_eq, b_eq=[1.0], free_vars=[X])
         if res.optimal:
             best = max(best, -res.value)

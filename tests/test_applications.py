@@ -259,6 +259,23 @@ class TestSocialLearning:
             for i in range(1, len(V) - 1))
         assert nonconcave
 
+    def test_intervals_end_at_stopping_points(self):
+        res = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
+                                         beta=2.0, rho=0.9, grid_size=500)
+        ts = list(res.grid)
+        for lo, hi in res.stop_intervals:
+            a, b = ts.index(lo), ts.index(hi)
+            assert res.stop_mask[a:b + 1].all()
+            assert a == 0 or not res.stop_mask[a - 1]
+            assert b == len(ts) - 1 or not res.stop_mask[b + 1]
+        assert sum(b - a + 1 for a, b in (
+            (ts.index(lo), ts.index(hi)) for lo, hi in res.stop_intervals)
+        ) == res.stop_mask.sum()
+        everywhere = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
+                                                beta=0.0, rho=0.9,
+                                                grid_size=200)
+        assert everywhere.stop_intervals == [(0.0, 1.0)]
+
     def test_free_stop_stops_everywhere(self):
         res = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
                                          beta=0.0, rho=0.9, grid_size=200)

@@ -114,6 +114,25 @@ class TestMyopicCommand:
             "5e757d4f06c41bc5a27792ed5a4ccfd9"
             "d801a4fa7923db5de413e551e72c3a06")
 
+    @pytest.mark.parametrize("args, samples", [
+        (["--table1d", "--samples", "40000"], 40_000),
+        (["--table1d"], 20_000),
+        (["--model", "example3", "--rho", "0.5"], 1_000_000),
+    ])
+    def test_samples_reach_overlap_volume(self, monkeypatch, capsys, args,
+                                          samples):
+        from pomdpkit import myopic
+
+        seen = []
+
+        def fake_volume(model, pair=None, **kwargs):
+            seen.append(kwargs["n_samples"])
+            return 0.5, 0.0
+
+        monkeypatch.setattr(myopic, "overlap_volume", fake_volume)
+        assert main(["myopic", *args, "--seed", "1"]) == 0
+        assert seen and set(seen) == {samples}
+
 
 class TestSpsaCommand:
     def test_fit_summary(self, capsys):

@@ -80,6 +80,42 @@ class TestLpBounds:
             assert copositive_order_transitions(P, hi)
 
 
+def _reference_sandwich(P_lower, P, P_upper, B, observations, pi0):
+    """Per-step sandwich check: each step raises before the next one is
+    filtered, so the first failing step (or zero likelihood) wins."""
+    X = len(pi0)
+    levels = np.arange(1, X + 1, dtype=float)
+    pis = [np.asarray(pi0, dtype=float)] * 3
+    preds = [CountingPredictor(T) for T in (P_lower, P, P_upper)]
+    for k, y in enumerate(observations):
+        col = np.asarray(B)[:, y - 1]
+        for f, pred in enumerate(preds):
+            unnorm = col * pred.predict(pis[f])
+            if unnorm.sum() <= 0:
+                return k + 1, "zero-likelihood observation"
+            pis[f] = unnorm / unnorm.sum()
+        lo, ex, hi = pis
+        if mlr_compare(lo, ex) not in (Comparison.LE, Comparison.EQ):
+            return k + 1, "lower filter not MLR below"
+        if mlr_compare(ex, hi) not in (Comparison.LE, Comparison.EQ):
+            return k + 1, "upper filter not MLR above"
+        means = [levels @ p for p in pis]
+        if not (means[0] <= means[1] + 1e-9 and means[1] <= means[2] + 1e-9):
+            return k + 1, "conditional means out of order"
+        maps = [int(np.argmax(p)) for p in pis]
+        if not maps[0] <= maps[1] <= maps[2]:
+            return k + 1, "MAP estimates out of order"
+    return None
+
+
+def _raised(*args, **kwargs):
+    try:
+        sandwich_filter(*args, **kwargs)
+    except OrderingViolation as e:
+        return e.step, str(e).split(": ", 1)[1]
+    return None
+
+
 class TestSandwichFilter:
     def _chain(self, rng, X):
         P = random_tp2_stochastic(rng, X)
@@ -163,3 +199,68 @@ class TestSandwichFilter:
         lines = run.to_csv().strip().splitlines()
         assert lines[0].startswith("k,map_lower")
         assert len(lines) == 6
+
+    def test_posterior_array_and_steps(self):
+        rng = make_rng(10)
+        P, B, ys = self._chain(rng, 4)
+        lo, hi = rank1_bounds(P)
+        run = sandwich_filter(lo, P, hi, B, ys[:50], np.full(4, 0.25))
+        assert run.posteriors.shape == (50, 3, 4)
+        assert np.allclose(run.posteriors.sum(axis=-1), 1.0)
+        for s, p in zip(run.steps, run.posteriors):
+            assert np.array_equal(s.lower, p[0])
+            assert np.array_equal(s.exact, p[1])
+            assert np.array_equal(s.upper, p[2])
+
+    def test_partway_violations_match_per_step_reference(self):
+        rng = make_rng(11)
+        raised = []
+        for _ in range(60):
+            X = int(rng.integers(3, 7))
+            P, B, ys = self._chain(rng, X)
+            ys = ys[:300]
+            lo, hi = rank1_bounds(P)
+            # pull one bound part of the way towards the other, so the
+            # bracket fails only at some beliefs
+            lam = rng.uniform(0, 0.3) * rng.uniform(0, 1, size=(X, 1))
+            if rng.uniform() < 0.5:
+                lo = (1 - lam) * lo + lam * hi
+            else:
+                hi = (1 - lam) * hi + lam * lo
+            pi0 = rng.dirichlet(np.ones(X))
+            got = _raised(lo, P, hi, B, ys, pi0)
+            assert got == _reference_sandwich(lo, P, hi, B, ys, pi0)
+            raised.append(got)
+        steps = [r[0] for r in raised if r is not None]
+        assert sum(k > 1 for k in steps) >= 10
+        assert {r[1] for r in raised if r is not None} == {
+            "lower filter not MLR below", "upper filter not MLR above"}
+
+    def test_map_check_follows_mlr_checks(self):
+        # MLR-equal to 1e-12 yet the MAP estimates swap; symbol 1 pins
+        # every filter to state 1, so only step 2 fails, and only the
+        # MAP check
+        ex = np.tile([0.5 + 1e-13, 0.5], (2, 1))
+        lo = np.tile([0.5, 0.5 + 1e-13], (2, 1))
+        B = np.array([[1.0, 1.0], [0.0, 1.0]])
+        pi0 = np.array([0.5, 0.5])
+        got = _raised(lo, ex, ex, B, [1, 2, 2], pi0)
+        assert got == (2, "MAP estimates out of order")
+        assert got == _reference_sandwich(lo, ex, ex, B, [1, 2, 2], pi0)
+
+    def test_earlier_violation_beats_later_zero_likelihood(self):
+        P = np.array([[0.8, 0.2], [0.3, 0.7]])
+        lo, hi = rank1_bounds(P)
+        # symbol 3 has zero likelihood in every state
+        B = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0]])
+        pi0 = np.array([0.5, 0.5])
+        ys = [1, 2, 3, 1]
+        got = _raised(hi, P, lo, B, ys, pi0)
+        assert got == (1, "lower filter not MLR below")
+        assert got == _reference_sandwich(hi, P, lo, B, ys, pi0)
+        assert _raised(lo, P, hi, B, ys, pi0) == (
+            3, "zero-likelihood observation")
+        assert _raised(hi, P, lo, B, ys, pi0, check=False) == (
+            3, "zero-likelihood observation")
+        assert _raised(hi, P, lo, B, [3, 1], pi0) == (
+            1, "zero-likelihood observation")

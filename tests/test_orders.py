@@ -15,7 +15,7 @@ from helpers import (
     QUAD_P2,
     random_tp2_stochastic,
 )
-from pomdpkit.errors import UnsupportedExact
+from pomdpkit.errors import DimensionMismatch, UnsupportedExact
 from pomdpkit.model import PomdpModel
 from pomdpkit.orders import (
     Comparison,
@@ -27,8 +27,11 @@ from pomdpkit.orders import (
     copositive_order_transitions,
     fosd_compare,
     is_tp2,
+    ORDER_TOL,
     mdp_monotone_report,
     mlr_compare,
+    mlr_halfspaces,
+    mlr_rows,
     tail_sum_supermodular,
 )
 from pomdpkit.rng import make_rng, uniform_simplex
@@ -57,6 +60,86 @@ class TestMlrCompare:
         if mlr_compare(a, b) in (Comparison.GE, Comparison.EQ) and \
                 mlr_compare(b, c) in (Comparison.GE, Comparison.EQ):
             assert mlr_compare(a, c) in (Comparison.GE, Comparison.EQ)
+
+
+def _outer_verdict(p, q, tol=ORDER_TOL):
+    """Reference verdict from the full outer-product table."""
+    d = np.outer(p, q) - np.outer(q, p)    # d[i, j] = p_i q_j - q_i p_j
+    upper = d[np.triu_indices(len(p), k=1)]
+    ge, le = (upper <= tol).all(), (upper >= -tol).all()
+    if ge and le:
+        return Comparison.EQ
+    return Comparison.GE if ge else Comparison.LE if le else \
+        Comparison.INCOMPARABLE
+
+
+@st.composite
+def belief_pair_batches(draw):
+    """Row pairs with exact zeros, equal rows and incomparable rows."""
+    X = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 8))
+    entry = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    rows = st.lists(st.lists(entry, min_size=X, max_size=X),
+                    min_size=n, max_size=n)
+    a = np.array(draw(rows), dtype=float).reshape(n, X)
+    b = np.array(draw(rows), dtype=float).reshape(n, X)
+    same = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                    dtype=bool)
+    b[same] = a[same]
+    return a, b
+
+
+class TestMlrRows:
+    @settings(max_examples=300, deadline=None)
+    @given(belief_pair_batches())
+    def test_rows_agree_with_single_comparisons(self, pair):
+        a, b = pair
+        ge, le = mlr_rows(a, b)
+        assert ge.shape == le.shape == (len(a),)
+        for k in range(len(a)):
+            verdict = mlr_compare(a[k], b[k])
+            assert verdict is _outer_verdict(a[k], b[k])
+            assert verdict is {(True, True): Comparison.EQ,
+                               (True, False): Comparison.GE,
+                               (False, True): Comparison.LE,
+                               (False, False): Comparison.INCOMPARABLE}[
+                                   (bool(ge[k]), bool(le[k]))]
+
+    def test_each_kind_of_row(self):
+        a = np.array([[0.2, 0.3, 0.5], [0.3, 0.2, 0.5], [0.0, 0.5, 0.5],
+                      [0.1, 0.2, 0.7], [0.0, 0.0, 1.0]])
+        b = np.array([[0.4, 0.5, 0.1], [0.4, 0.5, 0.1], [0.5, 0.5, 0.0],
+                      [0.1, 0.2, 0.7], [0.0, 1.0, 0.0]])
+        ge, le = mlr_rows(a, b)
+        assert ge.tolist() == [True, False, True, True, True]
+        assert le.tolist() == [False, False, False, True, False]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            mlr_rows(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(DimensionMismatch):
+            mlr_rows(np.ones(3), np.ones(3))
+
+
+class TestMlrHalfspaces:
+    def test_rows_decide_the_order(self):
+        rng = make_rng(12)
+        for _ in range(200):
+            X = int(rng.integers(2, 6))
+            ref, r = rng.dirichlet(np.ones(X), size=2)
+            verdict = mlr_compare(r, ref, tol=0.0)
+            below = (mlr_halfspaces(ref, below=True) @ r <= 0).all()
+            above = (mlr_halfspaces(ref, below=False) @ r <= 0).all()
+            assert below == (verdict in (Comparison.LE, Comparison.EQ))
+            assert above == (verdict in (Comparison.GE, Comparison.EQ))
+
+    def test_row_order(self):
+        rows = mlr_halfspaces([0.2, 0.3, 0.5], below=True)
+        # pairs (1,2), (1,3), (2,3): ref_i r_j - ref_j r_i
+        assert np.array_equal(rows, [[-0.3, 0.2, 0.0], [-0.5, 0.0, 0.2],
+                                     [0.0, -0.5, 0.3]])
+        assert np.array_equal(mlr_halfspaces([0.2, 0.3, 0.5], below=False),
+                              -rows)
 
 
 class TestFosdCompare:
