@@ -19,7 +19,7 @@ from .errors import (
 )
 from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
-from .grid import converge
+from .grid import continuation, converge, posterior_maps, segment_weights
 from .model import PomdpModel, QuadraticCost, StoppingModel
 from .orders import Comparison, mlr_compare, mlr_halfspaces
 from .rng import make_rng
@@ -291,29 +291,19 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
     continue cost is ``d e1' pi - (1 - rho) beta e2' pi`` and stopping
     costs zero.
     """
-    c = np.asarray(local_costs, dtype=float)
-    B = np.asarray(B, dtype=float)
     ts = np.linspace(0.0, 1.0, grid_size)
     pis = np.column_stack([1.0 - ts, ts])
     cont_cost = d * pis[:, 0] - (1.0 - rho) * beta * pis[:, 1]
-    # precompute the social filter jump targets and action likelihoods
-    A = c.shape[1]
-    sig = np.zeros((grid_size, A))
-    target = np.zeros((grid_size, A))
-    for g, pi in enumerate(pis):
-        L = social_action_likelihoods(pi, c, B)
-        for a in range(A):
-            mass = L[:, a] * pi
-            s = mass.sum()
-            sig[g, a] = s
-            target[g, a] = (mass[1] / s) if s > 0 else pi[1]
-    lo = np.clip((target * (grid_size - 1)).astype(int), 0, grid_size - 2)
-    frac = target * (grid_size - 1) - lo
+    # the public belief does not move on its own; the action seen is the
+    # observation, with likelihoods that depend on the belief itself
+    L = social_action_likelihoods(pis, local_costs, B)
+    maps = []
+    for a in range(L.shape[2]):
+        post, sigma = bayes_batch(pis, L[:, :, a], pis)
+        maps.append((*segment_weights(post[:, 1], grid_size - 1), sigma))
 
     def step(V):
-        interp = V[lo] * (1 - frac) + V[lo + 1] * frac   # (grid, A)
-        return np.minimum(0.0, cont_cost
-                          + rho * (interp * sig).sum(axis=1)), None
+        return np.minimum(0.0, cont_cost + rho * continuation(V, maps)), None
 
     V, _ = converge(step, np.zeros(grid_size), epsilon, max_iterations)
     stop = V >= -1e-12   # stopping attains the zero branch
@@ -405,23 +395,13 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
     r = np.asarray(r, dtype=float)
     ts = np.linspace(0.0, 1.0, grid_size)
     pts = np.column_stack([1 - ts, ts])
-    pred = pts @ P
-    interp = []
-    M_nodes = grid_size - 1
-    for y in range(B.shape[1]):
-        post, s = bayes_batch(pred, B[:, y], pts)
-        t = np.clip(post[:, 1] * M_nodes, 0, M_nodes)
-        lo = np.minimum(np.floor(t).astype(int), M_nodes - 1)
-        frac = t - lo
-        interp.append((lo, frac, s))
+    maps = list(posterior_maps(
+        pts, P, B, lambda post: segment_weights(post[:, 1], grid_size - 1)))
     base = pts @ r
 
     def solve(M: float) -> np.ndarray:
         def step(V):
-            cont = base.copy()
-            for lo, frac, s in interp:
-                cont += rho * (V[lo] * (1 - frac) + V[lo + 1] * frac) * s
-            return np.maximum(M, cont), None
+            return np.maximum(M, base + rho * continuation(V, maps)), None
 
         return converge(step, np.full(grid_size, M), vi_tol, 100_000)[0]
 
@@ -461,10 +441,8 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
     ts, gamma = gittins_index_table_2state(P, B, r, rho, grid_size)
 
     def gamma_of(pi2: np.ndarray) -> np.ndarray:
-        t = np.clip(pi2 * (grid_size - 1), 0, grid_size - 1)
-        lo = np.minimum(np.floor(t).astype(int), grid_size - 2)
-        frac = t - lo
-        return gamma[lo] * (1 - frac) + gamma[lo + 1] * frac
+        idx, w = segment_weights(pi2, grid_size - 1)
+        return (gamma[idx] * w).sum(axis=1)
 
     sampler = PathSampler(P[None], B[None])
 

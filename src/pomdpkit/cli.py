@@ -34,7 +34,7 @@ from .stopgrid import solve_stopping_grid
 
 
 def _preset(name: str, rho: float | None):
-    """Named benchmark models; returns a PomdpModel or StoppingModel."""
+    """Named benchmark models; `social` and `bandit` are parameter dicts."""
     if name == "machine-replacement":
         return apps.build_machine_replacement(
             0.3, 0.9, 0.8, 0.5, [1.0, 0.0],
@@ -91,6 +91,23 @@ def load_model(spec: str, rho: float | None = None):
     return _preset(spec, rho)
 
 
+def _load(args, *kinds: str):
+    """``--model`` and its kind, which must be one of ``kinds``."""
+    if args.model is None:
+        raise DimensionMismatch(f"{args.command} needs --model")
+    model = load_model(args.model, args.rho)
+    if isinstance(model, dict):
+        kind = "social" if "local_costs" in model else "bandit"
+    else:
+        kind = {PomdpModel: "pomdp", StoppingModel: "stopping",
+                apps.TransmissionMdp: "transmission"}[type(model)]
+    if kind not in kinds:
+        raise DimensionMismatch(
+            f"{args.command} takes a {'/'.join(kinds)} model; "
+            f"{args.model!r} is a {kind} model")
+    return model, kind
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -100,8 +117,8 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_solve(args) -> int:
-    model = load_model(args.model, args.rho)
-    if isinstance(model, dict) and "local_costs" in model:
+    model, kind = _load(args, "pomdp", "stopping", "social")
+    if kind == "social":
         res = apps.solve_social_learning_stop(
             model["local_costs"], model["B"], model["d"], model["beta"],
             model["rho"] if args.rho is None else args.rho,
@@ -111,11 +128,7 @@ def cmd_solve(args) -> int:
             rows.append(f"{t:.12g},{v:.12g},{int(s)}")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
-    if isinstance(model, dict):
-        raise DimensionMismatch(
-            f"preset {args.model!r} is only usable with its dedicated "
-            f"subcommand")
-    if isinstance(model, StoppingModel):
+    if kind == "stopping":
         sol = solve_stopping_grid(model, args.resolution,
                                   epsilon=args.epsilon or 1e-9)
         mask = sol.stop_mask
@@ -163,10 +176,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    model = load_model(args.model, args.rho)
+    kinds = ("pomdp", "stopping") if args.sandwich else ("pomdp",)
+    model, kind = _load(args, *kinds)
     rng = make_rng(args.seed)
     if args.sandwich:
-        if isinstance(model, StoppingModel):
+        if kind == "stopping":
             P, B = np.asarray(model.P), np.asarray(model.B)
         else:
             P, B = model.P(1), model.B(1)
@@ -183,17 +197,14 @@ def cmd_filter(args) -> int:
         run = sandwich_filter(lo, P, hi, B, ys, np.full(X, 1.0 / X))
         _emit(run.to_csv(), args.out)
         return 0
-    pomdp = model if isinstance(model, PomdpModel) else None
-    if pomdp is None:
-        raise DimensionMismatch("trajectory simulation needs a POMDP model")
-    traj = simulate_trajectory(pomdp, lambda pi: 1, args.steps, args.seed)
+    traj = simulate_trajectory(model, lambda pi: 1, args.steps, args.seed)
     _emit(traj.to_csv(), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    model = load_model(args.model, args.rho)
-    if isinstance(model, StoppingModel):
+    model, kind = _load(args, "pomdp", "stopping")
+    if kind == "stopping":
         pm = PomdpModel(
             transitions=np.stack([np.asarray(model.P)] * 2),
             observations=np.stack([np.asarray(model.B)] * 2),
@@ -268,7 +279,7 @@ def cmd_myopic(args) -> int:
         rows = _table_rows(presets.example3, rhos, samples, args.seed,
                            per_belief=True)
     else:
-        model = load_model(args.model, args.rho)
+        model, _ = _load(args, "pomdp")
         rows = _table_rows(lambda r: model, [model.discount],
                            samples, args.seed,
                            per_belief=model.num_actions > 2)
@@ -277,9 +288,7 @@ def cmd_myopic(args) -> int:
 
 
 def cmd_spsa(args) -> int:
-    model = load_model(args.model, args.rho)
-    if not isinstance(model, StoppingModel):
-        raise DimensionMismatch("spsa fits stopping models only")
+    model, _ = _load(args, "stopping")
     runs = threshold.spsa_fit(model, args.iterations, args.seed,
                               restarts=args.restarts)
     best = None
@@ -309,9 +318,7 @@ def cmd_bandit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model, args.rho)
-    if not isinstance(model, PomdpModel):
-        raise DimensionMismatch("simulate needs a POMDP model")
+    model, _ = _load(args, "pomdp")
     res = value_iteration_discounted(model, 1e-6) \
         if model.discount < 1 else solve_finite_horizon(
             model, args.steps, method="ip")

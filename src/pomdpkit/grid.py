@@ -1,9 +1,11 @@
 """Simplex-grid value machinery shared by the grid oracle, policy
-evaluation, the stopping grid and the reduced-grid bounds.
+evaluation, the stopping grid, the reduced-grid bounds and the 2-state
+social-learning and retirement-index grids.
 
 Grid nodes are the lattice points ``k / resolution`` (all compositions of
 ``resolution`` into X parts, in lexicographic order).  Off-grid beliefs
-are evaluated by linear interpolation for X = 2, by nearest neighbor for
+are evaluated by linear interpolation for X = 2 (:func:`segment_weights`,
+which also serves the 2-state grids over pi(2)), by nearest neighbor for
 X >= 3 (the oracle default), or by barycentric interpolation on the
 standard simplicial subdivision of the lattice, which is exact for
 piecewise linear functions and never overshoots a concave one.
@@ -85,6 +87,23 @@ def _cumulative_to_comps(v: np.ndarray, M: int) -> np.ndarray:
     return full[:, :-1] - full[:, 1:]
 
 
+def segment_weights(t: np.ndarray,
+                    resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linear interpolation on the nodes ``k / resolution`` of [0, 1].
+
+    Returns ``(idx, w)`` of shapes (n, 2): the nodes on either side of
+    each ``t`` (clipped to [0, 1]) and their weights, with unit row sums.
+    This is the X = 2 case of :func:`barycentric_weights`, with ``t`` the
+    coordinate that the node index counts.
+    """
+    M = resolution
+    t = np.clip(t * M, 0, M)
+    lo = np.minimum(np.floor(t).astype(np.int64), M - 1)
+    frac = t - lo
+    return (np.stack([lo, lo + 1], axis=1),
+            np.stack([1 - frac, frac], axis=1))
+
+
 def barycentric_weights(pis: np.ndarray,
                         resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex indices and weights on the lattice's simplicial subdivision.
@@ -98,12 +117,7 @@ def barycentric_weights(pis: np.ndarray,
     n, X = pis.shape
     M = resolution
     if X == 2:
-        t = np.clip(pis[:, 0] * M, 0, M)
-        lo = np.minimum(np.floor(t).astype(np.int64), M - 1)
-        frac = t - lo
-        idx = np.stack([lo, lo + 1], axis=1)
-        w = np.stack([1 - frac, frac], axis=1)
-        return idx, w
+        return segment_weights(pis[:, 0], M)
     x = _cumulative_coords(pis, M)                       # (n, X-1)
     # x is coordinatewise decreasing, so floor(x) is too
     base = np.minimum(np.floor(x + 1e-12), M - 1).astype(np.int64)
@@ -214,10 +228,6 @@ class GridValue:
         idx, w = self._interp(np.asarray(pi, dtype=float)[None, :])
         return float((self.values[idx] * w).sum())
 
-    def batch_values(self, pis: np.ndarray) -> np.ndarray:
-        idx, w = self._interp(pis)
-        return (self.values[idx] * w).sum(axis=1)
-
     # -- Bellman machinery -------------------------------------------------
     def _posterior_maps(self, pis: np.ndarray) -> list:
         m = self.model
@@ -284,17 +294,6 @@ class GridValue:
         return self
 
     # -- policies ----------------------------------------------------------
-    def action(self, pi) -> int:
-        """Nearest-grid-point policy lookup (1-indexed)."""
-        pi = np.asarray(pi, dtype=float)
-        d = np.abs(self.points - pi[None, :]).sum(axis=1)
-        return int(self.policy_table[int(np.argmin(d))])
-
-    def lookahead_action(self, pi) -> int:
-        """One-step Bellman action using the interpolated value table."""
-        return int(self.lookahead_actions(
-            np.asarray(pi, dtype=float)[None, :])[0])
-
     def lookahead_actions(self, pis: np.ndarray) -> np.ndarray:
         """Vectorized one-step Bellman actions for many beliefs."""
         pis = np.atleast_2d(pis)

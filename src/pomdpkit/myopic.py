@@ -261,9 +261,7 @@ def overlap_indicator_pair(pair: MyopicPair, pis: np.ndarray) -> np.ndarray:
 
 def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
                    n_samples: int = 1_000_000, seed: int = 0,
-                   per_belief: bool = False,
-                   engine: PerBeliefBounds | None = None
-                   ) -> tuple[float, float]:
+                   per_belief: bool = False) -> tuple[float, float]:
     """Fraction of the simplex where the myopic bounds coincide.
 
     Monte Carlo over uniform simplex samples; for X = 2 with a fixed
@@ -277,8 +275,7 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
     rng = make_rng(seed)
     pis = uniform_simplex(rng, n_samples, X)
     if per_belief:
-        engine = engine or PerBeliefBounds(model)
-        mask = engine.overlap_indicator(pis)
+        mask = PerBeliefBounds(model).overlap_indicator(pis)
     else:
         if pair is None:
             raise PreconditionFailed("need a MyopicPair or per_belief=True")

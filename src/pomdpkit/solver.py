@@ -370,17 +370,16 @@ def default_resolution(model: PomdpModel) -> int:
 
 def grid_value_oracle(model: PomdpModel, resolution: int,
                       horizon: int | None = None,
-                      epsilon: float | None = None,
-                      interpolation: str | None = None) -> GridValue:
+                      epsilon: float | None = None) -> GridValue:
     """Value iteration on the uniform simplex lattice.
 
     Interpolates linearly for X = 2 and by nearest lattice point for
-    X >= 3 unless ``interpolation`` overrides; returns the table with its
-    nearest-point greedy policy attached.
+    X >= 3; returns the table with its greedy policy on the lattice
+    attached.
     """
     if (horizon is None) == (epsilon is None):
         raise DimensionMismatch("give exactly one of horizon / epsilon")
-    grid = GridValue(model, resolution, interpolation)
+    grid = GridValue(model, resolution)
     if horizon is not None:
         grid.iterate(horizon=horizon)
     else:

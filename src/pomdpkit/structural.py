@@ -138,8 +138,10 @@ def pomdp_assumption_report(model: PomdpModel,
         v = copositive_order_full(model.P(u), model.B(u),
                                   model.P(u + 1), model.B(u + 1),
                                   method=copositive_method)
+        if v.status is Verdict.FAILS:
+            v = fails({"action_pair": (u, u + 1), **v.witness})
         if v.status is not Verdict.HOLDS:
-            report["F3"] = v if v.status is Verdict.FAILS else v
+            report["F3"] = v
             break
     report["F4"] = HOLDS
     for u in range(1, U):

@@ -10,6 +10,64 @@ from pomdpkit.cli import main
 from pomdpkit.model import model_to_json
 from pomdpkit.apps import build_machine_replacement
 
+# stdout sha256 of the nine README commands, the social-learning stop and
+# the Lovejoy bounds, as recorded in CHANGES.md
+GOLDEN = [
+    ("solve --model machine-replacement --horizon 5 --method ip",
+     "6d3a4fcef939db4ffceb7376c4e0ab54ef2d2e9820b49f01cc880c39f0189cde"),
+    ("solve --model machine-replacement --rho 0.9 --epsilon 1e-6 "
+     "--query 0.4,0.6",
+     "8f850d7caac184b8b5d8334b3060b993b2ab7d96068f0000cd394633f15edc80"),
+    ("check --model example1",
+     "bcb40f06da2a4789bf362dfa3723495227363003ce1bc7e35a8ccdb177040adf"),
+    ("myopic --table1a --samples 1000000 --seed 1",
+     "90ca8c9230bf22773edede35f69aa2cd84b2703026b7291877fb92818ff97836"),
+    ("myopic --table1a --loss --paths 1000 --horizon 100 --seed 1",
+     "2ca25df268910703a750f32719930f9894aa63a68df8f9c5017dadbcc4244ada"),
+    ("filter --model qd-ph --sandwich --steps 200 --seed 3",
+     "cce9a6961a4260407682fa66ad2b98663a250a453c465b6fd05dc439dcc23c96"),
+    ("spsa --model qd-ph --iterations 2000 --restarts 5 --seed 11",
+     "35f26a3a6ce49d9a4099bac496b78683ba989629a32595cf410b9b6e65c6d399"),
+    ("bandit --episodes 1000 --seed 2",
+     "69bb00a276ec1247041395c9b5bbd80661acd45b7927fc8a009c5ff2ff7e48a6"),
+    ("compare --kind blackwell --seed 0",
+     "34163f331e9fd4591a184bc1ba007f441bff041a8744269a11f3c2fadef51a08"),
+    ("solve --model social",
+     "ae656c6859a5c8bfba57fb3d22546e72625708c7cd63511f1bf6c04f0cc2c76f"),
+    ("solve --model machine-replacement --horizon 4 --method lovejoy",
+     "30dbb80bd249cb48cd9e33506d5a1781b8e6393495e65d73299b586e36af9489"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN,
+                         ids=[command for command, _ in GOLDEN])
+def test_golden_stdout_bytes(command, digest, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    "solve --model transmission",
+    "check --model transmission",
+    "check --model social",
+    "check --model bandit",
+    "filter --model bandit --sandwich",
+    "filter --model qd-ph",
+    "myopic --model social",
+    "myopic --model qd-ph",
+    "myopic --model transmission",
+    "myopic",
+    "spsa --model example1",
+    "simulate --model qd-ph",
+])
+def test_wrong_model_kind_exit_code(command, capsys):
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "DimensionMismatch"
+
 
 class TestSolveCommand:
     def test_preset_stagewise_json(self, capsys):

@@ -270,6 +270,45 @@ class TestSocialLearning:
         manual = expect[:, 0] * pi
         assert np.allclose(step.posterior, manual / manual.sum())
 
+    @staticmethod
+    def _enumerate(pi, costs, B):
+        # the agent who sees y takes the first action of least expected
+        # cost sum_i c[i, a] B[i, y] pi[i]; L[:, a] sums those B[:, y]
+        X, A = costs.shape
+        L = np.zeros((X, A))
+        for y in range(B.shape[1]):
+            expected = [sum(costs[i, a] * B[i, y] * pi[i] for i in range(X))
+                        for a in range(A)]
+            L[:, min(range(A), key=expected.__getitem__)] += B[:, y]
+        return L
+
+    def test_batch_rows_match_enumeration(self):
+        rng = make_rng(31)
+        # action a is cheapest in state a; actions 3 and 4 always tie
+        costs = np.array([[0.0, 1.0, 2.0, 2.0],
+                          [1.0, 0.2, 1.0, 1.0],
+                          [2.0, 1.0, 0.1, 0.1]])
+        B = rng.dirichlet(np.ones(3), size=3)
+        pis = uniform_simplex(rng, 200, 3)
+        L = social_action_likelihoods(pis, costs, B)
+        assert L.shape == (200, 3, 4)
+        for pi, row in zip(pis, L):
+            assert np.array_equal(row, self._enumerate(pi, costs, B))
+            assert np.array_equal(row,
+                                  social_action_likelihoods(pi, costs, B))
+        assert L[:, :, :3].any(axis=(0, 1)).all() and not L[:, :, 3].any()
+
+    def test_cost_ties_go_to_the_smaller_action(self):
+        # an uninformative signal leaves eta = pi / 2; at pi = (1/2, 1/2)
+        # both actions cost 1/4 exactly
+        costs = np.array([[0.0, 1.0], [1.0, 0.0]])
+        B = np.full((2, 2), 0.5)
+        pis = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+        L = social_action_likelihoods(pis, costs, B)
+        for pi, row in zip(pis, L):
+            assert np.array_equal(row, self._enumerate(pi, costs, B))
+        assert np.array_equal(L[:, 0, 0], [1.0, 0.0, 1.0])
+
     def test_cascade_region_freezes_belief(self):
         # deep inside the high-pi(2) cascade interval every private
         # signal maps to the same action, so the public belief is fixed

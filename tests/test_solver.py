@@ -8,6 +8,7 @@ from helpers import random_tp2_stochastic
 from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.errors import Blowup, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
+from pomdpkit.grid import barycentric_weights, segment_weights
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import (
@@ -351,3 +352,31 @@ class TestGridOracle:
                             for p in pis))
         assert errs[1] <= errs[0] and errs[2] <= errs[1]
         assert errs[2] < 1e-4
+
+
+class TestSegmentWeights:
+    @pytest.mark.parametrize("resolution", [1, 2, 7, 200])
+    def test_matches_np_interp(self, resolution):
+        nodes = np.arange(resolution + 1) / resolution
+        t = np.concatenate([[0.0, 1.0], nodes, make_rng(21).random(500)])
+        idx, w = segment_weights(t, resolution)
+        assert idx.shape == w.shape == (len(t), 2)
+        assert (w >= 0).all()
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        table = np.sin(7 * nodes) + nodes ** 2
+        assert np.allclose((table[idx] * w).sum(axis=1),
+                           np.interp(t, nodes, table), rtol=0, atol=1e-12)
+        # endpoints weigh one node only
+        assert idx[:2].tolist() == [[0, 1], [resolution - 1, resolution]]
+        assert w[:2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_is_the_two_state_barycentric_branch(self):
+        t = np.concatenate([[0.0, 1.0, -0.5, 1.5], make_rng(22).random(300)])
+        for resolution in (1, 3, 60):
+            idx, w = barycentric_weights(np.column_stack([t, 1 - t]),
+                                         resolution)
+            seg_idx, seg_w = segment_weights(t, resolution)
+            assert np.array_equal(idx, seg_idx)
+            assert np.array_equal(w, seg_w)
+        # t outside [0, 1] is clipped to the end nodes
+        assert np.array_equal(seg_w[2:4], [[1.0, 0.0], [0.0, 1.0]])

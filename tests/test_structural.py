@@ -18,7 +18,8 @@ from pomdpkit.apps import (
 )
 from pomdpkit.errors import PreconditionFailed
 from pomdpkit.model import PomdpModel, QuadraticCost
-from pomdpkit.orders import Verdict
+from pomdpkit.orders import (CopositiveMethod, OrderVerdict, Verdict,
+                             copositive_order_full)
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import solve_finite_horizon, evaluate_value
 from pomdpkit.stopgrid import solve_stopping_grid
@@ -76,6 +77,23 @@ class TestAssumptionReport:
         rep = pomdp_assumption_report(m, stop_cost=bad,
                                       continue_cost=np.zeros(3))
         assert rep["C"].status is Verdict.FAILS
+
+    def test_f3_witness_names_the_failing_action_pair(self):
+        # actions 1 and 2 share their kernels, so only the pair (2, 3) can
+        # fail: action 3 drives the state down where action 2 drives it up
+        up = np.array([[0.1, 0.9], [0.05, 0.95]])
+        down = np.array([[0.95, 0.05], [0.9, 0.1]])
+        B = np.array([[0.8, 0.2], [0.3, 0.7]])
+        m = PomdpModel(np.stack([up, up, down]), np.stack([B] * 3),
+                       np.zeros((2, 3)), 0.9)
+        exact = CopositiveMethod.EXACT_2STATE
+        rep = pomdp_assumption_report(m, copositive_method=exact)
+        assert copositive_order_full(up, B, up, B, method=exact).status \
+            is Verdict.HOLDS
+        pair = copositive_order_full(up, B, down, B, method=exact)
+        assert pair.status is Verdict.FAILS
+        assert rep["F3"] == OrderVerdict(
+            Verdict.FAILS, {"action_pair": (2, 3), **pair.witness})
 
     def test_report_json(self):
         m = build_machine_replacement(0.3, 0.9, 0.8, 0.5, [1.0, 0.0],
