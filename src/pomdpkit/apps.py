@@ -27,6 +27,7 @@ from .solver import (
     VectorSet,
     bellman_backup_step,
     evaluate_value,
+    lp_prune,
     sup_difference,
     vector_set,
 )
@@ -175,8 +176,6 @@ def build_sampling_control(P, B, intervals, m, d: float,
     trans[0, :, Xa - 1] = 1.0
     obs[0] = np.vstack([B, np.full((1, B.shape[1]), 1.0 / B.shape[1])])
     costs[:X, 0] = 1.0 - e1
-    accum = np.zeros((X, X))
-    power = np.eye(X)
     for el, D in enumerate(intervals):
         accum = np.zeros((X, X))
         power = np.eye(X)
@@ -338,8 +337,6 @@ def solve_retirement_value(P, B, r, rho: float, M: float,
             np.vstack([backed.vectors, retire.vectors]),
             np.concatenate([backed.actions * 0 + 2, [1]]),
             stage=0)
-        from .solver import lp_prune
-
         nxt = lp_prune(merged)
         gap = sup_difference(nxt, current)
         current = nxt

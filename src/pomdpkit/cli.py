@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import apps, myopic, presets, structural, threshold
+from .bounds import rank1_bounds, sandwich_filter
 from .errors import (
     Blowup,
     DimensionMismatch,
@@ -26,7 +27,8 @@ from .errors import (
 )
 from .filters import PathSampler, simulate_trajectory
 from .grid import GridValue
-from .model import PomdpModel, StoppingModel, model_from_json
+from .model import PomdpModel, StoppingModel, model_from_json, \
+    quantized_gaussian_observation
 from .rng import make_rng, uniform_simplex
 from .solver import evaluate_value, grid_value_oracle, lovejoy_bounds, \
     solve_finite_horizon, value_iteration_discounted
@@ -122,14 +124,15 @@ def cmd_solve(args) -> int:
         res = apps.solve_social_learning_stop(
             model["local_costs"], model["B"], model["d"], model["beta"],
             model["rho"] if args.rho is None else args.rho,
-            grid_size=args.resolution if args.resolution != 1000 else 500)
+            grid_size=500 if args.resolution is None else args.resolution)
         rows = ["pi2,value,stop"]
         for t, v, s in zip(res.grid, res.values, res.stop_mask):
             rows.append(f"{t:.12g},{v:.12g},{int(s)}")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
+    resolution = 1000 if args.resolution is None else args.resolution
     if kind == "stopping":
-        sol = solve_stopping_grid(model, args.resolution,
+        sol = solve_stopping_grid(model, resolution,
                                   epsilon=args.epsilon or 1e-9)
         mask = sol.stop_mask
         rows = ["index,value,stop"] + [
@@ -138,7 +141,7 @@ def cmd_solve(args) -> int:
         _emit("\n".join(rows) + "\n", args.out)
         return 0
     if args.method == "grid":
-        grid = grid_value_oracle(model, args.resolution,
+        grid = grid_value_oracle(model, resolution,
                                  horizon=args.horizon,
                                  epsilon=args.epsilon)
         rows = ["index,value,action"]
@@ -184,8 +187,6 @@ def cmd_filter(args) -> int:
             P, B = np.asarray(model.P), np.asarray(model.B)
         else:
             P, B = model.P(1), model.B(1)
-        from .bounds import rank1_bounds, sandwich_filter
-
         lo, hi = rank1_bounds(P)
         X = P.shape[0]
         sampler = PathSampler(P[None], B[None])
@@ -308,9 +309,7 @@ def cmd_spsa(args) -> int:
 
 def cmd_bandit(args) -> int:
     params = _preset("bandit", None)
-    from .apps import run_bandit_benchmark
-
-    result = run_bandit_benchmark(
+    result = apps.run_bandit_benchmark(
         params["P"], params["B"], params["r"], params["rho"],
         episodes=args.episodes, horizon=args.steps, seed=args.seed)
     _emit(json.dumps(result) + "\n", args.out)
@@ -330,8 +329,6 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     rng = make_rng(args.seed)
     if args.kind == "mdp":
-        from .model import quantized_gaussian_observation
-
         X, U = 4, 2
         Ps, Pbars = [], []
         for u in range(U):
@@ -352,8 +349,6 @@ def cmd_compare(args) -> int:
                         terminal_cost=tc)
         verdict = structural.compare_mdp_costs(m1, m2)
     else:
-        from .model import quantized_gaussian_observation
-
         X = 2
         lv = np.cumsum(0.4 + rng.uniform(0, 1, X))
         P = quantized_gaussian_observation(lv, rng.uniform(0.8, 2.0), X)
@@ -388,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--method", default="ip",
                     choices=["ip", "monahan", "lovejoy", "grid"])
-    sp.add_argument("--resolution", type=int, default=1000)
+    sp.add_argument("--resolution", type=int,
+                    help="grid resolution (default 1000; 500 for social)")
     sp.add_argument("--grid-points", type=int, default=20)
     sp.add_argument("--query", help="belief to evaluate, comma separated")
     sp.add_argument("--out")

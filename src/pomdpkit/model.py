@@ -291,24 +291,20 @@ class QuadraticCost:
         object.__setattr__(self, "h", _frozen(h))
 
     def __call__(self, pi: np.ndarray) -> float:
-        pi = np.asarray(pi, dtype=float)
-        return float(self.lin @ pi - self.alpha * (self.h @ pi) ** 2)
+        return float(self.batch(np.asarray(pi, dtype=float)[None])[0])
 
     def batch(self, pis: np.ndarray) -> np.ndarray:
         return pis @ self.lin - self.alpha * (pis @ self.h) ** 2
 
 
-BeliefCost = "np.ndarray | QuadraticCost"
-
-
 def belief_cost_value(cost, pi: np.ndarray) -> float:
-    """Evaluate a linear (vector) or :class:`QuadraticCost` belief cost."""
-    if isinstance(cost, QuadraticCost):
-        return cost(pi)
-    return float(np.asarray(cost, dtype=float) @ pi)
+    """One-belief case of :func:`belief_cost_batch`."""
+    return float(belief_cost_batch(cost, np.asarray(pi, dtype=float)[None])[0])
 
 
 def belief_cost_batch(cost, pis: np.ndarray) -> np.ndarray:
+    """Evaluate a linear (vector) or :class:`QuadraticCost` belief cost
+    at each row of ``pis``."""
     if isinstance(cost, QuadraticCost):
         return cost.batch(pis)
     return pis @ np.asarray(cost, dtype=float)

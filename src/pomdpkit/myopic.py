@@ -39,10 +39,10 @@ class MyopicPair:
     C_lower: np.ndarray  # (X, U), strictly decreasing columns
 
     def upper_action(self, pi) -> int:
-        return int(np.argmin(np.asarray(pi) @ self.C_upper)) + 1
+        return int(self.upper_actions(np.asarray(pi)[None])[0])
 
     def lower_action(self, pi) -> int:
-        return int(np.argmin(np.asarray(pi) @ self.C_lower)) + 1
+        return int(self.lower_actions(np.asarray(pi)[None])[0])
 
     def upper_actions(self, pis: np.ndarray) -> np.ndarray:
         return (pis @ self.C_upper).argmin(axis=1) + 1

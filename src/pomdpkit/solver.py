@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -89,14 +90,10 @@ def evaluate_value(gamma: VectorSet, pi) -> tuple[float, np.ndarray, int]:
     pi = np.asarray(pi, dtype=float)
     vals = gamma.vectors @ pi
     best = float(vals.min())
-    tied = np.flatnonzero(vals <= best + DEDUP_TOL)
-    # among ties the lowest action wins, then the lexicographically
-    # smallest vector
-    acts = gamma.actions[tied]
-    lowest = acts.min()
-    cand = tied[acts == lowest]
-    order = _sort_order(gamma.vectors[cand], gamma.actions[cand])
-    pick = int(cand[order[0]])
+    # a VectorSet is stored sorted by action tag, then by vector, so the
+    # first tie has the lowest action and the lexicographically smallest
+    # vector
+    pick = int(np.argmax(vals <= best + DEDUP_TOL))
     return best, gamma.vectors[pick], int(gamma.actions[pick])
 
 
@@ -191,8 +188,7 @@ def incremental_pruning_step(gamma_next: VectorSet, model: PomdpModel,
 
 
 def monahan_step(gamma_next: VectorSet, model: PomdpModel,
-                 budget: int = VECTOR_BUDGET,
-                 return_enumeration_size: bool = False):
+                 budget: int = VECTOR_BUDGET) -> VectorSet:
     """Full ``U |Gamma|^Y`` enumeration followed by a single prune.
 
     Each per-(u, y) component carries ``c_u / Y``, so the Y-fold
@@ -219,10 +215,7 @@ def monahan_step(gamma_next: VectorSet, model: PomdpModel,
         raise Blowup(stage, count, budget)
     merged = vector_set(np.vstack(all_vectors),
                         np.concatenate(all_actions), stage)
-    pruned = lp_prune(merged)
-    if return_enumeration_size:
-        return pruned, count
-    return pruned
+    return lp_prune(merged)
 
 
 def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
@@ -400,8 +393,6 @@ def _lovejoy_resolution(model: PomdpModel, max_points: int) -> int:
 
 
 def _lattice_size(X: int, res: int) -> int:
-    from math import comb
-
     return comb(res + X - 1, X - 1)
 
 

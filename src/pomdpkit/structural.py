@@ -23,13 +23,16 @@ from .orders import (
     HOLDS,
     OrderVerdict,
     Verdict,
+    blackwell_factorize,
     check_F4,
     copositive_order_full,
     fails,
     fosd_compare,
     is_tp2,
+    mdp_monotone_report,
 )
 from .rng import make_rng, uniform_simplex
+from .solver import evaluate_value, solve_finite_horizon
 
 VALUE_TOL = 1e-9
 
@@ -138,10 +141,9 @@ def pomdp_assumption_report(model: PomdpModel,
         v = copositive_order_full(model.P(u), model.B(u),
                                   model.P(u + 1), model.B(u + 1),
                                   method=copositive_method)
-        if v.status is Verdict.FAILS:
-            v = fails({"action_pair": (u, u + 1), **v.witness})
         if v.status is not Verdict.HOLDS:
-            report["F3"] = v
+            report["F3"] = OrderVerdict(v.status, {"action_pair": (u, u + 1),
+                                                   **(v.witness or {})})
             break
     report["F4"] = HOLDS
     for u in range(1, U):
@@ -383,20 +385,12 @@ def compare_mdp_costs(mdp1: PomdpModel, mdp2: PomdpModel,
     """
     if not np.allclose(mdp1.costs, mdp2.costs):
         raise PreconditionFailed("models must share their costs")
-    c = mdp2.costs
-    if (np.diff(c, axis=0) > VALUE_TOL).any():
-        raise PreconditionFailed("(A1) fails: costs not decreasing")
-    tc = mdp2.terminal_vector()
-    if (np.diff(tc) > VALUE_TOL).any():
-        raise PreconditionFailed("(A1) fails for the terminal cost")
-    U = mdp2.num_actions
-    for u in range(1, U + 1):
-        P2 = mdp2.P(u)
-        for i in range(P2.shape[0] - 1):
-            if fosd_compare(P2[i + 1], P2[i]) not in (Comparison.GE,
-                                                      Comparison.EQ):
-                raise PreconditionFailed(f"(A2) fails for action {u}")
-        P1 = mdp1.P(u)
+    report = mdp_monotone_report(mdp2, "finite")
+    for key in ("A1", "A2"):
+        if report[key].status is Verdict.FAILS:
+            raise PreconditionFailed(f"({key}) fails: {report[key].witness}")
+    for u in range(1, mdp2.num_actions + 1):
+        P1, P2 = mdp1.P(u), mdp2.P(u)
         for i in range(P1.shape[0]):
             if fosd_compare(P1[i], P2[i]) not in (Comparison.GE,
                                                   Comparison.EQ):
@@ -474,9 +468,6 @@ def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,
     kernel Blackwell-dominates model2's (model1 is cheaper).  Both
     models are solved exactly over ``horizon`` stages.
     """
-    from .orders import blackwell_factorize
-    from .solver import evaluate_value, solve_finite_horizon
-
     if kind == "observation":
         for u in range(1, model1.num_actions + 1):
             if blackwell_factorize(model2.B(u), model1.B(u)) is None:

@@ -39,23 +39,25 @@ def threshold_constraints_ok(theta: np.ndarray) -> bool:
     return True
 
 
-def linear_threshold_action(theta, pi) -> int:
-    """1 (stop) iff ``pi(2) + sum_i theta(i) pi(i+2) - theta(X-1) < 0``."""
-    theta = np.asarray(theta, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    X = pi.size
-    if theta.size != X - 1:
-        raise DimensionMismatch("theta must have X - 1 coefficients")
-    decision = pi[1] + float(theta[:X - 2] @ pi[2:]) - theta[X - 2]
-    return 1 if decision < 0 else 2
-
-
 def linear_threshold_actions(theta, pis: np.ndarray) -> np.ndarray:
+    """1 (stop) iff ``pi(2) + sum_i theta(i) pi(i+2) - theta(X-1) < 0``,
+    else 2, for each row of ``pis``; ``theta`` is one coefficient vector
+    or one per row."""
     theta = np.asarray(theta, dtype=float)
     pis = np.atleast_2d(pis)
     X = pis.shape[1]
-    decision = pis[:, 1] + pis[:, 2:] @ theta[:X - 2] - theta[X - 2]
+    slopes = np.broadcast_to(theta[..., :X - 2], (pis.shape[0], X - 2))
+    decision = pis[:, 1] + np.einsum("ij,ij->i", pis[:, 2:], slopes) \
+        - theta[..., X - 2]
     return np.where(decision < 0, 1, 2)
+
+
+def linear_threshold_action(theta, pi) -> int:
+    """One-belief case of :func:`linear_threshold_actions`."""
+    pi = np.asarray(pi, dtype=float)
+    if np.asarray(theta).size != pi.size - 1:
+        raise DimensionMismatch("theta must have X - 1 coefficients")
+    return int(linear_threshold_actions(theta, pi[None])[0])
 
 
 def spherical_to_theta(phi) -> np.ndarray:
@@ -164,17 +166,10 @@ def spsa_fit(sm: StoppingModel, iterations: int, seed: int,
         if objective is not None:
             return objective(phi_mat, rng)
         thetas = np.stack([spherical_to_theta(p) for p in phi_mat])
-        n = phi_mat.shape[0]
-        pi0 = uniform_simplex(rng, n, sm.num_states)
-
-        def batch_policy(pis, idx):
-            th = thetas[idx]
-            X = pis.shape[1]
-            dec = pis[:, 1] + np.einsum("ij,ij->i", pis[:, 2:],
-                                        th[:, :X - 2]) - th[:, X - 2]
-            return np.where(dec < 0, 1, 2)
-
-        return batched_stopping_costs(sm, batch_policy, pi0, K, rng)
+        pi0 = uniform_simplex(rng, phi_mat.shape[0], sm.num_states)
+        return batched_stopping_costs(
+            sm, lambda pis, idx: linear_threshold_actions(thetas[idx], pis),
+            pi0, K, rng)
 
     for n in range(iterations):
         delta = hyper.perturbation(n)

@@ -10,8 +10,8 @@ from pomdpkit.cli import main
 from pomdpkit.model import model_to_json
 from pomdpkit.apps import build_machine_replacement
 
-# stdout sha256 of the nine README commands, the social-learning stop and
-# the Lovejoy bounds, as recorded in CHANGES.md
+# stdout sha256 of the nine README commands, the social-learning stop, the
+# Lovejoy bounds and two trajectory commands, as recorded in CHANGES.md
 GOLDEN = [
     ("solve --model machine-replacement --horizon 5 --method ip",
      "6d3a4fcef939db4ffceb7376c4e0ab54ef2d2e9820b49f01cc880c39f0189cde"),
@@ -36,6 +36,10 @@ GOLDEN = [
      "ae656c6859a5c8bfba57fb3d22546e72625708c7cd63511f1bf6c04f0cc2c76f"),
     ("solve --model machine-replacement --horizon 4 --method lovejoy",
      "30dbb80bd249cb48cd9e33506d5a1781b8e6393495e65d73299b586e36af9489"),
+    ("simulate --model machine-replacement --steps 200 --seed 4",
+     "159dd8b642692d6162629fec80667ed2120730b8c0b1f8d9aa91ad29446dd561"),
+    ("filter --model example1 --steps 300 --seed 5",
+     "ad5de1233b7af9e2a7668d1e282c992901e3bbe83ae46ac92763beaa9388ada7"),
 ]
 
 
@@ -239,6 +243,14 @@ class TestSocialAndLovejoyPaths:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "pi2,value,stop"
         assert len(lines) == 301
+
+    @pytest.mark.parametrize("resolution", [999, 1000, 1001])
+    def test_social_explicit_resolution_is_used(self, resolution, capsys):
+        rc = main(["solve", "--model", "social",
+                   "--resolution", str(resolution)])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == resolution + 1
 
     def test_lovejoy_emits_bounds(self, capsys):
         rc = main(["solve", "--model", "machine-replacement",

@@ -346,6 +346,30 @@ class TestMdpMonotoneReport:
         rep = mdp_monotone_report(m)
         assert all(v.status is Verdict.HOLDS for v in rep.values())
 
+    def test_a2_matches_row_by_row_fosd(self):
+        rng = make_rng(12)
+        verdicts = set()
+        for k in range(60):
+            X, U = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            P = np.stack([random_tp2_stochastic(rng, X) for _ in range(U)])
+            if k % 2:  # break one row so that (A2) can fail anywhere
+                P[rng.integers(U), rng.integers(X)] = rng.dirichlet(
+                    np.ones(X))
+            m = PomdpModel(P, np.stack([np.full((X, 2), 0.5)] * U),
+                           np.zeros((X, U)), 0.9)
+            want = None
+            for u in range(U):
+                for i in range(X - 1):
+                    if want is None and fosd_compare(P[u, i + 1], P[u, i]) \
+                            not in (Comparison.GE, Comparison.EQ):
+                        want = {"action": u + 1, "rows": (i + 1, i + 2)}
+            got = mdp_monotone_report(m)["A2"]
+            assert got.witness == want
+            assert got.status is (Verdict.HOLDS if want is None
+                                  else Verdict.FAILS)
+            verdicts.add(got.status)
+        assert verdicts == {Verdict.HOLDS, Verdict.FAILS}
+
     def test_random_violator_fails_with_witness(self):
         P = np.stack([np.eye(3)] * 2)
         costs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 5.0]])

@@ -57,6 +57,19 @@ class TestLinearThreshold:
         for pi, a in zip(pis, batched):
             assert linear_threshold_action(theta, pi) == a
 
+    @pytest.mark.parametrize("X", [2, 3, 4, 5])
+    def test_one_theta_per_row_matches_one_theta(self, X):
+        rng = make_rng(X)
+        thetas = np.stack([spherical_to_theta(rng.normal(size=X - 1))
+                           for _ in range(4)])
+        pis = uniform_simplex(rng, 200, X)
+        rows = rng.integers(0, 4, size=200)
+        per_row = linear_threshold_actions(thetas[rows], pis)
+        for k in range(4):
+            mask = rows == k
+            assert np.array_equal(
+                per_row[mask], linear_threshold_actions(thetas[k], pis[mask]))
+
 
 class TestSphericalParametrization:
     def test_reference_point(self):

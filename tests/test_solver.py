@@ -12,6 +12,7 @@ from pomdpkit.grid import barycentric_weights, segment_weights
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import (
+    DEDUP_TOL,
     SolveResult,
     bellman_backup_step,
     cross_sum,
@@ -69,6 +70,35 @@ class TestEvaluateAndCrossSum:
         vs = vector_set([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [2, 1])
         _, _, action = evaluate_value(vs, [0.5, 0.5])
         assert action == 1
+
+    def test_vector_set_is_stored_in_tie_break_order(self):
+        # four vectors tie at the uniform belief, across tags and within
+        # one tag; the first tie in storage order must be the pick
+        vs = vector_set([[1.0, 1.0], [3.0, 3.0], [2.0, 0.0], [0.0, 2.0],
+                         [0.5, 1.5]], [2, 1, 1, 2, 1])
+        assert vs.actions.tolist() == [1, 1, 1, 2, 2]
+        assert vs.vectors.tolist() == [[0.5, 1.5], [2.0, 0.0], [3.0, 3.0],
+                                       [0.0, 2.0], [1.0, 1.0]]
+        value, vec, action = evaluate_value(vs, [0.5, 0.5])
+        assert (value, vec.tolist(), action) == (1.0, [0.5, 1.5], 1)
+
+    def test_pick_matches_lowest_tag_then_smallest_vector(self):
+        rng = make_rng(7)
+        for _ in range(100):
+            # small integer entries make exact ties common
+            vs = vector_set(rng.integers(0, 3, size=(12, 3)).astype(float),
+                            rng.integers(1, 4, size=12))
+            pis = np.vstack([np.eye(3), np.full((1, 3), 1 / 3),
+                             uniform_simplex(rng, 5, 3)])
+            for pi in pis:
+                vals = vs.vectors @ pi
+                tied = [k for k in range(len(vs))
+                        if vals[k] <= vals.min() + DEDUP_TOL]
+                lowest = min(vs.actions[k] for k in tied)
+                want = min(tuple(vs.vectors[k]) for k in tied
+                           if vs.actions[k] == lowest)
+                _, vec, action = evaluate_value(vs, pi)
+                assert (tuple(vec), action) == (want, lowest)
 
     def test_matches_independent_scan(self):
         rng = make_rng(0)
@@ -145,8 +175,9 @@ class TestBackups:
         m = replacement(horizon=3)
         start = vector_set([[0.0, 0.0], [0.3, 0.1], [0.5, 0.2]],
                            [1, 1, 1], stage=1)
-        _, count = monahan_step(start, m, return_enumeration_size=True)
-        assert count == 2 * 3 ** 2  # U * |Gamma|^Y
+        with pytest.raises(Blowup) as info:
+            monahan_step(start, m, budget=17)
+        assert info.value.size == 18 == 2 * 3 ** 2  # U * |Gamma|^Y
 
     def test_methods_agree_pointwise(self):
         m = replacement(horizon=4)

@@ -94,6 +94,11 @@ class TestAssumptionReport:
         assert pair.status is Verdict.FAILS
         assert rep["F3"] == OrderVerdict(
             Verdict.FAILS, {"action_pair": (2, 3), **pair.witness})
+        # the default elementwise test cannot decide the pair, and says
+        # which pair that is
+        rep = pomdp_assumption_report(m)
+        assert rep["F3"] == OrderVerdict(Verdict.UNDETERMINED,
+                                         {"action_pair": (2, 3)})
 
     def test_report_json(self):
         m = build_machine_replacement(0.3, 0.9, 0.8, 0.5, [1.0, 0.0],
