@@ -51,35 +51,36 @@ class MyopicPair:
         return (pis @ self.C_lower).argmin(axis=1) + 1
 
 
+# every C1/C2 construction walks this table: the upper bound comes from
+# increasing transformed costs, the lower bound from decreasing ones
+POLYTOPES = (("C1", "increasing"), ("C2", "decreasing"))
+
+
+def _transform_matrices(model: PomdpModel) -> np.ndarray:
+    """The stack ``I - rho P(u)``, shape (U, X, X)."""
+    return np.eye(model.num_states) - model.discount * model.transitions
+
+
 def transformed_costs(model: PomdpModel, f: np.ndarray) -> np.ndarray:
     """Matrix with columns ``c_u + (I - rho P(u)) f``."""
-    X, U = model.num_states, model.num_actions
-    out = np.empty((X, U))
-    for u in range(1, U + 1):
-        out[:, u - 1] = model.cost_vector(u) \
-            + (np.eye(X) - model.discount * model.P(u)) @ f
-    return out
+    return model.costs + (_transform_matrices(model) @ f).T
 
 
 def _monotone_polytope(model: PomdpModel, direction: str,
                        delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows A, b with ``A f <= b`` encoding monotone transformed costs."""
-    X, U = model.num_states, model.num_actions
-    rows = []
-    rhs = []
-    for u in range(1, U + 1):
-        M = np.eye(X) - model.discount * model.P(u)
-        c = model.cost_vector(u)
-        for i in range(X - 1):
-            grow = M[i + 1] - M[i]
-            gap = c[i + 1] - c[i]
-            if direction == "increasing":
-                rows.append(-grow)
-                rhs.append(gap - delta)
-            else:
-                rows.append(grow)
-                rhs.append(-gap - delta)
-    return np.asarray(rows), np.asarray(rhs)
+    sign = -1.0 if direction == "increasing" else 1.0
+    grow = np.diff(_transform_matrices(model), axis=1)  # (U, X-1, X)
+    gap = np.diff(model.costs, axis=0).T  # (U, X-1)
+    return ((sign * grow).reshape(-1, model.num_states),
+            (-sign * gap - delta).reshape(-1))
+
+
+def _pair(model: PomdpModel, f_upper: np.ndarray,
+          f_lower: np.ndarray) -> MyopicPair:
+    return MyopicPair(f_upper=f_upper, f_lower=f_lower,
+                      C_upper=transformed_costs(model, f_upper),
+                      C_lower=transformed_costs(model, f_lower))
 
 
 def lp_feasibility_C1_C2(model: PomdpModel,
@@ -89,20 +90,14 @@ def lp_feasibility_C1_C2(model: PomdpModel,
     Minimizes ``1'f`` over each polytope with strictness margin
     ``delta``; raises ``LpInfeasible("C1")`` or ``LpInfeasible("C2")``.
     """
-    X = model.num_states
-    fs = {}
-    for tag, direction in (("C1", "increasing"), ("C2", "decreasing")):
+    fs = []
+    for tag, direction in POLYTOPES:
         A, b = _monotone_polytope(model, direction, delta)
-        res = solve_lp(np.ones(X), A_ub=A, b_ub=b)
+        res = solve_lp(np.ones(model.num_states), A_ub=A, b_ub=b)
         if not res.optimal:
             raise LpInfeasible(tag)
-        fs[tag] = res.x
-    return MyopicPair(
-        f_upper=fs["C1"],
-        f_lower=fs["C2"],
-        C_upper=transformed_costs(model, fs["C1"]),
-        C_lower=transformed_costs(model, fs["C2"]),
-    )
+        fs.append(res.x)
+    return _pair(model, *fs)
 
 
 def optimize_overlap_2action(model: PomdpModel,
@@ -119,9 +114,8 @@ def optimize_overlap_2action(model: PomdpModel,
         raise PreconditionFailed("overlap maximization needs U = 2")
     X = model.num_states
     D = model.P(2) - model.P(1)
-    out = {}
-    for tag, direction, sign in (("C1", "increasing", 1.0),
-                                 ("C2", "decreasing", -1.0)):
+    fs = []
+    for (tag, direction), sign in zip(POLYTOPES, (1.0, -1.0)):
         A, b = _monotone_polytope(model, direction, delta)
         alphas = np.empty(X)
         for i in range(X):
@@ -130,22 +124,12 @@ def optimize_overlap_2action(model: PomdpModel,
                 raise LpInfeasible(
                     tag if res.status == "infeasible" else "NoMaximizer")
             alphas[i] = res.value
-        A_eq = sign * D
-        res = solve_lp(np.ones(X), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=alphas)
+        res = solve_lp(np.ones(X), A_ub=A, b_ub=b, A_eq=sign * D,
+                       b_eq=alphas)
         if not res.optimal:
             raise LpInfeasible("NoMaximizer")
-        out[tag] = res.x
-    return MyopicPair(
-        f_upper=out["C1"],
-        f_lower=out["C2"],
-        C_upper=transformed_costs(model, out["C1"]),
-        C_lower=transformed_costs(model, out["C2"]),
-    )
-
-
-def myopic_actions(pair: MyopicPair, pi) -> tuple[int, int]:
-    """``(mu_lower(pi), mu_upper(pi))`` from the transformed costs."""
-    return pair.lower_action(pi), pair.upper_action(pi)
+        fs.append(res.x)
+    return _pair(model, *fs)
 
 
 @dataclass
@@ -172,18 +156,18 @@ class PerBeliefBounds:
 
     def __init__(self, model: PomdpModel, delta: float = STRICTNESS):
         self.model = model
-        X, U = model.num_states, model.num_actions
-        self.X, self.U = X, U
-        self.A = {}
-        self.b = {}
-        for tag, direction in (("C1", "increasing"), ("C2", "decreasing")):
-            A, b = _monotone_polytope(model, direction, delta)
-            if not dual_feasible(A[None], b[None]).feasible[0]:
+        self.X, self.U = model.num_states, model.num_actions
+        self.A, self.b = {}, {}
+        for tag, direction in POLYTOPES:
+            self.A[tag], self.b[tag] = _monotone_polytope(model, direction,
+                                                          delta)
+        ok = dual_feasible(np.stack(list(self.A.values())),
+                           np.stack(list(self.b.values()))).feasible
+        for (tag, _), feasible in zip(POLYTOPES, ok):
+            if not feasible:
                 raise LpInfeasible(tag)
-            self.A[tag], self.b[tag] = A, b
         # E[u] @ f adds the transform contribution to C_u
-        self.E = np.stack([np.eye(X) - model.discount * model.P(u)
-                           for u in range(1, U + 1)])
+        self.E = _transform_matrices(model)
         self.c = model.costs  # (X, U)
         self.counters = BoundsCounters()
 
@@ -247,14 +231,6 @@ class PerBeliefBounds:
         return out
 
 
-def per_belief_bounds_multiaction(model: PomdpModel, pi,
-                                  delta: float = STRICTNESS,
-                                  engine: PerBeliefBounds | None = None):
-    """``(mu_lower, mu_upper, f_upper, f_lower)`` per-belief LP bounds."""
-    engine = engine or PerBeliefBounds(model, delta)
-    return engine.bounds(pi)
-
-
 def overlap_indicator_pair(pair: MyopicPair, pis: np.ndarray) -> np.ndarray:
     return pair.upper_actions(pis) == pair.lower_actions(pis)
 
@@ -265,13 +241,12 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
     """Fraction of the simplex where the myopic bounds coincide.
 
     Monte Carlo over uniform simplex samples; for X = 2 with a fixed
-    pair the estimate is replaced by exact interval arithmetic on the
+    pair the estimate is replaced by the exact overlap length on the
     unit segment (stderr 0).
     """
     X = model.num_states
     if not per_belief and pair is not None and X == 2:
-        vol = _overlap_interval_2state(pair)
-        return vol, 0.0
+        return _overlap_interval_2state(pair), 0.0
     rng = make_rng(seed)
     pis = uniform_simplex(rng, n_samples, X)
     if per_belief:
@@ -286,37 +261,22 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
 
 
 def _overlap_interval_2state(pair: MyopicPair) -> float:
-    """Exact overlap length on the segment pi(2) in [0, 1]."""
-    def region(C, want_first: bool):
-        # beliefs where action (1 if want_first else 2) is the argmin;
-        # g(t) = d[0] (1-t) + d[1] t with action 1 winning where g <= 0
-        d = C[:, 0] - C[:, 1]
-        g0, g1 = d[0], d[1]
-        if not want_first:
-            g0, g1 = -g0, -g1
-        if g0 <= 0 and g1 <= 0:
-            return [(0.0, 1.0)]
-        if g0 > 0 and g1 > 0:
-            return []
-        t = g0 / (g0 - g1)
-        seg = (0.0, t) if g0 <= 0 else (t, 1.0)
-        return [seg] if seg[1] > seg[0] else []
+    """Exact overlap length on the segment pi(2) in [0, 1].
 
-    def intersect(a, b):
-        out = []
-        for lo1, hi1 in a:
-            for lo2, hi2 in b:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if hi > lo:
-                    out.append((lo, hi))
-        return out
-
-    # equality region: both bounds pick 1, or both pick 2
-    both1 = intersect(region(pair.C_upper, True),
-                      region(pair.C_lower, True))
-    both2 = intersect(region(pair.C_upper, False),
-                      region(pair.C_lower, False))
-    return sum(hi - lo for lo, hi in both1 + both2)
+    The zeros of every action-cost difference of either bound cut the
+    segment into pieces on which both bounds are constant; the lengths of
+    the pieces whose midpoint gets the same action from both add up.
+    """
+    cuts = [0.0, 1.0]
+    for C in (pair.C_upper, pair.C_lower):
+        i, j = np.triu_indices(C.shape[1], 1)
+        d0, d1 = C[0, i] - C[0, j], C[1, i] - C[1, j]
+        cross = np.sign(d0) * np.sign(d1) < 0
+        cuts.extend(d0[cross] / (d0[cross] - d1[cross]))
+    t = np.unique(cuts)
+    mid = (t[:-1] + t[1:]) / 2
+    pis = np.column_stack([1 - mid, mid])
+    return float(np.diff(t)[overlap_indicator_pair(pair, pis)].sum())
 
 
 def _simulate_paths(model: PomdpModel, policy_batch, pi0: np.ndarray,

@@ -62,17 +62,24 @@ def _sort_order(V: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _dedup(V: np.ndarray, a: np.ndarray) -> tuple:
-    """Lexicographic dedup at DEDUP_TOL, keeping the lowest action tag."""
+    """Dedup at DEDUP_TOL keeping the lowest action tag of each run of
+    equal vectors; the result is in ``_sort_order``."""
     if V.shape[0] <= 1:
         return V.copy(), a.copy()
-    order = _sort_order(V, a)
+    # vector-major with the tag last, so equal vectors sit next to each
+    # other whatever their tags
+    order = np.lexsort((a,) + tuple(V[:, j]
+                                    for j in reversed(range(V.shape[1]))))
     V, a = V[order], a[order]
     keep = [0]
     for i in range(1, V.shape[0]):
         if np.max(np.abs(V[i] - V[keep[-1]])) > DEDUP_TOL:
             keep.append(i)
-        # equal vectors: the earlier one has the lower action tag already
-    return V[keep].copy(), a[keep].copy()
+        elif a[i] < a[keep[-1]]:
+            keep[-1] = i
+    V, a = V[keep], a[keep]
+    order = _sort_order(V, a)
+    return V[order], a[order]
 
 
 def vector_set(vectors, actions=None, stage: int = 0) -> VectorSet:

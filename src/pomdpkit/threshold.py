@@ -90,13 +90,17 @@ def truncation_horizon(sm: StoppingModel, tol: float = 1e-6) -> int:
     return max(K, 1)
 
 
+def _path_horizon(sm: StoppingModel, horizon: int | None) -> int:
+    """``horizon`` capped at the truncation horizon, which is the default."""
+    K = truncation_horizon(sm)
+    return K if horizon is None else min(K, horizon)
+
+
 def sample_cost(sm: StoppingModel, policy, horizon: int | None,
                 seed: int, pi0=None) -> float:
     """One sampled discounted cost of a stop/continue belief policy."""
     rng = make_rng(seed)
-    K = truncation_horizon(sm)
-    if horizon is not None:
-        K = min(K, horizon)
+    K = _path_horizon(sm, horizon)
     if pi0 is None:
         pi0 = uniform_simplex(rng, 1, sm.num_states)[0]
 
@@ -211,7 +215,7 @@ def evaluate_stop_policy(sm: StoppingModel, actions_fn, n_paths: int,
                          ) -> np.ndarray:
     """Per-path costs of an arbitrary batched stop/continue policy."""
     rng = make_rng(seed)
-    K = horizon or truncation_horizon(sm)
+    K = _path_horizon(sm, horizon)
     pi0 = uniform_simplex(rng, n_paths, sm.num_states)
 
     def batch_policy(pis, idx):

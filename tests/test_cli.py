@@ -40,6 +40,8 @@ GOLDEN = [
      "159dd8b642692d6162629fec80667ed2120730b8c0b1f8d9aa91ad29446dd561"),
     ("filter --model example1 --steps 300 --seed 5",
      "ad5de1233b7af9e2a7668d1e282c992901e3bbe83ae46ac92763beaa9388ada7"),
+    ("myopic --model machine-replacement",
+     "ea845d3c88a1bd0e3c88eb59bc71d28a464972e7198831eb6ea82368f91234d7"),
 ]
 
 

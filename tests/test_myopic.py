@@ -13,12 +13,11 @@ from pomdpkit.model import PomdpModel
 from pomdpkit.myopic import (
     BoundsCounters,
     PerBeliefBounds,
+    _monotone_polytope,
     blackwell_myopic_region,
     lp_feasibility_C1_C2,
-    myopic_actions,
     optimize_overlap_2action,
     overlap_volume,
-    per_belief_bounds_multiaction,
     percent_loss,
     transformed_costs,
 )
@@ -69,7 +68,6 @@ class TestOverlapOptimization:
 
     def test_vertex_enumeration_oracle_2state(self):
         """Coordinate minima match a brute-force polytope vertex scan."""
-        from pomdpkit.myopic import _monotone_polytope
         from pomdpkit.simplexlp import solve_lp
 
         rng = make_rng(3)
@@ -123,7 +121,7 @@ class TestMyopicActions:
         rng = make_rng(4)
         m, pair = sandwich_model(rng)
         for pi in uniform_simplex(rng, 100, 3):
-            lo, hi = myopic_actions(pair, pi)
+            lo, hi = pair.lower_action(pi), pair.upper_action(pi)
             assert lo == int(np.argmin(pi @ pair.C_lower)) + 1
             assert hi == int(np.argmin(pi @ pair.C_upper)) + 1
             assert lo <= hi
@@ -133,7 +131,7 @@ class TestMyopicActions:
         m, pair = sandwich_model(rng)
         eX = np.zeros(3)
         eX[-1] = 1.0
-        _, hi = myopic_actions(pair, eX)
+        hi = pair.upper_action(eX)
         assert hi == int(np.argmin(pair.C_upper[-1])) + 1
 
 
@@ -143,10 +141,9 @@ class TestPerBeliefBounds:
         m, pair = sandwich_model(rng)
         engine = PerBeliefBounds(m)
         for pi in uniform_simplex(rng, 30, 3):
-            lo, hi, fu, fl = per_belief_bounds_multiaction(
-                m, pi, engine=engine)
+            lo, hi, fu, fl = engine.bounds(pi)
             # per-belief optimization can only widen the overlap
-            plo, phi = myopic_actions(pair, pi)
+            plo, phi = pair.lower_action(pi), pair.upper_action(pi)
             assert lo is not None and hi is not None
             assert hi <= phi and lo >= plo
 
@@ -215,23 +212,21 @@ class TestOverlapVolume:
         assert vol == pytest.approx(1.0)
 
     def test_two_state_exact_matches_monte_carlo(self):
+        # the exact volume follows the pair's own argmin actions for any U;
+        # a 100,000-point midpoint grid misplaces each cut by 5e-6 at most
         rng = make_rng(9)
-        for _ in range(10):
-            P = np.stack([rng.dirichlet(np.ones(2), size=2)
-                          for _ in range(2)])
-            costs = rng.uniform(0, 2, size=(2, 2))
-            m = PomdpModel(P, np.stack([np.full((2, 2), 0.5)] * 2),
-                           costs, 0.7)
-            try:
-                pair = lp_feasibility_C1_C2(m)
-            except LpInfeasible:
-                continue
+        t = (np.arange(100_000) + 0.5) / 100_000
+        grid = np.column_stack([1 - t, t])
+        for k in range(30):
+            U = 2 + k % 3
+            P = rng.dirichlet(np.ones(2), size=(U, 2))
+            costs = rng.uniform(0, 2, size=(2, U))
+            m = PomdpModel(P, np.full((U, 2, 2), 0.5), costs, 0.7)
+            pair = lp_feasibility_C1_C2(m)
             exact, se = overlap_volume(m, pair)
-            assert se == 0.0
-            rng2 = make_rng(10)
-            pis = uniform_simplex(rng2, 40_000, 2)
-            mc = (pair.upper_actions(pis) == pair.lower_actions(pis)).mean()
-            assert abs(exact - mc) < 3 * np.sqrt(0.25 / 40_000) + 1e-3
+            assert se == 0.0 and type(exact) is float
+            ref = (pair.upper_actions(grid) == pair.lower_actions(grid)).mean()
+            assert abs(exact - ref) < 2e-5
 
 
 class TestPercentLoss:
@@ -300,6 +295,49 @@ class TestBlackwellRegion:
             blackwell_myopic_region(m)
 
 
+def _random_models(rng, count=24):
+    for k in range(count):
+        X, U = 2 + k % 4, 2 + k % 3
+        P = rng.dirichlet(np.ones(X), size=(U, X))
+        B = rng.dirichlet(np.ones(2), size=(U, X))
+        yield PomdpModel(P, B, rng.uniform(0, 2, size=(X, U)),
+                         float(rng.uniform(0.3, 0.95)))
+
+
+class TestTransformStack:
+    def test_transformed_costs_match_column_loop(self):
+        rng = make_rng(18)
+        for m in [example1(0.4), example3(0.9), *_random_models(rng)]:
+            X, U = m.num_states, m.num_actions
+            f = rng.uniform(0, 3, size=X)
+            ref = np.empty((X, U))
+            for u in range(1, U + 1):
+                ref[:, u - 1] = m.cost_vector(u) \
+                    + (np.eye(X) - m.discount * m.P(u)) @ f
+            assert np.array_equal(transformed_costs(m, f), ref)
+
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_monotone_polytope_matches_row_loop(self, direction):
+        rng = make_rng(19)
+        for m in [example1(0.4), example3(0.9), *_random_models(rng)]:
+            X, U = m.num_states, m.num_actions
+            rows, rhs = [], []
+            for u in range(1, U + 1):
+                M = np.eye(X) - m.discount * m.P(u)
+                c = m.cost_vector(u)
+                for i in range(X - 1):
+                    grow, gap = M[i + 1] - M[i], c[i + 1] - c[i]
+                    if direction == "increasing":
+                        rows.append(-grow)
+                        rhs.append(gap - 1e-6)
+                    else:
+                        rows.append(grow)
+                        rhs.append(-gap - 1e-6)
+            A, b = _monotone_polytope(m, direction, 1e-6)
+            assert np.array_equal(A, np.asarray(rows))
+            assert np.array_equal(b, np.asarray(rhs))
+
+
 class TestInvariances:
     def test_cost_transformation_leaves_policy_unchanged(self):
         rng = make_rng(15)
@@ -317,7 +355,6 @@ class TestInvariances:
         assert (a == b).mean() > 0.99  # ties at region boundaries only
 
     def test_overlap_region_inclusion_over_random_feasible_draws(self):
-        from pomdpkit.myopic import _monotone_polytope
         from pomdpkit.simplexlp import solve_lp
 
         rng = make_rng(16)

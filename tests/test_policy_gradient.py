@@ -107,6 +107,16 @@ class TestSampleCost:
         c = sample_cost(sm, lambda pi: 1, None, seed=2, pi0=pi0)
         assert c == pytest.approx(sm.cost(pi0, 1))
 
+    def test_zero_horizon_pays_stop_cost_at_prior(self):
+        sm = qd3_model()
+        pis = uniform_simplex(make_rng(1), 3, 3)
+        stop = [sm.cost(p, 1) for p in pis]
+        costs = evaluate_stop_policy(sm, lambda b: np.full(len(b), 2), 3,
+                                     seed=1, horizon=0)
+        assert costs == pytest.approx(stop)
+        assert sample_cost(sm, lambda pi: 2, 0, seed=1, pi0=pis[0]) \
+            == pytest.approx(stop[0])
+
     def test_truncation_horizon_bound(self):
         sm = qd3_model(rho=0.9)
         K = truncation_horizon(sm, tol=1e-6)

@@ -71,6 +71,13 @@ class TestEvaluateAndCrossSum:
         _, _, action = evaluate_value(vs, [0.5, 0.5])
         assert action == 1
 
+    def test_duplicate_under_higher_tag_is_dropped(self):
+        # [2, 0] sorts between the two copies of [1, 1] in (tag, vector)
+        # order; the copy under tag 2 must still go
+        vs = vector_set([[1.0, 1.0], [2.0, 0.0], [1.0, 1.0]], [1, 1, 2])
+        assert vs.actions.tolist() == [1, 1]
+        assert vs.vectors.tolist() == [[1.0, 1.0], [2.0, 0.0]]
+
     def test_vector_set_is_stored_in_tie_break_order(self):
         # four vectors tie at the uniform belief, across tags and within
         # one tag; the first tie in storage order must be the pick
