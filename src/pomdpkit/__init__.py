@@ -32,7 +32,6 @@ from .errors import (
     PomdpKitError,
     PreconditionFailed,
     PriorMassOnState1,
-    UnsupportedExact,
     ZeroLikelihood,
 )
 from .model import (
@@ -49,7 +48,6 @@ from .model import (
 )
 from .orders import (
     Comparison,
-    CopositiveMethod,
     OrderVerdict,
     Verdict,
     blackwell_factorize,

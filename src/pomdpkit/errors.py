@@ -47,10 +47,6 @@ class OrderingViolation(PomdpKitError):
         super().__init__(f"ordering violated at step {step}: {detail}")
 
 
-class UnsupportedExact(PomdpKitError):
-    """Exact copositivity decision requested for a state dimension > 2."""
-
-
 class LpNumericFailure(PomdpKitError):
     pass
 

@@ -3,9 +3,12 @@
 Implements the likelihood-ratio and first-order dominance comparisons,
 TP2 checks, tail-sum supermodularity, the copositive orderings of
 transition/observation pairs, the normalizer-dominance condition and
-Blackwell factorization.  Copositivity of a matrix is NP-complete in
-general, so those tests return a three-valued verdict; only the 2-state
-case is decided exactly.
+Blackwell factorization.  The copositive orderings are decided exactly
+on the simplex: a failure carries a witness belief whose value is
+checked in rational arithmetic (Kaplan 2000, "A test for copositive
+matrices").  Copositivity is NP-complete in general, so above
+``COPOSITIVE_MAX_STATES`` states a Gamma with a negative entry is
+Undetermined.
 """
 
 from __future__ import annotations
@@ -13,14 +16,16 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedExact
-from .grid import simplex_lattice
+from .errors import DimensionMismatch
 from .simplexlp import solve_lp
 
 ORDER_TOL = 1e-12
+# largest X whose 2^X - 1 faces are enumerated (about 10 ms per Gamma)
+COPOSITIVE_MAX_STATES = 12
 
 
 class Comparison(enum.Enum):
@@ -50,7 +55,6 @@ class OrderVerdict:
 
 
 HOLDS = OrderVerdict(Verdict.HOLDS)
-UNDETERMINED = OrderVerdict(Verdict.UNDETERMINED)
 
 
 def fails(witness) -> OrderVerdict:
@@ -163,88 +167,75 @@ def tail_sum_supermodular(P_u, P_u1, tol: float = ORDER_TOL) -> OrderVerdict:
     return HOLDS
 
 
-class CopositiveMethod(enum.Enum):
-    ELEMENTWISE_SUFFICIENT = "ElementwiseSufficient"
-    GRID_FALSIFY = "GridFalsify"
-    EXACT_2STATE = "Exact2State"
+def _simplex_minimum(G: np.ndarray) -> tuple:
+    """``(value, pi)`` of the lowest negative stationary point of
+    ``pi' G pi`` on the simplex; ``(0.0, None)`` when there is none.
 
-
-def _gamma_full(P_u, B_u, P_u1, B_u1, j: int, y: int) -> np.ndarray:
-    """Symmetrized Gamma matrix (0-indexed j, y) for the (P,B) ordering."""
-    g = (B_u[j, y] * B_u1[j + 1, y]
-         * np.outer(P_u[:, j], P_u1[:, j + 1])
-         - B_u[j + 1, y] * B_u1[j, y]
-         * np.outer(P_u[:, j + 1], P_u1[:, j]))
-    return 0.5 * (g + g.T)
-
-
-def _gamma_transitions(P, Q, j: int) -> np.ndarray:
-    g = np.outer(P[:, j], Q[:, j + 1]) - np.outer(P[:, j + 1], Q[:, j])
-    return 0.5 * (g + g.T)
-
-
-def _copositive_2state(G: np.ndarray, tol: float) -> OrderVerdict:
-    """Exact copositivity of a symmetric 2x2 matrix on the simplex.
-
-    ``pi' G pi >= 0`` on the unit segment iff the diagonal entries are
-    nonnegative and ``G12 + sqrt(G11 G22) >= 0``.
+    On face S such a point solves ``G_SS w = 1`` with ``w < 0`` and is
+    ``w / sum(w)``.  A negative minimizer of minimal support has a
+    nonsingular ``G_SS`` (a null vector v has ``1'v = 0``, and moving
+    along it shrinks the support at the same value), so the faces, one
+    batch per size, miss none.  Values are the form at each point, so an
+    ill-conditioned solve cannot understate them.
     """
-    a, b, c = G[0, 0], G[0, 1], G[1, 1]
-    if a < -tol:
-        return fails({"belief": (1.0, 0.0), "value": float(a)})
-    if c < -tol:
-        return fails({"belief": (0.0, 1.0), "value": float(c)})
-    if b >= 0:
-        return HOLDS
-    slack = b + np.sqrt(max(a, 0.0) * max(c, 0.0))
-    if slack >= -tol:
-        return HOLDS
-    # interior minimizer of the quadratic form on the segment
-    t = (c - b) / (a + c - 2 * b)
-    pi = np.array([t, 1 - t])
-    return fails({"belief": tuple(pi), "value": float(pi @ G @ pi)})
-
-
-def _copositive_verdicts(gammas, method: CopositiveMethod,
-                         resolution: int) -> OrderVerdict:
-    gammas = list(gammas)
-    if not gammas:
-        return HOLDS
-    X = gammas[0][1].shape[0]
-    if method is CopositiveMethod.EXACT_2STATE:
-        if X != 2:
-            raise UnsupportedExact(f"exact test only for X=2, got X={X}")
-        for tag, G in gammas:
-            v = _copositive_2state(G, 1e-12)
-            if v.status is Verdict.FAILS:
-                return fails({"index": tag, **v.witness})
-        return HOLDS
-    if method is CopositiveMethod.ELEMENTWISE_SUFFICIENT:
-        for tag, G in gammas:
-            if (G >= -1e-12).all():
-                continue
-            return UNDETERMINED
-        return HOLDS
-    if method is CopositiveMethod.GRID_FALSIFY:
-        grid = simplex_lattice(X, resolution)
-        for tag, G in gammas:
-            vals = np.einsum("ni,ij,nj->n", grid, G, grid)
+    X = G.shape[0]
+    best = (0.0, None)
+    for size in range(1, X + 1):
+        S = np.array(list(itertools.combinations(range(X), size)))
+        A = G[S[:, :, None], S[:, None, :]]
+        ok = np.linalg.slogdet(A)[0] != 0
+        w = np.linalg.solve(A[ok], np.ones((ok.sum(), size, 1)))[..., 0]
+        neg = (w < 0).all(axis=1)
+        if neg.any():
+            pi = w[neg] / w[neg].sum(axis=1, keepdims=True)
+            vals = np.einsum("ki,kij,kj->k", pi, A[ok][neg], pi)
             k = int(np.argmin(vals))
-            if vals[k] < -1e-9:
-                return fails({"index": tag, "belief": tuple(grid[k]),
-                              "value": float(vals[k])})
-        return UNDETERMINED
-    raise ValueError(f"unknown method {method!r}")
+            if vals[k] < best[0]:
+                best = (float(vals[k]), np.zeros(X))
+                best[1][S[ok][neg][k]] = pi[k]
+    return best
 
 
-def copositive_order_full(P_u, B_u, P_u1, B_u1,
-                          method: CopositiveMethod =
-                          CopositiveMethod.ELEMENTWISE_SUFFICIENT,
-                          resolution: int = 12) -> OrderVerdict:
+def _copositive(forms, X: int) -> OrderVerdict:
+    """Verdict on ``pi' Gamma pi >= 0`` over the simplex for each
+    ``(tag, form)`` in order: the form ``((s, a, b), (t, c, d))`` is
+    ``s (pi.a)(pi.b) - t (pi.c)(pi.d)`` and Gamma its symmetric matrix.
+
+    Holds outright when Gamma has no entry below ``-ORDER_TOL``.
+    Otherwise :func:`_simplex_minimum` decides, and a witness fails only
+    when its exact value is also below ``-ORDER_TOL``.
+    """
+    for tag, ((s, a, b), (t, c, d)) in forms:
+        g = s * np.outer(a, b) - t * np.outer(c, d)
+        G = 0.5 * (g + g.T)
+        if (G >= -ORDER_TOL).all():
+            continue
+        if X > COPOSITIVE_MAX_STATES:
+            return OrderVerdict(Verdict.UNDETERMINED, {
+                "index": tag, "reason": f"negative entry and X = {X} > "
+                f"COPOSITIVE_MAX_STATES = {COPOSITIVE_MAX_STATES}"})
+        value, pi = _simplex_minimum(G)
+        if value < -ORDER_TOL:
+            # the form at pi / sum(pi), in rationals on the float entries
+            q = [Fraction(p) for p in pi.tolist()]
+            pa, pb, pc, pd = (sum(p * Fraction(x) for p, x in
+                                  zip(q, v.tolist()) if p)
+                              for v in (a, b, c, d))
+            exact = (Fraction(s) * pa * pb
+                     - Fraction(t) * pc * pd) / sum(q) ** 2
+            if exact < -ORDER_TOL:
+                return fails({"index": tag, "belief": tuple(pi.tolist()),
+                              "value": float(exact)})
+    return HOLDS
+
+
+def copositive_order_full(P_u, B_u, P_u1, B_u1) -> OrderVerdict:
     """Test ``(P(u), B(u)) <= (P(u+1), B(u+1))`` in the copositive order.
 
     Holds exactly when every filter update under the second pair MLR
     dominates the update under the first, for every belief and symbol.
+    A failure names the 1-indexed Gamma ``(j, y)``, a witness belief and
+    its exact value.
     """
     P_u = np.asarray(P_u, dtype=float)
     B_u = np.asarray(B_u, dtype=float)
@@ -254,23 +245,23 @@ def copositive_order_full(P_u, B_u, P_u1, B_u1,
     Y = B_u.shape[1]
     if P_u1.shape != (X, X) or B_u.shape[0] != X or B_u1.shape != B_u.shape:
         raise DimensionMismatch("incompatible matrix dimensions")
-    gammas = (((j + 1, y + 1), _gamma_full(P_u, B_u, P_u1, B_u1, j, y))
-              for j in range(X - 1) for y in range(Y))
-    return _copositive_verdicts(gammas, method, resolution)
+    forms = (((j + 1, y + 1),
+              ((B_u[j, y] * B_u1[j + 1, y], P_u[:, j], P_u1[:, j + 1]),
+               (B_u[j + 1, y] * B_u1[j, y], P_u[:, j + 1], P_u1[:, j])))
+             for j in range(X - 1) for y in range(Y))
+    return _copositive(forms, X)
 
 
-def copositive_order_transitions(P, Q,
-                                 method: CopositiveMethod =
-                                 CopositiveMethod.ELEMENTWISE_SUFFICIENT,
-                                 resolution: int = 12) -> OrderVerdict:
+def copositive_order_transitions(P, Q) -> OrderVerdict:
     """Test ``P <= Q`` in the copositive order of transition matrices."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch("transition matrices must be equal square")
-    X = P.shape[0]
-    gammas = ((j + 1, _gamma_transitions(P, Q, j)) for j in range(X - 1))
-    return _copositive_verdicts(gammas, method, resolution)
+    forms = ((j + 1, ((1.0, P[:, j], Q[:, j + 1]),
+                      (1.0, P[:, j + 1], Q[:, j])))
+             for j in range(P.shape[0] - 1))
+    return _copositive(forms, P.shape[0])
 
 
 def check_F4(P_u, B_u, P_u1, B_u1, tol: float = ORDER_TOL) -> OrderVerdict:

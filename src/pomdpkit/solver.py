@@ -62,21 +62,28 @@ def _sort_order(V: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _dedup(V: np.ndarray, a: np.ndarray) -> tuple:
-    """Dedup at DEDUP_TOL keeping the lowest action tag of each run of
+    """Dedup at DEDUP_TOL keeping the lowest action tag of each group of
     equal vectors; the result is in ``_sort_order``."""
     if V.shape[0] <= 1:
         return V.copy(), a.copy()
-    # vector-major with the tag last, so equal vectors sit next to each
-    # other whatever their tags
+    # vector-major with the tag last, so a vector's equals within
+    # DEDUP_TOL are among the kept rows whose first coordinate is within
+    # DEDUP_TOL of its own: a short tail of ``keep`` from ``start`` on
     order = np.lexsort((a,) + tuple(V[:, j]
                                     for j in reversed(range(V.shape[1]))))
     V, a = V[order], a[order]
-    keep = [0]
+    first = V[:, 0].tolist()
+    keep, start = [0], 0
     for i in range(1, V.shape[0]):
-        if np.max(np.abs(V[i] - V[keep[-1]])) > DEDUP_TOL:
+        while start < len(keep) and first[keep[start]] < first[i] - DEDUP_TOL:
+            start += 1
+        tail = keep[start:]
+        near = np.flatnonzero(
+            np.abs(V[tail] - V[i]).max(axis=1) <= DEDUP_TOL) if tail else ()
+        if not len(near):
             keep.append(i)
-        elif a[i] < a[keep[-1]]:
-            keep[-1] = i
+        elif a[i] < a[tail[near[-1]]]:
+            keep[start + near[-1]] = i
     V, a = V[keep], a[keep]
     order = _sort_order(V, a)
     return V[order], a[order]

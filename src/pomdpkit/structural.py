@@ -19,13 +19,13 @@ from .errors import DimensionMismatch, PreconditionFailed
 from .model import PomdpModel, QuadraticCost
 from .orders import (
     Comparison,
-    CopositiveMethod,
     HOLDS,
     OrderVerdict,
     Verdict,
     blackwell_factorize,
     check_F4,
     copositive_order_full,
+    copositive_order_transitions,
     fails,
     fosd_compare,
     is_tp2,
@@ -101,9 +101,7 @@ def _submodular_on_lines(delta) -> OrderVerdict:
 
 def pomdp_assumption_report(model: PomdpModel,
                             stop_cost=None,
-                            continue_cost=None,
-                            copositive_method: CopositiveMethod =
-                            CopositiveMethod.ELEMENTWISE_SUFFICIENT) -> dict:
+                            continue_cost=None) -> dict:
     """Verdicts for (C), (F1), (F2), (F3'), (F4) and (S).
 
     ``stop_cost``/``continue_cost`` override the linear model costs when
@@ -139,8 +137,7 @@ def pomdp_assumption_report(model: PomdpModel,
     report["F3"] = HOLDS
     for u in range(1, U):
         v = copositive_order_full(model.P(u), model.B(u),
-                                  model.P(u + 1), model.B(u + 1),
-                                  method=copositive_method)
+                                  model.P(u + 1), model.B(u + 1))
         if v.status is not Verdict.HOLDS:
             report["F3"] = OrderVerdict(v.status, {"action_pair": (u, u + 1),
                                                    **(v.witness or {})})
@@ -478,6 +475,12 @@ def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,
         for key in ("C", "F1", "F2"):
             if rep[key].status is not Verdict.HOLDS:
                 raise PreconditionFailed(f"({key}) fails on model1")
+        for u in range(1, model1.num_actions + 1):
+            v = copositive_order_transitions(model2.P(u), model1.P(u))
+            if v.status is not Verdict.HOLDS:
+                raise PreconditionFailed(
+                    f"transitions for action {u} are not copositive "
+                    f"dominated ({v.status.value}): {v.witness}")
     else:
         raise DimensionMismatch(f"unknown comparison kind {kind!r}")
     r1 = solve_finite_horizon(model1, horizon)

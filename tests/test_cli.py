@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pomdpkit.cli import main
+from pomdpkit.cli import load_model, main
 from pomdpkit.model import model_to_json
 from pomdpkit.apps import build_machine_replacement
+from pomdpkit.orders import ORDER_TOL
 
 # stdout sha256 of the nine README commands, the social-learning stop, the
 # Lovejoy bounds and two trajectory commands, as recorded in CHANGES.md
@@ -136,6 +138,47 @@ class TestCheckCommand:
         for key in ("C", "F1", "F2", "F3", "F4", "S"):
             assert key in doc
         assert doc["F1"]["status"] == "Holds"
+
+    def test_f3_decided_on_every_preset(self, capsys):
+        # preset -> (action pair, Gamma index (j, y), value) when F3 fails
+        table = {
+            "example1": None, "example4": None, "qd-ph": None,
+            "qd-classical": None,
+            "example2": ((1, 2), (9, 5), -5.7288e-12),
+            "example3": ((4, 5), (2, 2), -8.4e-9),
+            "machine-replacement": ((1, 2), (1, 1), -0.18),
+            "search": ((1, 2), (1, 1), -0.095175),
+            "sampling": ((1, 2), (2, 1), -0.09),
+        }
+        for name, expected in table.items():
+            assert main(["check", "--model", name]) == 0
+            f3 = json.loads(capsys.readouterr().out)["F3"]
+            if expected is None:
+                assert f3 == {"status": "Holds"}
+                continue
+            assert f3["status"] == "Fails"
+            w = f3["witness"]
+            assert (tuple(w["action_pair"]), tuple(w["index"])) \
+                == expected[:2]
+            assert w["value"] == pytest.approx(expected[2], rel=1e-4)
+            # pi' Gamma pi summed entry by entry in rationals, from the
+            # preset's own float matrices
+            m = load_model(name)
+            (u, u1), (j, y) = w["action_pair"], w["index"]
+            P, B, P1, B1 = (np.asarray(M).tolist() for M in
+                            (m.P(u), m.B(u), m.P(u1), m.B(u1)))
+            F = [Fraction(p) for p in w["belief"]]
+            pi = [p / sum(F) for p in F]
+            s = Fraction(B[j - 1][y - 1]) * Fraction(B1[j][y - 1])
+            t = Fraction(B[j][y - 1]) * Fraction(B1[j - 1][y - 1])
+            exact = sum(
+                pi[i] * pi[k] * (s * Fraction(P[i][j - 1])
+                                 * Fraction(P1[k][j])
+                                 - t * Fraction(P[i][j])
+                                 * Fraction(P1[k][j - 1]))
+                for i in range(len(pi)) for k in range(len(pi)))
+            assert exact < -ORDER_TOL
+            assert float(exact) == pytest.approx(w["value"], rel=1e-14)
 
 
 class TestFilterCommand:

@@ -15,11 +15,13 @@ from helpers import (
     QUAD_P2,
     random_tp2_stochastic,
 )
-from pomdpkit.errors import DimensionMismatch, UnsupportedExact
+from pomdpkit import orders
+from pomdpkit.errors import DimensionMismatch
+from pomdpkit.grid import simplex_lattice
 from pomdpkit.model import PomdpModel
 from pomdpkit.orders import (
+    COPOSITIVE_MAX_STATES,
     Comparison,
-    CopositiveMethod,
     Verdict,
     blackwell_factorize,
     check_F4,
@@ -243,49 +245,91 @@ class TestCopositiveOrders:
     def test_exact_2state_matches_quadratic_sign(self):
         rng = make_rng(6)
         falsified = 0
-        for _ in range(300):
+        ts = np.linspace(0, 1, 2001)
+        pis = np.column_stack([ts, 1 - ts])
+        for _ in range(3000):
             P = rng.dirichlet(np.ones(2), size=2)
             Q = rng.dirichlet(np.ones(2), size=2)
-            v = copositive_order_transitions(
-                P, Q, method=CopositiveMethod.EXACT_2STATE)
-            # independent scalar quadratic scan
-            ts = np.linspace(0, 1, 2001)
-            pis = np.column_stack([ts, 1 - ts])
+            v = copositive_order_transitions(P, Q)
             g = np.outer(P[:, 0], Q[:, 1]) - np.outer(P[:, 1], Q[:, 0])
             G = 0.5 * (g + g.T)
+            # closed form on the segment: nonnegative diagonal and
+            # G12 + sqrt(G11 G22) >= 0
+            a, b, c = G[0, 0], G[0, 1], G[1, 1]
+            closed = (min(a, c) >= -ORDER_TOL and b + np.sqrt(
+                max(a, 0.0) * max(c, 0.0)) >= -ORDER_TOL)
+            assert (v.status is Verdict.HOLDS) == closed
+            # independent scalar quadratic scan
             vals = np.einsum("ni,ij,nj->n", pis, G, pis)
-            scan_holds = vals.min() >= -1e-9
             if v.status is Verdict.FAILS:
                 falsified += 1
-                assert vals.min() < 1e-9
+                pi = np.asarray(v.witness["belief"])
+                assert v.witness["value"] == pytest.approx(pi @ G @ pi,
+                                                           rel=1e-9)
+                assert v.witness["value"] <= vals.min() + ORDER_TOL
             else:
-                assert scan_holds
+                assert vals.min() >= -1e-9
         assert falsified > 10  # the random family must exercise both sides
-
-    def test_exact_2state_rejects_big_dims(self):
-        with pytest.raises(UnsupportedExact):
-            copositive_order_transitions(
-                P_TP2_3, P_TP2_3, method=CopositiveMethod.EXACT_2STATE)
 
     def test_grid_falsify_finds_witness(self):
         P = np.array([[0.9, 0.1], [0.8, 0.2]])
         Q = np.array([[0.1, 0.9], [0.2, 0.8]])
-        v = copositive_order_transitions(
-            Q, P, method=CopositiveMethod.GRID_FALSIFY, resolution=100)
-        assert v.status in (Verdict.FAILS, Verdict.UNDETERMINED)
+        v = copositive_order_transitions(Q, P)
+        assert v.status is Verdict.FAILS
+        assert v.witness["index"] == 1
+        assert v.witness["value"] < -ORDER_TOL
 
     def test_elementwise_never_contradicts_grid(self):
+        # X = 3..6 against a dense lattice scan of every Gamma; Q tilts
+        # P's rows toward high states, so both verdicts occur, and some
+        # Holds verdicts have Gamma entries below zero
         rng = make_rng(7)
-        for _ in range(100):
-            P = random_tp2_stochastic(rng, 3)
-            Q = random_tp2_stochastic(rng, 3)
-            e = copositive_order_transitions(
-                P, Q, method=CopositiveMethod.ELEMENTWISE_SUFFICIENT)
-            if e.status is Verdict.HOLDS:
-                g = copositive_order_transitions(
-                    P, Q, method=CopositiveMethod.GRID_FALSIFY,
-                    resolution=44)
-                assert g.status is not Verdict.FAILS
+        negative_holds = 0
+        for X, resolution in ((3, 60), (4, 24), (5, 14), (6, 10)):
+            grid = simplex_lattice(X, resolution)
+            for _ in range(50):
+                P = random_tp2_stochastic(rng, X)
+                Q = P * np.exp(rng.uniform(0, 3) * np.arange(X)) \
+                    * rng.uniform(0.7, 1.3, (X, X))
+                Q /= Q.sum(axis=1, keepdims=True)
+                v = copositive_order_transitions(P, Q)
+                assert v.status is not Verdict.UNDETERMINED
+                gammas = []
+                for j in range(X - 1):
+                    g = np.outer(P[:, j], Q[:, j + 1]) \
+                        - np.outer(P[:, j + 1], Q[:, j])
+                    gammas.append(0.5 * (g + g.T))
+                lows = [np.einsum("ni,ij,nj->n", grid, G, grid).min()
+                        for G in gammas]
+                if v.status is Verdict.HOLDS:
+                    assert min(lows) >= -1e-9
+                    negative_holds += any((G < -ORDER_TOL).any()
+                                          for G in gammas)
+                else:
+                    j = v.witness["index"] - 1
+                    pi = np.asarray(v.witness["belief"])
+                    assert pi.min() >= 0 and pi.sum() == pytest.approx(1)
+                    assert v.witness["value"] == pytest.approx(
+                        pi @ gammas[j] @ pi, rel=1e-9)
+                    assert v.witness["value"] < -ORDER_TOL
+                    assert v.witness["value"] <= lows[j] + ORDER_TOL
+        assert negative_holds > 0
+
+    def test_above_the_cap_is_undetermined_without_enumeration(
+            self, monkeypatch):
+        def no_enumeration(G):
+            raise AssertionError("faces enumerated above the cap")
+
+        monkeypatch.setattr(orders, "_simplex_minimum", no_enumeration)
+        X = COPOSITIVE_MAX_STATES + 1
+        P = random_tp2_stochastic(make_rng(8), X)
+        Q = np.full((X, X), 1.0 / X)
+        # identical matrices give Gamma = 0, which holds before the cap
+        assert copositive_order_transitions(P, P).status is Verdict.HOLDS
+        v = copositive_order_transitions(Q, P)
+        assert v.status is Verdict.UNDETERMINED
+        assert v.witness["index"] == 1
+        assert str(X) in v.witness["reason"]
 
 
 class TestCheckF4:

@@ -78,6 +78,14 @@ class TestEvaluateAndCrossSum:
         assert vs.actions.tolist() == [1, 1]
         assert vs.vectors.tolist() == [[1.0, 1.0], [2.0, 0.0]]
 
+    def test_near_duplicate_apart_in_sort_order_is_merged(self):
+        # [1, 2] sorts between [1, 1] and [1 + 1e-15, 1], which are equal
+        # within DEDUP_TOL; one copy survives, under the lower tag
+        vs = vector_set([[1.0, 1.0], [1.0, 2.0], [1.0 + 1e-15, 1.0]],
+                        [2, 1, 1])
+        assert vs.actions.tolist() == [1, 1]
+        assert vs.vectors.tolist() == [[1.0, 2.0], [1.0 + 1e-15, 1.0]]
+
     def test_vector_set_is_stored_in_tie_break_order(self):
         # four vectors tie at the uniform belief, across tags and within
         # one tag; the first tie in storage order must be the pick

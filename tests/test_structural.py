@@ -18,8 +18,7 @@ from pomdpkit.apps import (
 )
 from pomdpkit.errors import PreconditionFailed
 from pomdpkit.model import PomdpModel, QuadraticCost
-from pomdpkit.orders import (CopositiveMethod, OrderVerdict, Verdict,
-                             copositive_order_full)
+from pomdpkit.orders import OrderVerdict, Verdict, copositive_order_full
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import solve_finite_horizon, evaluate_value
 from pomdpkit.stopgrid import solve_stopping_grid
@@ -86,19 +85,13 @@ class TestAssumptionReport:
         B = np.array([[0.8, 0.2], [0.3, 0.7]])
         m = PomdpModel(np.stack([up, up, down]), np.stack([B] * 3),
                        np.zeros((2, 3)), 0.9)
-        exact = CopositiveMethod.EXACT_2STATE
-        rep = pomdp_assumption_report(m, copositive_method=exact)
-        assert copositive_order_full(up, B, up, B, method=exact).status \
-            is Verdict.HOLDS
-        pair = copositive_order_full(up, B, down, B, method=exact)
+        rep = pomdp_assumption_report(m)
+        assert copositive_order_full(up, B, up, B).status is Verdict.HOLDS
+        pair = copositive_order_full(up, B, down, B)
         assert pair.status is Verdict.FAILS
+        assert pair.witness["value"] < 0
         assert rep["F3"] == OrderVerdict(
             Verdict.FAILS, {"action_pair": (2, 3), **pair.witness})
-        # the default elementwise test cannot decide the pair, and says
-        # which pair that is
-        rep = pomdp_assumption_report(m)
-        assert rep["F3"] == OrderVerdict(Verdict.UNDETERMINED,
-                                         {"action_pair": (2, 3)})
 
     def test_report_json(self):
         m = build_machine_replacement(0.3, 0.9, 0.8, 0.5, [1.0, 0.0],
@@ -287,6 +280,23 @@ class TestComparePomdpCosts:
         v = compare_pomdp_costs(best, other, kind="transition",
                                 n_beliefs=300, seed=5)
         assert v.status is Verdict.HOLDS
+
+    def test_transitions_not_dominated_raise(self):
+        # model1 keeps the state where model2 moves all mass to the best
+        # state, so model1's transitions do not dominate model2's
+        rng = make_rng(15)
+        X = 2
+        jump = np.zeros((X, X))
+        jump[:, -1] = 1.0
+        P = random_tp2_stochastic(rng, X)
+        B = random_tp2_stochastic(rng, X, 3)
+        c = np.sort(rng.uniform(0.2, 2, (X, 1)), axis=0)[::-1]
+        best = PomdpModel(jump[None], B[None], c, 1.0, horizon=5)
+        other = PomdpModel(P[None], B[None], c, 1.0, horizon=5)
+        with pytest.raises(PreconditionFailed,
+                           match=r"action 1 .*Fails.*'belief'"):
+            compare_pomdp_costs(other, best, kind="transition",
+                                n_beliefs=300, seed=5)
 
 
 class TestTransmissionScheduling:
