@@ -9,7 +9,7 @@ with a certificate that passes its numpy check.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -33,25 +33,39 @@ def highs_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, free_vars=()):
     HiGHS's presolve may call an unbounded LP infeasible, so a
     non-optimal status is decided again with a zero objective: that LP is
     never unbounded, and it is optimal exactly when the original LP is
-    feasible.
+    feasible.  HiGHS may also end an unbounded LP with model status
+    Unknown (scipy status 4); a feasible LP is then unbounded exactly
+    when some direction ``d`` in the box ``|d| <= 1`` with
+    ``A_ub d <= 0``, ``A_eq d = 0`` and ``d >= 0`` off the free
+    variables has ``c'd < 0``, which a bounded LP decides.
     """
     c = np.asarray(c, dtype=float)
     free = set(free_vars)
     bounds = [(None, None) if i in free else (0, None)
               for i in range(c.size)]
 
-    def run(cost):
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    def run(cost, rhs_ub=b_ub, rhs_eq=b_eq, bounds=bounds, unknown=False):
+        res = linprog(cost, A_ub=A_ub, b_ub=rhs_ub, A_eq=A_eq, b_eq=rhs_eq,
                       bounds=bounds, method="highs", options=HIGHS_OPTIONS)
-        # 0 optimal, 2 infeasible, 3 unbounded; anything else is a failure
-        assert res.status in (0, 2, 3), res.message
+        # 0 optimal, 2 infeasible, 3 unbounded, 4 unknown where allowed;
+        # anything else is a failure
+        assert res.status in (0, 2, 3) + ((4,) if unknown else ()), \
+            res.message
         return res
 
-    res = run(c)
+    res = run(c, unknown=True)
     if res.status == 0:
         return LpResult("optimal", x=res.x, value=float(res.fun))
-    feasible = run(np.zeros_like(c)).status == 0
-    return LpResult("unbounded" if feasible else "infeasible")
+    if run(np.zeros_like(c)).status != 0:
+        return LpResult("infeasible")
+    if res.status == 4:
+        ray = run(c, rhs_ub=None if b_ub is None else np.zeros(len(b_ub)),
+                  rhs_eq=None if b_eq is None else np.zeros(len(b_eq)),
+                  bounds=[(-1, 1) if i in free else (0, 1)
+                          for i in range(c.size)])
+        # a bounded feasible LP that HiGHS could not solve is a failure
+        assert ray.status == 0 and ray.fun < -VALUE_TOL, res.message
+    return LpResult("unbounded")
 
 
 def assert_agrees(lp):
@@ -264,6 +278,15 @@ def envelope_lps(draw):
 class TestGeneratedLps:
     @settings(max_examples=400, deadline=None)
     @given(degenerate_lps())
+    # unbounded along d = (0, 0, 1, 2, 2); HiGHS ends it with status Unknown
+    @example({"c": np.array([1.0, 1.0, -1.0, 1.0, -1.0]),
+              "A_ub": np.array([[0.0, -1.0, 2.0, -2.0, 1.0],
+                                [0.0, 0.0, -3.0, 0.0, -1.0],
+                                [-1.0, 0.0, 1.0, -2.0, -1.0],
+                                [0.0, 0.0, -2.0, 1.0, 0.0],
+                                [0.0, 0.0, 0.0, -2.0, 1.0]]),
+              "b_ub": np.array([0.0, -1.0, 0.0, 0.0, -1.0]),
+              "free_vars": ()})
     def test_degenerate_integer_lps(self, lp):
         assert_agrees(lp)
 
