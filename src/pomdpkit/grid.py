@@ -46,10 +46,15 @@ def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
 
 
 def _comb_table(n: int, k: int) -> np.ndarray:
+    """``T[i, j] = comb(i, j)`` for ``i <= n``, ``j <= k``, by Pascal's rule
+    ``comb(i, j) = sum_{m < i} comb(m, j - 1)``."""
+    # the largest entry; a cumsum past int64 would wrap without an error
+    if comb(n, min(k, n // 2)) > np.iinfo(np.int64).max:
+        raise OverflowError(f"comb({n}, j) for j <= {k} exceeds int64")
     T = np.zeros((n + 1, k + 1), dtype=np.int64)
-    for i in range(n + 1):
-        for j in range(k + 1):
-            T[i, j] = comb(i, j)
+    T[:, 0] = 1
+    for j in range(1, k + 1):
+        np.cumsum(T[:-1, j - 1], out=T[1:, j])
     return T
 
 

@@ -24,7 +24,8 @@ from .errors import DimensionMismatch
 from .simplexlp import solve_lp
 
 ORDER_TOL = 1e-12
-# largest X whose 2^X - 1 faces are enumerated (about 10 ms per Gamma)
+# largest X whose faces of at most 4 states are enumerated (about 1 ms
+# per Gamma at X = 12)
 COPOSITIVE_MAX_STATES = 12
 
 
@@ -175,12 +176,14 @@ def _simplex_minimum(G: np.ndarray) -> tuple:
     ``w / sum(w)``.  A negative minimizer of minimal support has a
     nonsingular ``G_SS`` (a null vector v has ``1'v = 0``, and moving
     along it shrinks the support at the same value), so the faces, one
-    batch per size, miss none.  Values are the form at each point, so an
-    ill-conditioned solve cannot understate them.
+    batch per size, miss none.  ``G`` is ``sym(s a b' - t c d')``, of rank
+    at most 4, and a nonsingular ``G_SS`` has at most ``rank(G)`` rows, so
+    faces of at most 4 states suffice.  Values are the form at each
+    point, so an ill-conditioned solve cannot understate them.
     """
     X = G.shape[0]
     best = (0.0, None)
-    for size in range(1, X + 1):
+    for size in range(1, min(X, 4) + 1):
         S = np.array(list(itertools.combinations(range(X), size)))
         A = G[S[:, :, None], S[:, None, :]]
         ok = np.linalg.slogdet(A)[0] != 0

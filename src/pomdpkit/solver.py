@@ -26,6 +26,7 @@ from .simplexlp import solve_lp
 
 DEDUP_TOL = 1e-12
 PRUNE_TOL = 1e-11
+WITNESS_MARGIN = 1e-9
 VECTOR_BUDGET = 100_000
 
 
@@ -128,10 +129,20 @@ def cross_sum(A: VectorSet, B: VectorSet) -> VectorSet:
 def lp_prune(gamma: VectorSet) -> VectorSet:
     """Remove every vector that is never strictly below the others.
 
-    For each vector the LP ``min_{pi, z} z  s.t. (g - g_other)' pi <= z``
-    over the simplex finds the best margin by which ``g`` undercuts the
-    rest; a nonnegative optimum means ``g`` never attains the envelope
-    strictly and can be dropped without changing the pointwise value.
+    Vectors are visited in reverse canonical order against the set that
+    survives so far, and each visit makes one of three decisions:
+
+    * **dominated** -- a survivor is ``<=`` ``g`` in every coordinate, so
+      ``g`` is never strictly below it: dropped;
+    * **witnessed** -- at a vertex or the uniform belief ``g`` lies below
+      every survivor by more than ``PRUNE_TOL + WITNESS_MARGIN``: kept;
+      ``WITNESS_MARGIN`` covers the rounding of the float dot products;
+    * **LP** -- otherwise ``min_{pi, z} z  s.t. (g - g_other)' pi <= z``
+      over the simplex finds the best margin by which ``g`` undercuts
+      the rest, and an optimum ``>= -PRUNE_TOL`` drops ``g``.
+
+    The first two settle in exact arithmetic what the LP would, so the LP
+    stays the judge of every vector they leave open.
     """
     n = len(gamma)
     if n <= 1:
@@ -139,11 +150,20 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     X = gamma.dim
     alive = list(range(n))
     V = gamma.vectors
+    # values at the vertices and the uniform belief; a kept vector's LP
+    # optimum would witness nothing later, as that vector stays lowest there
+    at_pool = np.hstack([V, V.mean(axis=1, keepdims=True)])
     order = list(_sort_order(V, gamma.actions))
     # visit in reverse canonical order so the kept set is deterministic
     for idx in reversed(order):
         others = [i for i in alive if i != idx]
         if not others:
+            continue
+        if (V[others] <= V[idx]).all(axis=1).any():
+            alive.remove(idx)
+            continue
+        if (at_pool[idx] < at_pool[others].min(axis=0)
+                - (PRUNE_TOL + WITNESS_MARGIN)).any():
             continue
         diff = V[idx][None, :] - V[others]
         # variables: pi (X, >=0), z (free); min z st diff @ pi - z <= 0

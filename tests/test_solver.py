@@ -1,19 +1,26 @@
 """Vector-set machinery: cross-sums, pruning, backups, solvers, bounds
 and the grid oracle, with independent oracles for each."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from helpers import random_tp2_stochastic
+from pomdpkit import solver
 from pomdpkit.apps import build_machine_replacement, build_quickest_detection
+from pomdpkit.cli import load_model
 from pomdpkit.errors import Blowup, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
-from pomdpkit.grid import barycentric_weights, segment_weights
+from pomdpkit.grid import _comb_table, barycentric_weights, segment_weights
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
+from pomdpkit.simplexlp import solve_lp
 from pomdpkit.solver import (
     DEDUP_TOL,
+    PRUNE_TOL,
     SolveResult,
+    VectorSet,
     bellman_backup_step,
     cross_sum,
     evaluate_value,
@@ -161,6 +168,136 @@ class TestLpPrune:
             for pi in uniform_simplex(rng, 50, 3):
                 assert evaluate_value(kept, pi)[0] == pytest.approx(
                     evaluate_value(vs, pi)[0], abs=1e-9)
+
+
+def lp_only_prune(gamma):
+    """The prune with one LP per vector and no prechecks: the reference
+    that every decision of :func:`lp_prune` must reproduce."""
+    n = len(gamma)
+    if n <= 1:
+        return gamma
+    X = gamma.dim
+    alive = list(range(n))
+    V = gamma.vectors
+    # a VectorSet is stored in canonical order; visit it in reverse
+    for idx in reversed(range(n)):
+        others = [i for i in alive if i != idx]
+        if not others:
+            continue
+        diff = V[idx][None, :] - V[others]
+        A_ub = np.hstack([diff, -np.ones((len(others), 1))])
+        A_eq = np.hstack([np.ones((1, X)), np.zeros((1, 1))])
+        c = np.zeros(X + 1)
+        c[-1] = 1.0
+        res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(len(others)),
+                       A_eq=A_eq, b_eq=[1.0], free_vars=[X])
+        if res.optimal and res.value >= -PRUNE_TOL:
+            alive.remove(idx)
+    keep = sorted(alive)
+    return VectorSet(V[keep], gamma.actions[keep], stage=gamma.stage)
+
+
+def random_prune_input(rng):
+    """A set of 1..15 vectors in X = 2..6 with exact duplicates,
+    pointwise-dominated copies and copies tied at a vertex mixed in."""
+    X = int(rng.integers(2, 7))
+    k = int(rng.integers(1, 13))
+    kind = rng.integers(3)
+    if kind == 0:
+        V = rng.normal(size=(k, X))
+    elif kind == 1:
+        V = rng.integers(0, 4, size=(k, X)).astype(float)
+    else:
+        V = np.round(rng.normal(size=(k, X)), 1)
+    extra = []
+    for _ in range(int(rng.integers(4))):
+        v = V[rng.integers(k)]
+        how = rng.integers(3)
+        if how == 0:
+            w = v.copy()
+        elif how == 1:
+            w = v + rng.integers(2, size=X) * rng.random(X)
+        else:
+            w = rng.normal(size=X)
+            j = rng.integers(X)
+            w[j] = v[j]
+        extra.append(w)
+    V = np.vstack([V] + extra)
+    return vector_set(V, rng.integers(1, 4, size=len(V)))
+
+
+def same_set(a, b):
+    return (np.array_equal(a.vectors, b.vectors)
+            and np.array_equal(a.actions, b.actions))
+
+
+class TestPruneDecisions:
+    """The dominance and witness prechecks of :func:`lp_prune` against the
+    LP alone."""
+
+    def test_matches_lp_only_prune(self):
+        rng = np.random.default_rng(0)
+        sizes = []
+        for _ in range(200):
+            vs = random_prune_input(rng)
+            sizes.append(len(vs))
+            assert same_set(lp_prune(vs), lp_only_prune(vs))
+        assert 1 in sizes
+
+    def test_near_duplicates_side_with_highs(self):
+        # gradient spreads of 1e-9..1e-7, where the LP kernel's ratio test
+        # can be off by up to about 1e-7 (see TestKnownGap)
+        linprog = pytest.importorskip("scipy.optimize").linprog
+
+        def highs_margin(V, idx, others):
+            X = V.shape[1]
+            res = linprog(
+                np.r_[np.zeros(X), 1.0],
+                A_ub=np.hstack([V[idx] - V[others],
+                                -np.ones((len(others), 1))]),
+                b_ub=np.zeros(len(others)),
+                A_eq=np.r_[np.ones(X), 0.0][None, :], b_eq=[1.0],
+                bounds=[(0, None)] * X + [(None, None)], method="highs",
+                options={"primal_feasibility_tolerance": 1e-10,
+                         "dual_feasibility_tolerance": 1e-10})
+            assert res.status == 0, res.message
+            return res.fun
+
+        rng = np.random.default_rng(7)
+        for spread in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7):
+            for _ in range(40):
+                X = int(rng.integers(2, 5))
+                k = int(rng.integers(3, 9))
+                vs = vector_set(
+                    rng.normal(size=X) + spread * rng.normal(size=(k, X)),
+                    rng.integers(1, 3, size=k))
+                ours, ref = lp_prune(vs), lp_only_prune(vs)
+                if same_set(ours, ref):
+                    continue
+                # both visit in reverse stored order, so they share the
+                # survivors up to the first vector they decide apart
+                V = vs.vectors
+                kept = [{tuple(v) for v in s.vectors} for s in (ours, ref)]
+                idx = max(i for i in range(len(V))
+                          if (tuple(V[i]) in kept[0])
+                          != (tuple(V[i]) in kept[1]))
+                others = [j for j in range(len(V)) if j != idx and (
+                    j < idx or tuple(V[j]) in kept[0])]
+                assert (highs_margin(V, idx, others) < -PRUNE_TOL) \
+                    == (tuple(V[idx]) in kept[0])
+
+    def test_sampling_horizon_7_lp_count(self, monkeypatch):
+        # a count, not a time: the LP-only prune solves 841 LPs here and
+        # the prechecks leave 314
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_lp", counting)
+        solve_finite_horizon(load_model("sampling"), 7)
+        assert 0 < len(calls) <= 420
 
 
 class TestBackups:
@@ -426,3 +563,17 @@ class TestSegmentWeights:
             assert np.array_equal(w, seg_w)
         # t outside [0, 1] is clipped to the end nodes
         assert np.array_equal(seg_w[2:4], [[1.0, 0.0], [0.0, 1.0]])
+
+
+class TestCombTable:
+    def test_matches_math_comb(self):
+        for n in range(70):
+            for k in range(n + 3):
+                T = [[comb(i, j) for j in range(k + 1)] for i in range(n + 1)]
+                if max(map(max, T)) > np.iinfo(np.int64).max:
+                    with pytest.raises(OverflowError):
+                        _comb_table(n, k)
+                    continue
+                got = _comb_table(n, k)
+                assert got.dtype == np.int64
+                assert got.tolist() == T
