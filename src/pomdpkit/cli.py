@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include percent-loss columns (table1a)")
     mp.add_argument("--samples", type=int,
                     help="beliefs sampled per volume (default 20000 for "
-                         "--table1d, 1000000 otherwise)")
+                         "--table1d, 1000000 otherwise); fixed-pair "
+                         "volumes on at most 3 states are exact and "
+                         "ignore it")
     mp.add_argument("--delta", type=float,
                     help="strictness margin for the cost LPs")
     mp.add_argument("--paths", type=int, default=1000)

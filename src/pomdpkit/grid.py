@@ -61,35 +61,40 @@ def _comb_table(n: int, k: int) -> np.ndarray:
 def lattice_rank(comps: np.ndarray, resolution: int) -> np.ndarray:
     """Lexicographic row index of integer compositions, vectorized.
 
-    Uses the hockey-stick identity to count compositions with a smaller
-    prefix; ``comps`` has shape (..., X) with rows summing to
-    ``resolution``.
+    ``comps`` has shape (..., X) with rows summing to ``resolution``; the
+    index is :func:`_cumulative_rank` of their cumulative coordinates.
     """
     comps = np.asarray(comps, dtype=np.int64)
-    X = comps.shape[-1]
-    M = resolution
+    return _cumulative_rank(
+        resolution - np.cumsum(comps[..., :-1], axis=-1), resolution)
+
+
+def _cumulative_rank(v: np.ndarray, M: int) -> np.ndarray:
+    """Lexicographic lattice index from integer cumulative coordinates.
+
+    ``v`` has shape (..., X-1) and holds ``v_i = k_{i+1} + ... + k_X``,
+    ``i = 1..X-1``, of a composition ``k`` of ``M``.  The index is the
+    last one, ``comb(M + X - 1, X - 1) - 1``, minus the number of
+    compositions that exceed ``k``; by the hockey-stick identity those
+    whose first larger coordinate is i number
+    ``comb(v_i + X - i - 1, X - i)``.
+    """
+    X = v.shape[-1] + 1
     T = _comb_table(M + X, X)
-    idx = np.zeros(comps.shape[:-1], dtype=np.int64)
-    remaining = np.full(comps.shape[:-1], M, dtype=np.int64)
+    r = np.arange(X - 1, 0, -1)
+    # T[v + r - 1, r] as one gather from the flat table, T[a, b] being
+    # flat[a * (X + 1) + b]; the terms are summed one coordinate at a
+    # time, which is faster than a reduction over the short last axis
+    terms = T.ravel()[v * (X + 1) + ((r - 1) * (X + 1) + r)]
+    idx = T[M + X - 1, X - 1] - 1
     for i in range(X - 1):
-        k = X - i - 1  # parts after this coordinate
-        c = comps[..., i]
-        idx += T[remaining + k, k] - T[remaining - c + k, k]
-        remaining = remaining - c
+        idx = idx - terms[..., i]
     return idx
 
 
 def _cumulative_coords(pis: np.ndarray, M: int) -> np.ndarray:
     cum = np.cumsum(pis[:, ::-1], axis=1)[:, ::-1]
     return np.clip(M * cum[:, 1:], 0.0, M)
-
-
-def _cumulative_to_comps(v: np.ndarray, M: int) -> np.ndarray:
-    """Integer cumulative coords (n, X-1) -> compositions (n, X)."""
-    n = v.shape[0]
-    full = np.concatenate([np.full((n, 1), M, dtype=np.int64), v,
-                           np.zeros((n, 1), dtype=np.int64)], axis=1)
-    return full[:, :-1] - full[:, 1:]
 
 
 def segment_weights(t: np.ndarray,
@@ -141,9 +146,7 @@ def barycentric_weights(pis: np.ndarray,
     w[:, X - 1] = ds[:, X - 2]
     w = np.clip(w, 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
-    comps = _cumulative_to_comps(verts.reshape(-1, X - 1), M)
-    idx = lattice_rank(comps, M).reshape(n, X)
-    return idx, w
+    return _cumulative_rank(verts, M), w
 
 
 def nearest_lattice_index(pis: np.ndarray, resolution: int) -> np.ndarray:

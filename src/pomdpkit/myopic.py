@@ -240,13 +240,14 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
                    per_belief: bool = False) -> tuple[float, float]:
     """Fraction of the simplex where the myopic bounds coincide.
 
-    Monte Carlo over uniform simplex samples; for X = 2 with a fixed
-    pair the estimate is replaced by the exact overlap length on the
-    unit segment (stderr 0).
+    For a fixed pair on X <= 3 states the fraction is exact (stderr 0,
+    ``n_samples`` and ``seed`` unused): see :func:`_exact_overlap`.
+    Otherwise it is a Monte Carlo estimate over ``n_samples`` uniform
+    simplex samples, returned with its standard error.
     """
     X = model.num_states
-    if not per_belief and pair is not None and X == 2:
-        return _overlap_interval_2state(pair), 0.0
+    if not per_belief and pair is not None and X <= 3:
+        return _exact_overlap(pair), 0.0
     rng = make_rng(seed)
     pis = uniform_simplex(rng, n_samples, X)
     if per_belief:
@@ -260,23 +261,60 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
     return p, stderr
 
 
-def _overlap_interval_2state(pair: MyopicPair) -> float:
-    """Exact overlap length on the segment pi(2) in [0, 1].
+def _exact_overlap(pair: MyopicPair) -> float:
+    """Exact overlap fraction of the segment (X = 2) or triangle (X = 3).
 
-    The zeros of every action-cost difference of either bound cut the
-    segment into pieces on which both bounds are constant; the lengths of
-    the pieces whose midpoint gets the same action from both add up.
+    The zero set of every action-cost difference of either bound cuts the
+    simplex into convex pieces on which both bounds are constant; the
+    measures of the pieces whose vertex mean gets the same action from
+    both add up.  Pieces are vertex rows of beliefs in boundary order.
     """
-    cuts = [0.0, 1.0]
+    X = pair.C_upper.shape[0]
+    pieces = [np.eye(X)]
     for C in (pair.C_upper, pair.C_lower):
         i, j = np.triu_indices(C.shape[1], 1)
-        d0, d1 = C[0, i] - C[0, j], C[1, i] - C[1, j]
-        cross = np.sign(d0) * np.sign(d1) < 0
-        cuts.extend(d0[cross] / (d0[cross] - d1[cross]))
-    t = np.unique(cuts)
-    mid = (t[:-1] + t[1:]) / 2
-    pis = np.column_stack([1 - mid, mid])
-    return float(np.diff(t)[overlap_indicator_pair(pair, pis)].sum())
+        for diff in (C[:, i] - C[:, j]).T:
+            pieces = [side for piece in pieces
+                      for side in _split(piece, piece @ diff)]
+    sizes = np.array([_measure(piece) for piece in pieces])
+    means = np.array([piece.mean(axis=0) for piece in pieces])
+    return float(sizes[overlap_indicator_pair(pair, means)].sum()
+                 / _measure(np.eye(X)))
+
+
+def _split(piece: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
+    """The two sides of a convex piece cut where the affine function with
+    vertex values ``s`` vanishes (Sutherland-Hodgman, both sides at
+    once); the piece itself when the cut misses its interior.
+
+    A segment's crossing is found from both of its edges; the crossing
+    formula is symmetric, so the copy is the same point and changes
+    neither the segment's length nor its interior."""
+    if (s >= 0).all() or (s <= 0).all():
+        return [piece]
+    k = len(piece)
+    neg, pos = [], []
+    for a in range(k):
+        b = (a + 1) % k
+        if s[a] <= 0:
+            neg.append(piece[a])
+        if s[a] >= 0:
+            pos.append(piece[a])
+        if s[a] * s[b] < 0:
+            cross = (s[a] * piece[b] - s[b] * piece[a]) / (s[a] - s[b])
+            neg.append(cross)
+            pos.append(cross)
+    return [np.array(neg), np.array(pos)]
+
+
+def _measure(piece: np.ndarray) -> float:
+    """Length (X = 2) or area (X = 3) of a piece in the coordinates
+    (pi(2), ..., pi(X))."""
+    y = piece[:, 1:]
+    if y.shape[1] == 1:
+        return float(np.ptp(y))
+    x, z = y.T
+    return 0.5 * abs(float(x @ np.roll(z, -1) - z @ np.roll(x, -1)))
 
 
 def _simulate_paths(model: PomdpModel, policy_batch, pi0: np.ndarray,

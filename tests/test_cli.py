@@ -23,9 +23,9 @@ GOLDEN = [
     ("check --model example1",
      "bcb40f06da2a4789bf362dfa3723495227363003ce1bc7e35a8ccdb177040adf"),
     ("myopic --table1a --samples 1000000 --seed 1",
-     "90ca8c9230bf22773edede35f69aa2cd84b2703026b7291877fb92818ff97836"),
+     "5ddd16fae045075ef6492ee4e2d21f3a8b5e6c64f1d050f009df8d8b2e253d5b"),
     ("myopic --table1a --loss --paths 1000 --horizon 100 --seed 1",
-     "2ca25df268910703a750f32719930f9894aa63a68df8f9c5017dadbcc4244ada"),
+     "fed26955bd960d8840f20376e4b45f7c77586299a898960136d1aa03cb53f8fa"),
     ("filter --model qd-ph --sandwich --steps 200 --seed 3",
      "cce9a6961a4260407682fa66ad2b98663a250a453c465b6fd05dc439dcc23c96"),
     ("spsa --model qd-ph --iterations 2000 --restarts 5 --seed 11",
@@ -202,6 +202,15 @@ class TestMyopicCommand:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header == "rho,vol,L1,L2"
+
+    def test_table1a_is_exact(self, capsys):
+        # example1 has 3 states, so its fixed-pair volumes draw no samples
+        outs = []
+        for samples in ("1000", "1000000"):
+            assert main(["myopic", "--table1a", "--samples", samples,
+                         "--seed", "1"]) == 0
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] == outs[1]
 
     def test_single_model_row(self, capsys):
         rc = main(["myopic", "--model", "example1", "--rho", "0.5",

@@ -12,11 +12,13 @@ from pomdpkit.grid import GridValue
 from pomdpkit.model import PomdpModel
 from pomdpkit.myopic import (
     BoundsCounters,
+    MyopicPair,
     PerBeliefBounds,
     _monotone_polytope,
     blackwell_myopic_region,
     lp_feasibility_C1_C2,
     optimize_overlap_2action,
+    overlap_indicator_pair,
     overlap_volume,
     percent_loss,
     transformed_costs,
@@ -25,6 +27,7 @@ from pomdpkit.presets import example1, example3
 from pomdpkit.rng import make_rng, uniform_simplex
 
 DATA = Path(__file__).parent / "data"
+SAMPLE_BLOCK = 10 ** 6
 
 
 class TestFeasibilityLPs:
@@ -227,6 +230,61 @@ class TestOverlapVolume:
             assert se == 0.0 and type(exact) is float
             ref = (pair.upper_actions(grid) == pair.lower_actions(grid)).mean()
             assert abs(exact - ref) < 2e-5
+
+    def test_triangle_cut_through_a_vertex(self):
+        # upper plays 2 where pi(3) > pi(2), a cut through e1; lower plays
+        # 2 where pi(2) < 1/2.  Both play 2 where pi(3) > pi(2) (area 1/4)
+        # and both play 1 where pi(2) >= 1/2 (area 1/8): 3/4 overlaps
+        zeros = np.zeros(3)
+        pair = MyopicPair(zeros, zeros,
+                          C_upper=np.column_stack([zeros, [0.0, 1.0, -1.0]]),
+                          C_lower=np.column_stack([zeros,
+                                                   [-0.5, 0.5, -0.5]]))
+        assert overlap_volume(example1(0.5), pair) == (
+            pytest.approx(0.75, abs=1e-15), 0.0)
+
+    @staticmethod
+    def _sampled(pair, n, seed):
+        """Monte Carlo overlap and its standard error, drawn in blocks of
+        at most 10**6 beliefs to keep memory small."""
+        rng = make_rng(seed)
+        hits = 0
+        for start in range(0, n, SAMPLE_BLOCK):
+            pis = uniform_simplex(rng, min(SAMPLE_BLOCK, n - start), 3)
+            hits += int(overlap_indicator_pair(pair, pis).sum())
+        p = hits / n
+        return p, np.sqrt(max(p * (1 - p), 1e-12) / n)
+
+    @pytest.mark.parametrize("rho", [0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_three_state_exact_matches_monte_carlo(self, rho):
+        # table (a): example1 at the CLI's 0.05 margin, 10**7 samples
+        pair = optimize_overlap_2action(example1(rho), delta=0.05)
+        exact, se = overlap_volume(example1(rho), pair)
+        assert se == 0.0 and type(exact) is float
+        p, stderr = self._sampled(pair, 10 ** 7, seed=1)
+        assert abs(exact - p) <= 3 * stderr
+
+    def test_random_three_state_models_match_monte_carlo(self):
+        # four models each for U = 2, 3, 4; draws whose C1/C2 polytope is
+        # empty are skipped, so the seed fixes the twelve models
+        rng = make_rng(13)
+        models = []
+        while len(models) < 12:
+            U = 2 + len(models) // 4
+            P = rng.dirichlet(np.ones(3), size=(U, 3))
+            costs = rng.uniform(0, 2, size=(3, U))
+            m = PomdpModel(P, np.full((U, 3, 2), 0.5), costs, 0.7)
+            try:
+                models.append((m, lp_feasibility_C1_C2(m)))
+            except LpInfeasible:
+                continue
+        vols = []
+        for m, pair in models:
+            exact, se = overlap_volume(m, pair)
+            p, stderr = self._sampled(pair, 10 ** 6, seed=3)
+            assert se == 0.0 and abs(exact - p) <= 4 * stderr
+            vols.append(exact)
+        assert sum(0.05 < v < 0.95 for v in vols) >= 8
 
 
 class TestPercentLoss:

@@ -12,7 +12,8 @@ from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.cli import load_model
 from pomdpkit.errors import Blowup, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
-from pomdpkit.grid import _comb_table, barycentric_weights, segment_weights
+from pomdpkit.grid import (_comb_table, barycentric_weights, lattice_rank,
+                           segment_weights, simplex_lattice)
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.simplexlp import solve_lp
@@ -577,3 +578,46 @@ class TestCombTable:
                 got = _comb_table(n, k)
                 assert got.dtype == np.int64
                 assert got.tolist() == T
+
+
+def _composition_rank(comps, M):
+    """Reference rank: one hockey-stick count per coordinate of the
+    composition itself."""
+    X = comps.shape[-1]
+    idx = np.zeros(comps.shape[:-1], dtype=np.int64)
+    remaining = np.full(comps.shape[:-1], M, dtype=np.int64)
+    for i in range(X - 1):
+        k = X - i - 1  # parts after this coordinate
+        idx += (np.array([comb(int(r) + k, k) for r in remaining.ravel()])
+                - np.array([comb(int(r) + k, k)
+                            for r in (remaining - comps[..., i]).ravel()])
+                ).reshape(idx.shape)
+        remaining = remaining - comps[..., i]
+    return idx
+
+
+class TestLatticeRank:
+    @pytest.mark.parametrize("X", range(2, 9))
+    def test_matches_composition_rank(self, X):
+        rng = make_rng(30 + X)
+        for M in (1, 5, 40):
+            cuts = np.sort(rng.integers(0, M + 1, size=(200, X - 1)), axis=1)
+            edges = np.concatenate([np.zeros((200, 1), dtype=np.int64), cuts,
+                                    np.full((200, 1), M)], axis=1)
+            comps = np.diff(edges, axis=1)
+            assert np.array_equal(lattice_rank(comps, M),
+                                  _composition_rank(comps, M))
+        # the lattice itself is listed in rank order
+        nodes = np.rint(simplex_lattice(X, 5) * 5).astype(np.int64)
+        assert np.array_equal(lattice_rank(nodes, 5), np.arange(len(nodes)))
+
+    def test_barycentric_vertices_rank_their_compositions(self):
+        # each returned index is the rank of a lattice vertex whose
+        # weighted mean is the belief itself
+        rng = make_rng(37)
+        for X, M in ((3, 100), (4, 30), (8, 6)):
+            pis = rng.dirichlet(np.ones(X), 300)
+            idx, w = barycentric_weights(pis, M)
+            nodes = simplex_lattice(X, M)
+            assert np.allclose((w[..., None] * nodes[idx]).sum(axis=1), pis,
+                               rtol=0, atol=1e-12)
