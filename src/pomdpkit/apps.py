@@ -27,8 +27,8 @@ from .solver import (
     VectorSet,
     bellman_backup_step,
     evaluate_value,
+    iterate_sets,
     lp_prune,
-    sup_difference,
     vector_set,
 )
 
@@ -318,8 +318,9 @@ def solve_retirement_value(P, B, r, rho: float, M: float,
     """Vector-set solve of the continue-or-retire problem.
 
     Returns the negated-value set W with ``V(pi, M) = -min_W w' pi``;
-    iterates ``W = min(-M, -r' pi + rho sum_y W(T) sigma)`` to the given
-    tolerance.
+    iterates ``W = min(-M, -r' pi + rho sum_y W(T) sigma)`` on
+    :func:`solver.iterate_sets` until successive sets are within
+    ``epsilon`` (a witness belief settles "not yet", LPs decide the rest).
     """
     r = np.asarray(r, dtype=float)
     X = r.size
@@ -330,19 +331,15 @@ def solve_retirement_value(P, B, r, rho: float, M: float,
         discount=rho,
     )
     retire = vector_set(np.full((1, X), -M), [1])
-    current = retire
-    for n in range(10_000):
+
+    def backup(current, n):
         backed = bellman_backup_step(current, model, method="ip")
-        merged = vector_set(
+        return lp_prune(vector_set(
             np.vstack([backed.vectors, retire.vectors]),
             np.concatenate([backed.actions * 0 + 2, [1]]),
-            stage=0)
-        nxt = lp_prune(merged)
-        gap = sup_difference(nxt, current)
-        current = nxt
-        if gap <= epsilon:
-            return current
-    raise PreconditionFailed("retirement solve did not converge")
+            stage=0))
+
+    return iterate_sets(backup, retire, epsilon, 10_000)
 
 
 def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4,

@@ -126,6 +126,13 @@ def cross_sum(A: VectorSet, B: VectorSet) -> VectorSet:
     return VectorSet(V, a, stage=A.stage)
 
 
+def _pool_values(V: np.ndarray) -> np.ndarray:
+    """Each row's values at the vertices (exact) and the uniform belief (a
+    mean within about X ulps of ``max |V|``, which ``WITNESS_MARGIN``
+    covers while ``X max |V| < 1e6``), shape (n, X + 1)."""
+    return np.hstack([V, V.mean(axis=1, keepdims=True)])
+
+
 def lp_prune(gamma: VectorSet) -> VectorSet:
     """Remove every vector that is never strictly below the others.
 
@@ -135,8 +142,8 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     * **dominated** -- a survivor is ``<=`` ``g`` in every coordinate, so
       ``g`` is never strictly below it: dropped;
     * **witnessed** -- at a vertex or the uniform belief ``g`` lies below
-      every survivor by more than ``PRUNE_TOL + WITNESS_MARGIN``: kept;
-      ``WITNESS_MARGIN`` covers the rounding of the float dot products;
+      every survivor by more than ``PRUNE_TOL + WITNESS_MARGIN``: kept
+      (see :func:`_pool_values` for the margin);
     * **LP** -- otherwise ``min_{pi, z} z  s.t. (g - g_other)' pi <= z``
       over the simplex finds the best margin by which ``g`` undercuts
       the rest, and an optimum ``>= -PRUNE_TOL`` drops ``g``.
@@ -150,9 +157,9 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     X = gamma.dim
     alive = list(range(n))
     V = gamma.vectors
-    # values at the vertices and the uniform belief; a kept vector's LP
-    # optimum would witness nothing later, as that vector stays lowest there
-    at_pool = np.hstack([V, V.mean(axis=1, keepdims=True)])
+    # a kept vector's LP optimum would witness nothing later, as that
+    # vector stays lowest there
+    at_pool = _pool_values(V)
     order = list(_sort_order(V, gamma.actions))
     # visit in reverse canonical order so the kept set is deterministic
     for idx in reversed(order):
@@ -347,30 +354,54 @@ def sup_difference(A: VectorSet, B: VectorSet) -> float:
     return max(sup_envelope_gap(A, B), sup_envelope_gap(B, A))
 
 
+def gap_within(A: VectorSet, B: VectorSet, epsilon: float) -> bool:
+    """``sup_difference(A, B) <= epsilon``; a vertex or the uniform belief
+    where the envelopes differ by more than ``epsilon + WITNESS_MARGIN``
+    settles False with no LP."""
+    at_pool = (_pool_values(A.vectors).min(axis=0)
+               - _pool_values(B.vectors).min(axis=0))
+    if (np.abs(at_pool) > epsilon + WITNESS_MARGIN).any():
+        return False
+    return sup_difference(A, B) <= epsilon
+
+
+def iterate_sets(backup, start: VectorSet, epsilon: float,
+                 max_iterations: int) -> VectorSet:
+    """``current = backup(current, n)`` for n = 1, 2, ... until
+    :func:`gap_within` holds for two successive sets; returns the last."""
+    current = start
+    for n in range(1, max_iterations + 1):
+        nxt = backup(current, n)
+        if gap_within(nxt, current, epsilon):
+            return nxt
+        current = nxt
+    raise PreconditionFailed(f"value iteration did not reach epsilon="
+                             f"{epsilon} in {max_iterations} backups")
+
+
 def value_iteration_discounted(model: PomdpModel, epsilon: float,
                                method: str = "ip",
                                budget: int = VECTOR_BUDGET,
                                max_iterations: int = 10_000):
     """Iterate Bellman backups until ``sup |V_n - V_{n-1}| <= epsilon``.
 
-    The sup-difference is computed exactly with LPs over the two vector
-    sets, so the reported error bound ``epsilon * rho / (1 - rho)`` is
-    rigorous.
+    The stop test is :func:`gap_within`: a vertex or uniform-belief
+    witness settles "not yet", and exact LPs over the two vector sets
+    decide the rest, so the reported error bound
+    ``epsilon * rho / (1 - rho)`` is rigorous.
     """
     rho = model.discount
     if not 0 <= rho < 1:
         raise DimensionMismatch("discounted solving needs rho < 1")
-    current = vector_set(np.zeros((1, model.num_states)), [1], stage=0)
-    for n in range(1, max_iterations + 1):
+
+    def backup(current, n):
         nxt = bellman_backup_step(current, model, method, budget)
-        nxt = VectorSet(nxt.vectors, nxt.actions, stage=n)
-        gap = sup_difference(nxt, current)
-        current = nxt
-        if gap <= epsilon:
-            bound = epsilon * rho / (1.0 - rho)
-            return SolveResult([current], bound, discounted=True)
-    raise PreconditionFailed(f"value iteration did not reach epsilon="
-                             f"{epsilon} in {max_iterations} backups")
+        return VectorSet(nxt.vectors, nxt.actions, stage=n)
+
+    final = iterate_sets(
+        backup, vector_set(np.zeros((1, model.num_states)), [1], stage=0),
+        epsilon, max_iterations)
+    return SolveResult([final], epsilon * rho / (1.0 - rho), discounted=True)
 
 
 def policy_evaluation(model: PomdpModel, policy, epsilon: float,

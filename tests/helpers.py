@@ -98,3 +98,17 @@ def lp_fixture(name: str) -> dict:
     lp = json.loads(path.read_text())[name]
     del lp["note"]
     return lp
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for the test; each call appends its positional
+    arguments to the returned list, so ``len`` counts the calls."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

@@ -308,6 +308,25 @@ class TestGittins:
             b = float(np.interp(t, ts, gamma))
             assert abs(a - b) < 2e-2  # table resolution dominates
 
+    P3 = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]
+    B3 = [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]]
+
+    @pytest.mark.parametrize("two_state, r, rho, pi, expected", [
+        (True, [0.2, 1.0], 0.8, [0.6, 0.4], "0x1.96e3c00000002p+1"),
+        (True, [0.2, 1.0], 0.8, [0.3, 0.7], "0x1.053f600000001p+2"),
+        (True, [1.0, 0.3], 0.9, [0.5, 0.5], "0x1.ff19e00000002p+2"),
+        (True, [1.0, 0.3], 0.7, [0.8, 0.2], "0x1.7d18d55555555p+1"),
+        (False, [0.1, 0.5, 1.0], 0.8, [0.2, 0.3, 0.5],
+         "0x1.d590c00000002p+1"),
+        (False, [1.0, 0.2, 0.4], 0.7, [1 / 3, 1 / 3, 1 / 3],
+         "0x1.f8e0555555554p+0"),
+    ])
+    def test_pinned_values(self, two_state, r, rho, pi, expected):
+        # bit for bit: the retirement solve's loop and stop test must not
+        # move a single bisection step
+        P, B = (self.P, self.B) if two_state else (self.P3, self.B3)
+        assert gittins_index(P, B, r, rho, pi) == float.fromhex(expected)
+
     def test_mlr_monotone_for_increasing_rewards(self):
         vals = [gittins_index(self.P, self.B, [0.2, 1.0], 0.8, [1 - t, t],
                               tol_m=1e-4) for t in (0.1, 0.4, 0.7, 0.95)]

@@ -1,12 +1,13 @@
 """Vector-set machinery: cross-sums, pruning, backups, solvers, bounds
 and the grid oracle, with independent oracles for each."""
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from helpers import random_tp2_stochastic
+from helpers import count_calls, random_tp2_stochastic
 from pomdpkit import solver
 from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.cli import load_model
@@ -25,6 +26,7 @@ from pomdpkit.solver import (
     bellman_backup_step,
     cross_sum,
     evaluate_value,
+    gap_within,
     grid_value_oracle,
     incremental_pruning_step,
     lovejoy_bounds,
@@ -290,15 +292,22 @@ class TestPruneDecisions:
     def test_sampling_horizon_7_lp_count(self, monkeypatch):
         # a count, not a time: the LP-only prune solves 841 LPs here and
         # the prechecks leave 314
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_lp", counting)
+        calls = count_calls(monkeypatch, solver, "solve_lp")
         solve_finite_horizon(load_model("sampling"), 7)
         assert 0 < len(calls) <= 420
+
+    def test_replacement_vi_stop_test_lp_count(self, monkeypatch):
+        # the witness settles all 236 "not yet" stop tests; the LP-only
+        # stop test ran sup_difference 237 times, 947 LPs in all
+        sups = count_calls(monkeypatch, solver, "sup_difference")
+        res = value_iteration_discounted(load_model("machine-replacement"),
+                                         1e-6)
+        assert res.final.stage == 237
+        assert res.error_bound == 1.899999999999998e-05
+        assert [A.stage for A, _ in sups] == [237]
+        lps = count_calls(monkeypatch, solver, "solve_lp")
+        assert solver.sup_difference(*sups[0]) <= 1e-6
+        assert 0 < len(lps) <= 4
 
 
 class TestBackups:
@@ -430,6 +439,69 @@ class TestDiscounted:
         with pytest.raises(PreconditionFailed):
             value_iteration_discounted(replacement(rho=0.9), 1e-6,
                                        max_iterations=1)
+
+
+def exact_pool_gap(A, B):
+    """``max |min_A - min_B|`` over the vertices and the uniform belief, in
+    ``Fraction`` arithmetic from the float vectors."""
+    X = A.dim
+    pool = [[Fraction(int(i == j)) for j in range(X)] for i in range(X)]
+    pool.append([Fraction(1, X)] * X)
+
+    def envelope(vs, pi):
+        return min(sum(Fraction(v) * p for v, p in zip(row, pi))
+                   for row in vs.vectors.tolist())
+
+    return max(abs(envelope(A, pi) - envelope(B, pi)) for pi in pool)
+
+
+class TestGapWithin:
+    """The VI stop decision against ``sup_difference(A, B) <= epsilon``;
+    every "not yet" the witness settles without an LP is re-checked in
+    exact arithmetic."""
+
+    @staticmethod
+    def decide(sups, A, B, epsilon):
+        """The decision, and whether the witness settled it."""
+        before = len(sups)
+        decision = gap_within(A, B, epsilon)
+        assert decision == (sup_difference(A, B) <= epsilon)
+        witnessed = len(sups) == before
+        if witnessed:
+            assert not decision
+            assert exact_pool_gap(A, B) > Fraction(epsilon)
+        return decision, witnessed
+
+    @pytest.mark.parametrize("name, epsilon", [
+        ("machine-replacement", 1e-6), ("sampling", 0.05), ("search", 1e-6)])
+    def test_matches_lp_decision_on_vi_runs(self, monkeypatch, name,
+                                            epsilon):
+        stops = count_calls(monkeypatch, solver, "gap_within")
+        res = value_iteration_discounted(load_model(name), epsilon)
+        assert len(stops) == res.final.stage
+        sups = count_calls(monkeypatch, solver, "sup_difference")
+        decisions = [self.decide(sups, *args) for args in stops]
+        # on these runs the witness settles every "not yet"
+        assert decisions == [(False, True)] * (len(stops) - 1) \
+            + [(True, False)]
+
+    def test_matches_lp_decision_near_epsilon(self, monkeypatch):
+        sups = count_calls(monkeypatch, solver, "sup_difference")
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(60):
+            X = int(rng.integers(2, 5))
+            A = vector_set(rng.normal(size=(int(rng.integers(1, 6)), X)))
+            if rng.random() < 0.5:
+                # a constant shift: the gap is the same at every belief
+                B = vector_set(A.vectors + rng.uniform(-1.0, 1.0))
+            else:
+                B = vector_set(rng.normal(size=(int(rng.integers(1, 6)), X)))
+            gap = sup_difference(A, B)
+            for offset in (-1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-8):
+                seen.add(self.decide(sups, A, B, gap + offset))
+        # both answers, and "not yet" both with and without an LP
+        assert seen == {(True, False), (False, False), (False, True)}
 
 
 class TestPolicyEvaluation:
