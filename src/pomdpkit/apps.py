@@ -32,6 +32,9 @@ from .solver import (
     vector_set,
 )
 
+GITTINS_EPSILON_FLOOR = 1e-12   # least inner VI tolerance, gittins_index
+GITTINS_GRID_TOL = 1e-9   # sweep tolerance, gittins_index_table_2state
+
 
 def build_machine_replacement(theta: float, p: float, q: float, R: float,
                               op_costs, rho: float = 0.95,
@@ -342,20 +345,19 @@ def solve_retirement_value(P, B, r, rho: float, M: float,
     return iterate_sets(backup, retire, epsilon, 10_000)
 
 
-def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4,
-                  inner_epsilon: float | None = None) -> float:
+def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4) -> float:
     """Retirement threshold at which continuing and stopping tie.
 
     Bisection on the retirement reward M of ``V(pi, M) - M`` (monotone
     decreasing); the inner solve is vector-set value iteration with the
-    retirement hyperplane M included each backup.
+    retirement hyperplane M included each backup, to within
+    ``max(tol_m (1 - rho) / 8, GITTINS_EPSILON_FLOOR)``.
     """
     r = np.asarray(r, dtype=float)
     pi = np.asarray(pi, dtype=float)
     M_hi = float(r.max() / (1.0 - rho))
     M_lo = 0.0
-    eps_in = inner_epsilon if inner_epsilon is not None \
-        else max(tol_m * (1.0 - rho) / 8.0, 1e-12)
+    eps_in = max(tol_m * (1.0 - rho) / 8.0, GITTINS_EPSILON_FLOOR)
 
     def v_minus_m(M: float) -> float:
         W = solve_retirement_value(P, B, r, rho, M, eps_in)
@@ -375,8 +377,7 @@ def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4,
 
 
 def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
-                               m_steps: int = 96,
-                               vi_tol: float = 1e-9) -> tuple:
+                               m_steps: int = 96) -> tuple:
     """Retirement index over a pi(2) grid via a shared M-sweep.
 
     For each retirement reward M on a grid the whole value table
@@ -397,7 +398,8 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
         def step(V):
             return np.maximum(M, base + rho * continuation(V, maps)), None
 
-        return converge(step, np.full(grid_size, M), vi_tol, 100_000)[0]
+        return converge(step, np.full(grid_size, M), GITTINS_GRID_TOL,
+                        100_000)[0]
 
     M_hi = float(r.max() / (1.0 - rho))
     Ms = np.linspace(0.0, M_hi, m_steps)
@@ -405,7 +407,7 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
     for k, M in enumerate(Ms):
         slack[k] = solve(M) - M
     gamma = np.full(grid_size, M_hi)
-    tol = 10 * vi_tol / (1 - rho)
+    tol = 10 * GITTINS_GRID_TOL / (1 - rho)
     for g in range(grid_size):
         below = np.flatnonzero(slack[:, g] <= tol)
         if below.size == 0:

@@ -119,6 +119,9 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_solve(args) -> int:
+    if args.epsilon is not None and not args.epsilon > 0:
+        raise DimensionMismatch(f"--epsilon must be positive, got "
+                                f"{args.epsilon}")
     model, kind = _load(args, "pomdp", "stopping", "social")
     if kind == "social":
         res = apps.solve_social_learning_stop(
@@ -132,8 +135,9 @@ def cmd_solve(args) -> int:
         return 0
     resolution = 1000 if args.resolution is None else args.resolution
     if kind == "stopping":
-        sol = solve_stopping_grid(model, resolution,
-                                  epsilon=args.epsilon or 1e-9)
+        sol = solve_stopping_grid(
+            model, resolution,
+            epsilon=1e-9 if args.epsilon is None else args.epsilon)
         mask = sol.stop_mask
         rows = ["index,value,stop"] + [
             f"{i},{v:.12g},{int(s)}"
@@ -166,8 +170,9 @@ def cmd_solve(args) -> int:
     if args.horizon is not None:
         res = solve_finite_horizon(model, args.horizon, method=args.method)
     else:
-        res = value_iteration_discounted(model, args.epsilon or 1e-6,
-                                         method=args.method)
+        res = value_iteration_discounted(
+            model, 1e-6 if args.epsilon is None else args.epsilon,
+            method=args.method)
     if args.query:
         pi = np.asarray([float(t) for t in args.query.split(",")])
         value, _, action = evaluate_value(res.final, pi)
@@ -364,8 +369,7 @@ def cmd_compare(args) -> int:
                           horizon=6)
         bad = PomdpModel(np.stack([P, P]), np.stack(garbled), c, 1.0,
                          horizon=6)
-        verdict = structural.compare_pomdp_costs(
-            good, bad, kind="observation", n_beliefs=500, seed=args.seed)
+        verdict = structural.compare_pomdp_costs(good, bad, kind="observation")
     _emit(json.dumps({"status": verdict.status.value}) + "\n", args.out)
     return 0
 

@@ -133,6 +133,30 @@ def _pool_values(V: np.ndarray) -> np.ndarray:
     return np.hstack([V, V.mean(axis=1, keepdims=True)])
 
 
+def _margin(g: np.ndarray, rivals: np.ndarray, region=()) -> tuple:
+    """``(max_pi min_r (r - g)' pi, pi)`` over the beliefs where ``g`` is
+    ``<=`` every row of ``region``; ``(None, None)`` when the LP is not
+    optimal.
+
+    The LP is ``min_{pi, z} z  s.t. (g - r)' pi <= z`` for each rival,
+    ``(g - b)' pi <= 0`` for each region row, over the simplex.  It is the
+    only LP of this module, so pruning and the envelope gap decide alike.
+    """
+    X = g.size
+    rows = np.vstack([rivals, np.reshape(region, (-1, X))])
+    A_ub = np.zeros((len(rows), X + 1))
+    A_ub[:, :X] = g[None, :] - rows
+    A_ub[:len(rivals), X] = -1.0
+    A_eq = np.hstack([np.ones((1, X)), np.zeros((1, 1))])
+    c = np.zeros(X + 1)
+    c[-1] = 1.0
+    res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(len(rows)),
+                   A_eq=A_eq, b_eq=[1.0], free_vars=[X])
+    if not res.optimal:
+        return None, None
+    return -res.value, res.x[:X]
+
+
 def lp_prune(gamma: VectorSet) -> VectorSet:
     """Remove every vector that is never strictly below the others.
 
@@ -144,9 +168,9 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     * **witnessed** -- at a vertex or the uniform belief ``g`` lies below
       every survivor by more than ``PRUNE_TOL + WITNESS_MARGIN``: kept
       (see :func:`_pool_values` for the margin);
-    * **LP** -- otherwise ``min_{pi, z} z  s.t. (g - g_other)' pi <= z``
-      over the simplex finds the best margin by which ``g`` undercuts
-      the rest, and an optimum ``>= -PRUNE_TOL`` drops ``g``.
+    * **LP** -- otherwise :func:`_margin` finds the best margin by which
+      ``g`` undercuts the rest over the simplex, and a margin
+      ``<= PRUNE_TOL`` drops ``g``.
 
     The first two settle in exact arithmetic what the LP would, so the LP
     stays the judge of every vector they leave open.
@@ -154,7 +178,6 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     n = len(gamma)
     if n <= 1:
         return gamma
-    X = gamma.dim
     alive = list(range(n))
     V = gamma.vectors
     # a kept vector's LP optimum would witness nothing later, as that
@@ -172,15 +195,8 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
         if (at_pool[idx] < at_pool[others].min(axis=0)
                 - (PRUNE_TOL + WITNESS_MARGIN)).any():
             continue
-        diff = V[idx][None, :] - V[others]
-        # variables: pi (X, >=0), z (free); min z st diff @ pi - z <= 0
-        A_ub = np.hstack([diff, -np.ones((len(others), 1))])
-        A_eq = np.hstack([np.ones((1, X)), np.zeros((1, 1))])
-        c = np.zeros(X + 1)
-        c[-1] = 1.0
-        res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(len(others)),
-                       A_eq=A_eq, b_eq=[1.0], free_vars=[X])
-        if res.optimal and res.value >= -PRUNE_TOL:
+        margin = _margin(V[idx], V[others])[0]
+        if margin is not None and margin <= PRUNE_TOL:
             alive.remove(idx)
     keep = sorted(alive)
     return VectorSet(V[keep], gamma.actions[keep], stage=gamma.stage)
@@ -202,8 +218,8 @@ def _backup_components(model: PomdpModel, gamma_next: VectorSet,
     return out
 
 
-def incremental_pruning_step(gamma_next: VectorSet, model: PomdpModel,
-                             budget: int = VECTOR_BUDGET) -> VectorSet:
+def incremental_pruning_step(gamma_next: VectorSet,
+                             model: PomdpModel) -> VectorSet:
     """One Bellman backup with pruning interleaved into the cross-sums."""
     rho = model.discount
     comps = _backup_components(model, gamma_next, rho)
@@ -217,19 +233,18 @@ def incremental_pruning_step(gamma_next: VectorSet, model: PomdpModel,
             piece = lp_prune(vector_set(comps[(u, y)],
                                         np.full(comps[(u, y)].shape[0], u)))
             acc = piece if acc is None else lp_prune(cross_sum(acc, piece))
-            if len(acc) > budget:
-                raise Blowup(stage, len(acc), budget)
+            if len(acc) > VECTOR_BUDGET:
+                raise Blowup(stage, len(acc), VECTOR_BUDGET)
         all_vectors.append(acc.vectors)
         all_actions.append(np.full(len(acc), u))
     merged = vector_set(np.vstack(all_vectors),
                         np.concatenate(all_actions), stage)
-    if len(merged) > budget:
-        raise Blowup(stage, len(merged), budget)
+    if len(merged) > VECTOR_BUDGET:
+        raise Blowup(stage, len(merged), VECTOR_BUDGET)
     return lp_prune(merged)
 
 
-def monahan_step(gamma_next: VectorSet, model: PomdpModel,
-                 budget: int = VECTOR_BUDGET) -> VectorSet:
+def monahan_step(gamma_next: VectorSet, model: PomdpModel) -> VectorSet:
     """Full ``U |Gamma|^Y`` enumeration followed by a single prune.
 
     Each per-(u, y) component carries ``c_u / Y``, so the Y-fold
@@ -247,25 +262,24 @@ def monahan_step(gamma_next: VectorSet, model: PomdpModel,
         for y in range(2, Y + 1):
             raw = (raw[:, None, :] + comps[(u, y)][None, :, :]).reshape(
                 -1, model.num_states)
-            if raw.shape[0] > budget:
-                raise Blowup(stage, raw.shape[0], budget)
+            if raw.shape[0] > VECTOR_BUDGET:
+                raise Blowup(stage, raw.shape[0], VECTOR_BUDGET)
         count += len(gamma_next) ** Y
         all_vectors.append(raw)
         all_actions.append(np.full(raw.shape[0], u))
-    if count > budget:
-        raise Blowup(stage, count, budget)
+    if count > VECTOR_BUDGET:
+        raise Blowup(stage, count, VECTOR_BUDGET)
     merged = vector_set(np.vstack(all_vectors),
                         np.concatenate(all_actions), stage)
     return lp_prune(merged)
 
 
 def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
-                        method: str = "ip",
-                        budget: int = VECTOR_BUDGET) -> VectorSet:
+                        method: str = "ip") -> VectorSet:
     if method == "ip":
-        return incremental_pruning_step(gamma_next, model, budget)
+        return incremental_pruning_step(gamma_next, model)
     if method == "monahan":
-        return monahan_step(gamma_next, model, budget)
+        return monahan_step(gamma_next, model)
     raise ValueError(f"unknown backup method {method!r}")
 
 
@@ -317,41 +331,32 @@ class SolveResult:
 
 
 def solve_finite_horizon(model: PomdpModel, horizon: int,
-                         method: str = "ip",
-                         budget: int = VECTOR_BUDGET) -> SolveResult:
+                         method: str = "ip") -> SolveResult:
     """Stagewise sets ``Gamma_N .. Gamma_0`` for an N-stage problem."""
     terminal = model.terminal_vector()
     sets = [vector_set(terminal[None, :], [1], stage=horizon)]
     for _ in range(horizon):
-        sets.append(bellman_backup_step(sets[-1], model, method, budget))
+        sets.append(bellman_backup_step(sets[-1], model, method))
     return SolveResult(sets, 0.0, discounted=False)
 
 
-def sup_envelope_gap(A: VectorSet, B: VectorSet) -> float:
-    """Exact ``max_pi [min_A(pi) - min_B(pi)]`` via one LP per B vector."""
-    X = A.dim
-    nA = len(A)
-    c = np.zeros(X + 1)
-    c[X] = -1.0
-    A_eq = np.zeros((1, X + 1))
-    A_eq[0, :X] = 1.0
-    best = -np.inf
+def sup_envelope_gap(A: VectorSet, B: VectorSet) -> tuple:
+    """Exact ``max_pi [min_A(pi) - min_B(pi)]`` and a belief attaining it.
+
+    One :func:`_margin` LP per vector ``delta`` of B, over the beliefs
+    where ``delta`` is lowest in B; ``(-inf, None)`` if none is optimal.
+    """
+    best = (-np.inf, None)
     for j, delta in enumerate(B.vectors):
-        # max t st t <= (g - delta)' pi for g in A; delta argmin for B
-        rows = np.zeros((nA + len(B) - 1, X + 1))
-        rows[:nA, :X] = delta - A.vectors
-        rows[:nA, X] = 1.0
-        rows[nA:, :X] = delta - np.delete(B.vectors, j, axis=0)
-        res = solve_lp(c, A_ub=rows, b_ub=np.zeros(len(rows)),
-                       A_eq=A_eq, b_eq=[1.0], free_vars=[X])
-        if res.optimal:
-            best = max(best, -res.value)
+        gap, pi = _margin(delta, A.vectors, np.delete(B.vectors, j, axis=0))
+        if gap is not None and gap > best[0]:
+            best = (gap, pi)
     return best
 
 
 def sup_difference(A: VectorSet, B: VectorSet) -> float:
     """Exact ``sup_pi |min_A(pi) - min_B(pi)|``."""
-    return max(sup_envelope_gap(A, B), sup_envelope_gap(B, A))
+    return max(sup_envelope_gap(A, B)[0], sup_envelope_gap(B, A)[0])
 
 
 def gap_within(A: VectorSet, B: VectorSet, epsilon: float) -> bool:
@@ -381,7 +386,6 @@ def iterate_sets(backup, start: VectorSet, epsilon: float,
 
 def value_iteration_discounted(model: PomdpModel, epsilon: float,
                                method: str = "ip",
-                               budget: int = VECTOR_BUDGET,
                                max_iterations: int = 10_000):
     """Iterate Bellman backups until ``sup |V_n - V_{n-1}| <= epsilon``.
 
@@ -395,7 +399,7 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
         raise DimensionMismatch("discounted solving needs rho < 1")
 
     def backup(current, n):
-        nxt = bellman_backup_step(current, model, method, budget)
+        nxt = bellman_backup_step(current, model, method)
         return VectorSet(nxt.vectors, nxt.actions, stage=n)
 
     final = iterate_sets(
@@ -437,28 +441,17 @@ def grid_value_oracle(model: PomdpModel, resolution: int,
     """
     if (horizon is None) == (epsilon is None):
         raise DimensionMismatch("give exactly one of horizon / epsilon")
-    grid = GridValue(model, resolution)
-    if horizon is not None:
-        grid.iterate(horizon=horizon)
-    else:
-        grid.iterate(epsilon=epsilon)
-    return grid
+    return GridValue(model, resolution).iterate(epsilon, horizon)
 
 
 def _lovejoy_resolution(model: PomdpModel, max_points: int) -> int:
     """Largest lattice resolution whose size fits the point budget."""
     X = model.num_states
     res = 1
-    while True:
-        size = _lattice_size(X, res + 1)
-        if size > max_points:
-            break
+    # the lattice of resolution res + 1 has comb(res + X, X - 1) points
+    while comb(res + X, X - 1) <= max_points:
         res += 1
     return res
-
-
-def _lattice_size(X: int, res: int) -> int:
-    return comb(res + X - 1, X - 1)
 
 
 @dataclass
@@ -479,8 +472,7 @@ class LovejoyBounds:
 
 
 def lovejoy_bounds(model: PomdpModel, grid_points: int,
-                   horizon: int | None = None,
-                   method: str = "ip") -> LovejoyBounds:
+                   horizon: int | None = None) -> LovejoyBounds:
     """Reduced-grid upper bound and concave-interpolation lower bound.
 
     The upper recursion prunes each backed-up set to the argmin vectors
@@ -500,20 +492,18 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
     if grid_points < X:
         # too few points for a lattice: prune at the barycenter plus the
         # first vertices (the lower interpolant keeps the full lattice)
-        extra = [np.eye(X)[i] for i in range(grid_points - 1)]
-        upper_pts = np.vstack([np.full((1, X), 1.0 / X)] + [
-            e[None, :] for e in extra])
+        upper_pts = np.vstack([np.full((1, X), 1.0 / X),
+                               np.eye(X)[:max(grid_points - 1, 0)]])
     else:
         upper_pts = pts
     terminal = model.terminal_vector()
     upper = [vector_set(terminal[None, :], [1], stage=N)]
     lower = [pts @ terminal]
     for k in range(N):
-        full = bellman_backup_step(upper[-1], model, method)
+        full = bellman_backup_step(upper[-1], model)
         vals = upper_pts @ full.vectors.T
         mask = sorted(set(np.argmin(vals, axis=1).tolist()))
         upper.append(VectorSet(full.vectors[mask], full.actions[mask],
                                stage=full.stage))
         lower.append(lower_grid.sweep(lower[-1])[0])
-    bounds = LovejoyBounds(upper, lower, pts, res, model)
-    return bounds
+    return LovejoyBounds(upper, lower, pts, res, model)

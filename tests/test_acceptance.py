@@ -625,9 +625,8 @@ class TestCriterion13Sensitivity:
             bad = PomdpModel(np.stack([P, P]), np.stack(garbled), c,
                              1.0, horizon=6)
             holds += bool(compare_pomdp_costs(good, bad,
-                                              kind="observation",
-                                              n_beliefs=1000, seed=k))
+                                              kind="observation"))
         ok = holds == 10
         _report(13, ok, f"POMDP Blackwell dominance held on {holds}/10 "
-                        f"pairs at 10^3 beliefs each")
+                        f"pairs on the whole simplex")
         assert ok

@@ -129,6 +129,14 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
 
+    @pytest.mark.parametrize("model", ["machine-replacement", "qd-classical"])
+    @pytest.mark.parametrize("epsilon", ["0", "-1e-6", "nan"])
+    def test_nonpositive_epsilon_exit_code(self, model, epsilon, capsys):
+        # --epsilon 0 once fell back to the default tolerance silently
+        rc = main(["solve", "--model", model, f"--epsilon={epsilon}"])
+        assert rc == 2
+        assert "--epsilon" in json.loads(capsys.readouterr().err)["detail"]
+
 
 class TestCheckCommand:
     def test_assumption_report(self, capsys):

@@ -358,3 +358,31 @@ class TestSearchPreset:
             lambda: solver.value_iteration_discounted(search, 1e-6))
         assert abs(ours.value(uniform) - control.value(uniform)) \
             <= VALUE_TOL
+
+
+def envelope_pair(rng) -> tuple:
+    """Two sets of 1..6 vectors in X = 2..4; half the time B repeats
+    vectors of A shifted by 1e-10..1e-7, so the envelopes nearly tie."""
+    X = int(rng.integers(2, 5))
+    A = rng.normal(size=(int(rng.integers(1, 7)), X))
+    B = rng.normal(size=(int(rng.integers(1, 7)), X))
+    if rng.random() < 0.5:
+        k = min(len(A), len(B))
+        scale = 10.0 ** rng.uniform(-10, -7)
+        B[:k] = A[:k] + scale * rng.normal(size=(k, X))
+    return solver.vector_set(A), solver.vector_set(B)
+
+
+class TestEnvelopeGapWitness:
+    """``sup_envelope_gap`` against HiGHS, and its belief attains it."""
+
+    def test_gap_matches_highs_and_belief_attains_it(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            A, B = envelope_pair(rng)
+            gap, pi = solver.sup_envelope_gap(A, B)
+            control = highs_control(lambda: solver.sup_envelope_gap(A, B))
+            assert abs(gap - control[0]) <= VALUE_TOL
+            attained = (A.vectors @ pi).min() - (B.vectors @ pi).min()
+            assert abs(attained - gap) <= 1e-9
+            assert abs(pi.sum() - 1.0) <= 1e-12 and (pi >= -1e-12).all()

@@ -333,12 +333,13 @@ class TestBackups:
             v = evaluate_value(g1, pi)[0]
             assert v == pytest.approx(min(0.5, float(pi @ [1.0, 0.0])))
 
-    def test_monahan_counts_enumeration(self):
+    def test_monahan_counts_enumeration(self, monkeypatch):
+        monkeypatch.setattr(solver, "VECTOR_BUDGET", 17)
         m = replacement(horizon=3)
         start = vector_set([[0.0, 0.0], [0.3, 0.1], [0.5, 0.2]],
                            [1, 1, 1], stage=1)
         with pytest.raises(Blowup) as info:
-            monahan_step(start, m, budget=17)
+            monahan_step(start, m)
         assert info.value.size == 18 == 2 * 3 ** 2  # U * |Gamma|^Y
 
     def test_methods_agree_pointwise(self):
@@ -354,7 +355,8 @@ class TestBackups:
                 assert evaluate_value(cur_ip, pi)[0] == pytest.approx(
                     evaluate_value(cur_mo, pi)[0], abs=1e-9)
 
-    def test_budget_blowup(self):
+    def test_budget_blowup(self, monkeypatch):
+        monkeypatch.setattr(solver, "VECTOR_BUDGET", 10)
         rng = make_rng(5)
         P = np.stack([random_tp2_stochastic(rng, 3) for _ in range(3)])
         B = np.stack([random_tp2_stochastic(rng, 3) for _ in range(3)])
@@ -362,7 +364,7 @@ class TestBackups:
         start = vector_set(rng.normal(size=(4, 3)),
                            np.ones(4, dtype=int), stage=1)
         with pytest.raises(Blowup):
-            monahan_step(start, m, budget=10)  # 3 * 4^3 raw vectors
+            monahan_step(start, m)  # 3 * 4^3 raw vectors
 
 
 class TestFiniteHorizon:

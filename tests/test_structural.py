@@ -1,6 +1,8 @@
 """Structure verifiers: assumption reports, monotone value checks,
 threshold extraction, switching curves, convexity and cost comparisons."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from helpers import (
     QUAD_P2,
     random_tp2_stochastic,
 )
+from pomdpkit import structural
 from pomdpkit.apps import (
     build_machine_replacement,
     build_quickest_detection,
@@ -240,31 +243,84 @@ class TestCompareMdpCosts:
             compare_mdp_costs(m2, m1)  # dominance direction reversed
 
 
+def blackwell_pair(seed: int) -> tuple:
+    """Two 2-state models whose second kernels garble the first's."""
+    rng = make_rng(seed)
+    X = 2
+    P = random_tp2_stochastic(rng, X)
+    kernels = [random_tp2_stochastic(rng, X, 3) for _ in range(2)]
+    R = rng.dirichlet(np.ones(2), size=3)
+    garbled = [K @ R for K in kernels]
+    c = np.sort(rng.uniform(0, 2, (X, 2)), axis=0)[::-1]
+    good = PomdpModel(np.stack([P, P]), np.stack(kernels), c, 1.0,
+                      horizon=5)
+    bad = PomdpModel(np.stack([P, P]), np.stack(garbled), c, 1.0,
+                     horizon=5)
+    return good, bad
+
+
+def single_action_model(seed: int) -> PomdpModel:
+    """A 2-state, 1-action model with a 3-symbol TP2 kernel."""
+    rng = make_rng(seed)
+    P = random_tp2_stochastic(rng, 2)
+    B = random_tp2_stochastic(rng, 2, 3)
+    c = np.sort(rng.uniform(0, 2, (2, 1)), axis=0)[::-1]
+    return PomdpModel(P[None], B[None], c, 1.0, horizon=5)
+
+
+def exact_cost(model: PomdpModel, belief) -> Fraction:
+    """The 8-stage optimal cost at ``belief / sum(belief)`` in rationals
+    on the float gradient vectors."""
+    q = [Fraction(p) for p in belief]
+    final = solve_finite_horizon(model, 8).final
+    return min(sum(p * Fraction(v) for p, v in zip(q, g.tolist()))
+               for g in final.vectors) / sum(q)
+
+
 class TestComparePomdpCosts:
     def test_blackwell_ordered_observations(self):
-        rng = make_rng(13)
-        X = 2
-        P = random_tp2_stochastic(rng, X)
-        kernels = [random_tp2_stochastic(rng, X, 3) for _ in range(2)]
-        R = rng.dirichlet(np.ones(2), size=3)
-        garbled = [K @ R for K in kernels]
-        c = np.sort(rng.uniform(0, 2, (X, 2)), axis=0)[::-1]
-        good = PomdpModel(np.stack([P, P]), np.stack(kernels), c, 1.0,
-                          horizon=5)
-        bad = PomdpModel(np.stack([P, P]), np.stack(garbled), c, 1.0,
-                         horizon=5)
-        v = compare_pomdp_costs(good, bad, kind="observation",
-                                n_beliefs=300, seed=3)
+        good, bad = blackwell_pair(13)
+        v = compare_pomdp_costs(good, bad, kind="observation")
         assert v.status is Verdict.HOLDS
 
     def test_identical_models_equal(self):
-        rng = make_rng(14)
-        P = random_tp2_stochastic(rng, 2)
-        B = random_tp2_stochastic(rng, 2, 3)
-        c = np.sort(rng.uniform(0, 2, (2, 1)), axis=0)[::-1]
-        m = PomdpModel(P[None], B[None], c, 1.0, horizon=5)
-        v = compare_pomdp_costs(m, m, kind="observation", n_beliefs=100,
-                                seed=4)
+        m = single_action_model(14)
+        v = compare_pomdp_costs(m, m, kind="observation")
+        assert v.status is Verdict.HOLDS
+
+    def test_failure_carries_an_exact_witness(self, monkeypatch):
+        # J1 - J2 = 0 everywhere, which exceeds a negative tolerance
+        monkeypatch.setattr(structural, "COMPARE_TOL", -1e-3)
+        m = single_action_model(14)
+        v = compare_pomdp_costs(m, m, kind="observation")
+        assert v.status is Verdict.FAILS
+        # the reported costs are the rational ones at the belief
+        J = float(exact_cost(m, v.witness["belief"]))
+        assert v.witness["J1"] == v.witness["J2"] == J
+
+    def test_witness_attains_the_largest_gap(self, monkeypatch):
+        # below any gap, so the witness is where J1 - J2 is largest; on
+        # this pair J1 - J2 runs from about -0.12 to -0.048
+        monkeypatch.setattr(structural, "COMPARE_TOL", -10.0)
+        good, bad = blackwell_pair(29)
+        v = compare_pomdp_costs(good, bad, kind="observation")
+        assert v.status is Verdict.FAILS
+        belief = v.witness["belief"]
+        gap = exact_cost(good, belief) - exact_cost(bad, belief)
+        assert gap > -10.0
+        assert float(gap) == pytest.approx(
+            v.witness["J1"] - v.witness["J2"], abs=1e-12)
+        j1 = solve_finite_horizon(good, 8)
+        j2 = solve_finite_horizon(bad, 8)
+        for pi in uniform_simplex(make_rng(3), 300, 2):
+            assert j1.value(pi) - j2.value(pi) <= float(gap) + 1e-9
+
+    def test_witness_failing_the_exact_check_holds(self, monkeypatch):
+        # a float gap the belief does not show in rationals is rounding
+        m = single_action_model(14)
+        monkeypatch.setattr(structural, "sup_envelope_gap",
+                            lambda A, B: (1.0, np.array([0.5, 0.5])))
+        v = compare_pomdp_costs(m, m, kind="observation")
         assert v.status is Verdict.HOLDS
 
     def test_all_mass_to_best_state_is_cheapest(self):
@@ -277,8 +333,7 @@ class TestComparePomdpCosts:
         c = np.sort(rng.uniform(0.2, 2, (X, 1)), axis=0)[::-1]
         best = PomdpModel(jump[None], B[None], c, 1.0, horizon=5)
         other = PomdpModel(P[None], B[None], c, 1.0, horizon=5)
-        v = compare_pomdp_costs(best, other, kind="transition",
-                                n_beliefs=300, seed=5)
+        v = compare_pomdp_costs(best, other, kind="transition")
         assert v.status is Verdict.HOLDS
 
     def test_transitions_not_dominated_raise(self):
@@ -295,8 +350,7 @@ class TestComparePomdpCosts:
         other = PomdpModel(P[None], B[None], c, 1.0, horizon=5)
         with pytest.raises(PreconditionFailed,
                            match=r"action 1 .*Fails.*'belief'"):
-            compare_pomdp_costs(other, best, kind="transition",
-                                n_beliefs=300, seed=5)
+            compare_pomdp_costs(other, best, kind="transition")
 
 
 class TestTransmissionScheduling:
