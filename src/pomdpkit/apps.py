@@ -1,7 +1,8 @@
 """Model builders and application routines for the worked examples:
 machine replacement, quickest change detection with phase-type change
 times, controlled-sampling detection, optimal search, social learning,
-POMDP bandits with a retirement index, and transmission scheduling.
+POMDP bandits with a Gittins index (from one restart-in-belief solve),
+and transmission scheduling.
 """
 
 from __future__ import annotations
@@ -20,19 +21,11 @@ from .errors import (
 from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
 from .grid import continuation, converge, posterior_maps, segment_weights
-from .model import PomdpModel, QuadraticCost, StoppingModel
+from .model import PomdpModel, QuadraticCost, StoppingModel, belief
 from .orders import Comparison, mlr_compare, mlr_halfspaces
 from .rng import make_rng
-from .solver import (
-    VectorSet,
-    bellman_backup_step,
-    evaluate_value,
-    iterate_sets,
-    lp_prune,
-    vector_set,
-)
+from .solver import value_iteration_discounted
 
-GITTINS_EPSILON_FLOOR = 1e-12   # least inner VI tolerance, gittins_index
 GITTINS_GRID_TOL = 1e-9   # sweep tolerance, gittins_index_table_2state
 
 
@@ -316,64 +309,30 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
     return SocialLearningStopResult(ts, V, stop, intervals)
 
 
-def solve_retirement_value(P, B, r, rho: float, M: float,
-                           epsilon: float) -> VectorSet:
-    """Vector-set solve of the continue-or-retire problem.
+def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4) -> float:
+    """Gittins index at ``pi`` as the value of the restart-in-``pi`` problem.
 
-    Returns the negated-value set W with ``V(pi, M) = -min_W w' pi``;
-    iterates ``W = min(-M, -r' pi + rho sum_y W(T) sigma)`` on
-    :func:`solver.iterate_sets` until successive sets are within
-    ``epsilon`` (a witness belief settles "not yet", LPs decide the rest).
+    Katehakis & Veinott (1987): the index equals the optimal value at
+    ``pi`` of an arm that may, at each step, continue (``P``, ``B``,
+    reward ``r``) or restart from ``pi`` (every transition row ``pi' P``,
+    the same ``B``, reward ``r' pi``).  One discounted vector-set solve of
+    that 2-action model at VI tolerance ``tol_m (1 - rho)`` gives the
+    index within ``rho tol_m <= tol_m``.
     """
     r = np.asarray(r, dtype=float)
-    X = r.size
+    pi = belief(pi)
+    if pi.shape != r.shape:
+        raise DimensionMismatch("belief and reward must have one entry "
+                                "per state")
+    if not tol_m > 0:
+        raise DimensionMismatch(f"tol_m must be positive, got {tol_m}")
     model = PomdpModel(
-        transitions=np.stack([np.asarray(P, dtype=float)]),
-        observations=np.stack([np.asarray(B, dtype=float)]),
-        costs=(-r).reshape(X, 1),
+        transitions=np.stack([P, np.tile(pi @ P, (r.size, 1))]),
+        observations=np.stack([B, B]),
+        costs=-np.column_stack([r, np.full(r.size, r @ pi)]),
         discount=rho,
     )
-    retire = vector_set(np.full((1, X), -M), [1])
-
-    def backup(current, n):
-        backed = bellman_backup_step(current, model, method="ip")
-        return lp_prune(vector_set(
-            np.vstack([backed.vectors, retire.vectors]),
-            np.concatenate([backed.actions * 0 + 2, [1]]),
-            stage=0))
-
-    return iterate_sets(backup, retire, epsilon, 10_000)
-
-
-def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4) -> float:
-    """Retirement threshold at which continuing and stopping tie.
-
-    Bisection on the retirement reward M of ``V(pi, M) - M`` (monotone
-    decreasing); the inner solve is vector-set value iteration with the
-    retirement hyperplane M included each backup, to within
-    ``max(tol_m (1 - rho) / 8, GITTINS_EPSILON_FLOOR)``.
-    """
-    r = np.asarray(r, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    M_hi = float(r.max() / (1.0 - rho))
-    M_lo = 0.0
-    eps_in = max(tol_m * (1.0 - rho) / 8.0, GITTINS_EPSILON_FLOOR)
-
-    def v_minus_m(M: float) -> float:
-        W = solve_retirement_value(P, B, r, rho, M, eps_in)
-        value = -evaluate_value(W, pi)[0]
-        return value - M
-
-    slack_hi = v_minus_m(M_hi)
-    if slack_hi > 2 * eps_in / max(1.0 - rho, 1e-9):
-        return M_hi
-    while M_hi - M_lo > tol_m:
-        mid = 0.5 * (M_lo + M_hi)
-        if v_minus_m(mid) > eps_in / (1.0 - rho):
-            M_lo = mid
-        else:
-            M_hi = mid
-    return 0.5 * (M_lo + M_hi)
+    return -value_iteration_discounted(model, tol_m * (1.0 - rho)).value(pi)
 
 
 def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,

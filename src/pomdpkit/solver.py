@@ -370,20 +370,6 @@ def gap_within(A: VectorSet, B: VectorSet, epsilon: float) -> bool:
     return sup_difference(A, B) <= epsilon
 
 
-def iterate_sets(backup, start: VectorSet, epsilon: float,
-                 max_iterations: int) -> VectorSet:
-    """``current = backup(current, n)`` for n = 1, 2, ... until
-    :func:`gap_within` holds for two successive sets; returns the last."""
-    current = start
-    for n in range(1, max_iterations + 1):
-        nxt = backup(current, n)
-        if gap_within(nxt, current, epsilon):
-            return nxt
-        current = nxt
-    raise PreconditionFailed(f"value iteration did not reach epsilon="
-                             f"{epsilon} in {max_iterations} backups")
-
-
 def value_iteration_discounted(model: PomdpModel, epsilon: float,
                                method: str = "ip",
                                max_iterations: int = 10_000):
@@ -397,15 +383,16 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
     rho = model.discount
     if not 0 <= rho < 1:
         raise DimensionMismatch("discounted solving needs rho < 1")
-
-    def backup(current, n):
+    current = vector_set(np.zeros((1, model.num_states)), [1], stage=0)
+    for n in range(1, max_iterations + 1):
         nxt = bellman_backup_step(current, model, method)
-        return VectorSet(nxt.vectors, nxt.actions, stage=n)
-
-    final = iterate_sets(
-        backup, vector_set(np.zeros((1, model.num_states)), [1], stage=0),
-        epsilon, max_iterations)
-    return SolveResult([final], epsilon * rho / (1.0 - rho), discounted=True)
+        nxt = VectorSet(nxt.vectors, nxt.actions, stage=n)
+        if gap_within(nxt, current, epsilon):
+            return SolveResult([nxt], epsilon * rho / (1.0 - rho),
+                               discounted=True)
+        current = nxt
+    raise PreconditionFailed(f"value iteration did not reach epsilon="
+                             f"{epsilon} in {max_iterations} backups")
 
 
 def policy_evaluation(model: PomdpModel, policy, epsilon: float,

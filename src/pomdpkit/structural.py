@@ -459,7 +459,8 @@ def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,
     ``kind="transition"``: model1's transitions copositive-dominate
     model2's (model1 is cheaper).  ``kind="observation"``: model1's
     kernel Blackwell-dominates model2's (model1 is cheaper).  Both
-    models are solved exactly over ``horizon`` stages, and
+    models are solved exactly over ``model1.horizon`` stages, or
+    ``horizon`` when model1 has none, and
     :func:`solver.sup_envelope_gap` gives ``max_pi J1 - J2`` with a belief
     attaining it.  A gap above ``COMPARE_TOL`` fails only when that
     belief shows it in rational arithmetic too; otherwise the float gap
@@ -483,8 +484,9 @@ def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,
                     f"dominated ({v.status.value}): {v.witness}")
     else:
         raise DimensionMismatch(f"unknown comparison kind {kind!r}")
-    r1 = solve_finite_horizon(model1, horizon)
-    r2 = solve_finite_horizon(model2, horizon)
+    N = model1.horizon or horizon
+    r1 = solve_finite_horizon(model1, N)
+    r2 = solve_finite_horizon(model2, N)
     gap, pi = sup_envelope_gap(r1.final, r2.final)
     if gap > COMPARE_TOL:
         pi = np.maximum(pi, 0.0)

@@ -4,7 +4,8 @@ control, search, social learning, bandits and their structural claims."""
 import numpy as np
 import pytest
 
-from helpers import random_tp2_stochastic
+from helpers import count_calls, random_tp2_stochastic
+from pomdpkit import solver
 from pomdpkit.apps import (
     absorption_pmf,
     build_machine_replacement,
@@ -21,7 +22,10 @@ from pomdpkit.apps import (
     transformed_detection_costs,
 )
 from pomdpkit.errors import (
+    DimensionMismatch,
     InvalidProbability,
+    NegativeEntry,
+    NonStochasticRow,
     NonTransient,
     PreconditionFailed,
     PriorMassOnState1,
@@ -311,7 +315,21 @@ class TestGittins:
     P3 = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]
     B3 = [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]]
 
-    @pytest.mark.parametrize("two_state, r, rho, pi, expected", [
+    # each case's ``bisection`` value is the index found by the earlier
+    # bisection on the retirement reward (a bracket midpoint within
+    # tol_m = 1e-4 of the index), kept as reference data; RESTART holds
+    # the value this solve gives for it
+    RESTART = {
+        "0x1.96e3c00000002p+1": "0x1.96e38c941d2dbp+1",
+        "0x1.053f600000001p+2": "0x1.053eb920a1292p+2",
+        "0x1.ff19e00000002p+2": "0x1.ff1a004f90cc0p+2",
+        "0x1.7d18d55555555p+1": "0x1.7d183236f90f1p+1",
+        "0x1.d590c00000002p+1": "0x1.d58f2abe696cap+1",
+        "0x1.f8e0555555554p+0": "0x1.f8dd1961a8efdp+0",
+        "0x1.9ded000000000p+0": "0x1.9dec0ce80fe82p+0",
+    }
+
+    @pytest.mark.parametrize("two_state, r, rho, pi, bisection", [
         (True, [0.2, 1.0], 0.8, [0.6, 0.4], "0x1.96e3c00000002p+1"),
         (True, [0.2, 1.0], 0.8, [0.3, 0.7], "0x1.053f600000001p+2"),
         (True, [1.0, 0.3], 0.9, [0.5, 0.5], "0x1.ff19e00000002p+2"),
@@ -320,12 +338,39 @@ class TestGittins:
          "0x1.d590c00000002p+1"),
         (False, [1.0, 0.2, 0.4], 0.7, [1 / 3, 1 / 3, 1 / 3],
          "0x1.f8e0555555554p+0"),
+        (False, [1.0, 0.2, 0.4], 0.7, [0.1, 0.1, 0.8],
+         "0x1.9ded000000000p+0"),
     ])
-    def test_pinned_values(self, two_state, r, rho, pi, expected):
-        # bit for bit: the retirement solve's loop and stop test must not
-        # move a single bisection step
+    def test_pinned_values(self, monkeypatch, two_state, r, rho, pi,
+                           bisection):
         P, B = (self.P, self.B) if two_state else (self.P3, self.B3)
-        assert gittins_index(P, B, r, rho, pi) == float.fromhex(expected)
+        lps = count_calls(monkeypatch, solver, "solve_lp")
+        g = gittins_index(P, B, r, rho, pi)
+        assert abs(g - float.fromhex(bisection)) <= 1e-4
+        # bit for bit, so a change to the VI loop or its stop test shows
+        assert g == float.fromhex(self.RESTART[bisection])
+        # the bisection needed 13,069 LPs on the last case
+        assert len(lps) <= 1000
+
+    def test_zero_discount_is_the_immediate_reward(self):
+        g = gittins_index(self.P, self.B, [0.2, 1.0], 0.0, [0.3, 0.7])
+        assert g == pytest.approx(0.76, abs=1e-12)
+
+    @pytest.mark.parametrize("pi, error", [
+        ([0.5, 0.9], NonStochasticRow),
+        # pi' P is still stochastic here, so only the belief check sees it
+        ([-0.5, 1.5], NegativeEntry),
+        ([0.2, 0.3, 0.5], DimensionMismatch),
+    ])
+    def test_rejects_a_point_off_the_simplex(self, pi, error):
+        with pytest.raises(error):
+            gittins_index(self.P, self.B, [0.2, 1.0], 0.8, pi)
+
+    @pytest.mark.parametrize("tol_m", [0.0, -1e-4, float("nan")])
+    def test_rejects_a_nonpositive_tolerance(self, tol_m):
+        with pytest.raises(DimensionMismatch):
+            gittins_index(self.P, self.B, [0.2, 1.0], 0.8, [0.5, 0.5],
+                          tol_m=tol_m)
 
     def test_mlr_monotone_for_increasing_rewards(self):
         vals = [gittins_index(self.P, self.B, [0.2, 1.0], 0.8, [1 - t, t],

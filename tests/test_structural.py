@@ -11,6 +11,7 @@ from helpers import (
     QUAD_B2,
     QUAD_P1,
     QUAD_P2,
+    count_calls,
     random_tp2_stochastic,
 )
 from pomdpkit import structural
@@ -269,10 +270,10 @@ def single_action_model(seed: int) -> PomdpModel:
 
 
 def exact_cost(model: PomdpModel, belief) -> Fraction:
-    """The 8-stage optimal cost at ``belief / sum(belief)`` in rationals
-    on the float gradient vectors."""
+    """The optimal cost over ``model.horizon`` stages at
+    ``belief / sum(belief)`` in rationals on the float gradient vectors."""
     q = [Fraction(p) for p in belief]
-    final = solve_finite_horizon(model, 8).final
+    final = solve_finite_horizon(model, model.horizon).final
     return min(sum(p * Fraction(v) for p, v in zip(q, g.tolist()))
                for g in final.vectors) / sum(q)
 
@@ -300,7 +301,7 @@ class TestComparePomdpCosts:
 
     def test_witness_attains_the_largest_gap(self, monkeypatch):
         # below any gap, so the witness is where J1 - J2 is largest; on
-        # this pair J1 - J2 runs from about -0.12 to -0.048
+        # this pair J1 - J2 runs from about -0.086 to -0.014
         monkeypatch.setattr(structural, "COMPARE_TOL", -10.0)
         good, bad = blackwell_pair(29)
         v = compare_pomdp_costs(good, bad, kind="observation")
@@ -310,10 +311,17 @@ class TestComparePomdpCosts:
         assert gap > -10.0
         assert float(gap) == pytest.approx(
             v.witness["J1"] - v.witness["J2"], abs=1e-12)
-        j1 = solve_finite_horizon(good, 8)
-        j2 = solve_finite_horizon(bad, 8)
+        j1 = solve_finite_horizon(good, good.horizon)
+        j2 = solve_finite_horizon(bad, bad.horizon)
         for pi in uniform_simplex(make_rng(3), 300, 2):
             assert j1.value(pi) - j2.value(pi) <= float(gap) + 1e-9
+
+    def test_solves_over_the_model_horizon(self, monkeypatch):
+        horizons = count_calls(monkeypatch, structural,
+                               "solve_finite_horizon")
+        good, bad = blackwell_pair(13)
+        compare_pomdp_costs(good, bad, kind="observation")
+        assert [args[1] for args in horizons] == [5, 5]
 
     def test_witness_failing_the_exact_check_holds(self, monkeypatch):
         # a float gap the belief does not show in rationals is rounding
