@@ -26,7 +26,8 @@ from .orders import Comparison, mlr_compare, mlr_halfspaces
 from .rng import make_rng
 from .solver import value_iteration_discounted
 
-GITTINS_GRID_TOL = 1e-9   # sweep tolerance, gittins_index_table_2state
+GRID_TOL = 1e-9   # sweep tolerance of the social-learning and index grids
+DYKSTRA_ROUNDS = 400   # passes of project_to_mlr_band
 
 
 def build_machine_replacement(theta: float, p: float, q: float, R: float,
@@ -155,12 +156,8 @@ def build_sampling_control(P, B, intervals, m, d: float,
     m = np.asarray(m, dtype=float)
     if m.ndim == 0:
         m = np.full((L, X), float(m))
-    elif m.ndim == 1 and m.size == L:
-        m = np.tile(m[:, None], (1, X))
-    elif m.ndim == 1 and m.size == X:
-        m = np.tile(m[None, :], (L, 1))
     if m.shape != (L, X):
-        raise DimensionMismatch("measurement cost must broadcast to (L, X)")
+        raise DimensionMismatch("measurement cost must be a scalar or (L, X)")
     Xa = X + 1
     U = L + 1
     e1 = np.zeros(X)
@@ -189,8 +186,7 @@ def build_sampling_control(P, B, intervals, m, d: float,
 
 
 def build_search_pomdp(P, overlook, blocking, cost_kind: str = "detect",
-                       action_costs=None, rho: float = 0.95,
-                       horizon: int | None = None) -> PomdpModel:
+                       action_costs=None, rho: float = 0.95) -> PomdpModel:
     """Optimal search for a moving target as a 2X+1 state POMDP.
 
     Action u searches cell u; the augmented state tracks (last outcome,
@@ -240,7 +236,7 @@ def build_search_pomdp(P, overlook, blocking, cost_kind: str = "detect",
         else:
             raise DimensionMismatch(f"unknown cost kind {cost_kind!r}")
     return PomdpModel(transitions=trans, observations=obs, costs=costs,
-                      discount=rho, horizon=horizon)
+                      discount=rho)
 
 
 @dataclass(frozen=True)
@@ -275,9 +271,7 @@ class SocialLearningStopResult:
 
 
 def solve_social_learning_stop(local_costs, B, d: float, beta: float,
-                               rho: float, grid_size: int = 500,
-                               epsilon: float = 1e-9,
-                               max_iterations: int = 20_000
+                               rho: float, grid_size: int = 500
                                ) -> SocialLearningStopResult:
     """Grid DP for the social-learning stopping problem (X = 2).
 
@@ -300,7 +294,7 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
     def step(V):
         return np.minimum(0.0, cont_cost + rho * continuation(V, maps)), None
 
-    V, _ = converge(step, np.zeros(grid_size), epsilon, max_iterations)
+    V, _ = converge(step, np.zeros(grid_size), GRID_TOL)
     stop = V >= -1e-12   # stopping attains the zero branch
     # maximal runs of stopping points, closed at their last point
     edges = np.diff(np.concatenate([[0], stop.astype(int), [0]]))
@@ -357,8 +351,7 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
         def step(V):
             return np.maximum(M, base + rho * continuation(V, maps)), None
 
-        return converge(step, np.full(grid_size, M), GITTINS_GRID_TOL,
-                        100_000)[0]
+        return converge(step, np.full(grid_size, M), GRID_TOL)[0]
 
     M_hi = float(r.max() / (1.0 - rho))
     Ms = np.linspace(0.0, M_hi, m_steps)
@@ -366,7 +359,7 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
     for k, M in enumerate(Ms):
         slack[k] = solve(M) - M
     gamma = np.full(grid_size, M_hi)
-    tol = 10 * GITTINS_GRID_TOL / (1 - rho)
+    tol = 10 * GRID_TOL / (1 - rho)
     for g in range(grid_size):
         below = np.flatnonzero(slack[:, g] <= tol)
         if below.size == 0:
@@ -382,8 +375,7 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
 
 
 def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
-                         horizon: int = 40, seed: int = 0,
-                         grid_size: int = 201) -> dict:
+                         horizon: int = 40, seed: int = 0) -> dict:
     """Opportunistic vs index-driven policies on a two-project bandit.
 
     Both policies run on paired random streams; returns per-policy mean
@@ -393,10 +385,10 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     r = np.asarray(r, dtype=float)
-    ts, gamma = gittins_index_table_2state(P, B, r, rho, grid_size)
+    ts, gamma = gittins_index_table_2state(P, B, r, rho)
 
     def gamma_of(pi2: np.ndarray) -> np.ndarray:
-        idx, w = segment_weights(pi2, grid_size - 1)
+        idx, w = segment_weights(pi2, len(ts) - 1)
         return (gamma[idx] * w).sum(axis=1)
 
     sampler = PathSampler(P[None], B[None])
@@ -467,8 +459,7 @@ def opportunistic_bandit_policy(beliefs) -> OpportunisticChoice:
     return OpportunisticChoice(best + 1, True)
 
 
-def project_to_mlr_band(pi, lower=None, upper=None, iterations: int = 400
-                        ) -> np.ndarray:
+def project_to_mlr_band(pi, lower=None, upper=None) -> np.ndarray:
     """Nearest belief (squared Euclidean) MLR-between two references.
 
     Dykstra's alternating projections onto the simplex and the MLR
@@ -484,7 +475,7 @@ def project_to_mlr_band(pi, lower=None, upper=None, iterations: int = 400
     sets = halfspaces + ["simplex"]
     x = pi.copy()
     mem = [np.zeros(X) for _ in sets]
-    for _ in range(iterations):
+    for _ in range(DYKSTRA_ROUNDS):
         for k, s in enumerate(sets):
             y = x + mem[k]
             if isinstance(s, str):

@@ -88,8 +88,12 @@ def _preset(name: str, rho: float | None):
 
 def load_model(spec: str, rho: float | None = None):
     if spec.endswith(".json"):
-        with open(spec) as fh:
-            return model_from_json(fh.read())
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DimensionMismatch(f"cannot read {spec}: {exc}") from None
+        return model_from_json(text)
     return _preset(spec, rho)
 
 
@@ -233,8 +237,8 @@ def _table_rows(example, rhos, samples, seed, per_belief=False,
     for rho in rhos:
         model = example(rho)
         if per_belief:
-            vol, _ = myopic.overlap_volume(model, per_belief=True,
-                                           n_samples=samples, seed=seed)
+            vol, _ = myopic.overlap_volume(model, n_samples=samples,
+                                           seed=seed)
             rows.append({"rho": rho, "vol": 100 * vol})
             continue
         try:

@@ -25,9 +25,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import PreconditionFailed
+from .errors import DimensionMismatch, PreconditionFailed
 from .filters import bayes_batch
 from .model import PomdpModel
+
+MAX_SWEEPS = 100_000   # sweeps before every grid loop gives up
 
 
 def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
@@ -187,22 +189,24 @@ def continuation(values: np.ndarray, maps) -> np.ndarray:
     return total
 
 
-def converge(step, values: np.ndarray, epsilon: float,
-             max_iterations: int):
+def converge(step, values: np.ndarray, epsilon: float):
     """Iterate ``values, aux = step(values)`` until successive tables
     differ by at most ``epsilon`` in sup norm; returns the last pair.
 
-    Raises :class:`PreconditionFailed` when ``max_iterations`` sweeps do
-    not get there.
+    Raises :class:`DimensionMismatch` unless ``epsilon > 0``, and
+    :class:`PreconditionFailed` when ``MAX_SWEEPS`` sweeps do not get
+    there.
     """
-    for _ in range(max_iterations):
+    if not epsilon > 0:
+        raise DimensionMismatch(f"epsilon must be positive, got {epsilon}")
+    for _ in range(MAX_SWEEPS):
         new, aux = step(values)
         gap = np.max(np.abs(new - values))
         values = new
         if gap <= epsilon:
             return values, aux
     raise PreconditionFailed(f"grid value iteration did not reach "
-                             f"epsilon={epsilon} in {max_iterations} sweeps")
+                             f"epsilon={epsilon} in {MAX_SWEEPS} sweeps")
 
 
 class GridValue:
@@ -212,9 +216,7 @@ class GridValue:
                  interpolation: str | None = None):
         X = model.num_states
         if interpolation is None:
-            interpolation = "linear" if X == 2 else "nearest"
-        if X == 2 and interpolation == "nearest":
-            interpolation = "linear"
+            interpolation = "freudenthal" if X == 2 else "nearest"
         self.model = model
         self.resolution = resolution
         self.interpolation = interpolation
@@ -229,7 +231,6 @@ class GridValue:
         if self.interpolation == "nearest":
             idx = nearest_lattice_index(pis, self.resolution)
             return idx[:, None], np.ones((len(pis), 1))
-        # "linear" (X == 2) and "freudenthal" share the barycentric path
         return barycentric_weights(pis, self.resolution)
 
     def value(self, pi) -> float:
@@ -261,8 +262,7 @@ class GridValue:
         return Q.min(axis=1), Q.argmin(axis=1) + 1
 
     def iterate(self, epsilon: float | None = None,
-                horizon: int | None = None,
-                max_iterations: int = 100_000) -> "GridValue":
+                horizon: int | None = None) -> "GridValue":
         """Value iteration to tolerance or fixed horizon."""
         if horizon is not None:
             V = self.points @ self.model.terminal_vector()
@@ -270,14 +270,13 @@ class GridValue:
             for _ in range(horizon):
                 V, pol = self.sweep(V)
         else:
-            V, pol = converge(self.sweep, self.values, epsilon,
-                              max_iterations)
+            V, pol = converge(self.sweep, self.values, epsilon)
         self.values = V
         self.policy_table = pol
         return self
 
-    def iterate_policy(self, actions: np.ndarray, epsilon: float,
-                       max_iterations: int = 100_000) -> "GridValue":
+    def iterate_policy(self, actions: np.ndarray,
+                       epsilon: float) -> "GridValue":
         """Fixed-policy evaluation sweeps (actions are 1-indexed)."""
         if self._maps is None:
             self._build_maps()
@@ -296,8 +295,7 @@ class GridValue:
                 cont[sel] = continuation(V, mu)
             return cost + rho * cont, None
 
-        self.values, _ = converge(step, np.zeros(n), epsilon,
-                                  max_iterations)
+        self.values, _ = converge(step, np.zeros(n), epsilon)
         self.policy_table = actions
         return self
 

@@ -162,15 +162,19 @@ class InvalidDiscount(DimensionMismatch):
 
 
 def validate_model(raw, *, allow_undiscounted: bool = False) -> PomdpModel:
-    """Build a :class:`PomdpModel` from a mapping or keyword-style dict.
+    """Build a :class:`PomdpModel` from the JSON wire schema
+    ``{"X":..,"U":..,"Y":..,"P":..,"B":..,"c":..,"rho":..,"horizon":?,
+    "terminal":?}``.
 
-    Accepts the JSON wire schema ``{"X":..,"U":..,"Y":..,"P":..,"B":..,
-    "c":..,"rho":..,"horizon":?,"terminal":?}`` or any mapping with keys
-    ``transitions/observations/costs/discount``.
+    Input that is not such a mapping (a missing key, or a value of the
+    wrong type or shape) raises :class:`DimensionMismatch`.
     """
     if isinstance(raw, PomdpModel):
         return raw
-    if "P" in raw:
+    if not isinstance(raw, dict):
+        raise DimensionMismatch(f"a model is a JSON object, not "
+                                f"{type(raw).__name__}")
+    try:
         P = np.asarray(raw["P"], dtype=float)
         B = np.asarray(raw["B"], dtype=float)
         c = np.asarray(raw["c"], dtype=float)
@@ -192,15 +196,10 @@ def validate_model(raw, *, allow_undiscounted: bool = False) -> PomdpModel:
             terminal_cost=raw.get("terminal"),
             allow_undiscounted=allow_undiscounted,
         )
-    return PomdpModel(
-        transitions=raw["transitions"],
-        observations=raw["observations"],
-        costs=raw["costs"],
-        discount=float(raw["discount"]),
-        horizon=raw.get("horizon"),
-        terminal_cost=raw.get("terminal_cost"),
-        allow_undiscounted=allow_undiscounted,
-    )
+    except KeyError as exc:
+        raise DimensionMismatch(f"model lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed model: {exc}") from None
 
 
 def model_to_json(model: PomdpModel) -> str:
@@ -221,9 +220,12 @@ def model_to_json(model: PomdpModel) -> str:
     return json.dumps(doc)
 
 
-def model_from_json(text: str, *, allow_undiscounted: bool = False) -> PomdpModel:
-    return validate_model(json.loads(text),
-                          allow_undiscounted=allow_undiscounted)
+def model_from_json(text: str) -> PomdpModel:
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise DimensionMismatch(f"model is not JSON: {exc}") from None
+    return validate_model(raw)
 
 
 def reduce_general_cost(cost_tensor, model: PomdpModel) -> np.ndarray:

@@ -154,13 +154,13 @@ class PerBeliefBounds:
     ``lower <= upper`` at every belief.  ``counters`` sums the work.
     """
 
-    def __init__(self, model: PomdpModel, delta: float = STRICTNESS):
+    def __init__(self, model: PomdpModel):
         self.model = model
         self.X, self.U = model.num_states, model.num_actions
         self.A, self.b = {}, {}
         for tag, direction in POLYTOPES:
             self.A[tag], self.b[tag] = _monotone_polytope(model, direction,
-                                                          delta)
+                                                          STRICTNESS)
         ok = dual_feasible(np.stack(list(self.A.values())),
                            np.stack(list(self.b.values()))).feasible
         for (tag, _), feasible in zip(POLYTOPES, ok):
@@ -236,9 +236,10 @@ def overlap_indicator_pair(pair: MyopicPair, pis: np.ndarray) -> np.ndarray:
 
 
 def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
-                   n_samples: int = 1_000_000, seed: int = 0,
-                   per_belief: bool = False) -> tuple[float, float]:
-    """Fraction of the simplex where the myopic bounds coincide.
+                   n_samples: int = 1_000_000,
+                   seed: int = 0) -> tuple[float, float]:
+    """Fraction of the simplex where the myopic bounds of ``pair`` (the
+    per-belief ones when it is None) coincide.
 
     For a fixed pair on X <= 3 states the fraction is exact (stderr 0,
     ``n_samples`` and ``seed`` unused): see :func:`_exact_overlap`.
@@ -246,15 +247,13 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
     simplex samples, returned with its standard error.
     """
     X = model.num_states
-    if not per_belief and pair is not None and X <= 3:
+    if pair is not None and X <= 3:
         return _exact_overlap(pair), 0.0
     rng = make_rng(seed)
     pis = uniform_simplex(rng, n_samples, X)
-    if per_belief:
+    if pair is None:
         mask = PerBeliefBounds(model).overlap_indicator(pis)
     else:
-        if pair is None:
-            raise PreconditionFailed("need a MyopicPair or per_belief=True")
         mask = overlap_indicator_pair(pair, pis)
     p = float(mask.mean())
     stderr = float(np.sqrt(max(p * (1 - p), 1e-12) / n_samples))

@@ -27,6 +27,8 @@ ORDER_TOL = 1e-12
 # largest X whose faces of at most 4 states are enumerated (about 1 ms
 # per Gamma at X = 12)
 COPOSITIVE_MAX_STATES = 12
+# largest worst-case entry residual of a Blackwell factorization
+BLACKWELL_TOL = 1e-7
 
 
 class Comparison(enum.Enum):
@@ -82,24 +84,25 @@ def _verdict(ge: bool, le: bool) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
-def mlr_rows(pi1, pi2, tol: float = ORDER_TOL) -> tuple:
+def mlr_rows(pi1, pi2) -> tuple:
     """Row-wise likelihood-ratio test of two (n, X) arrays of beliefs.
 
     Returns boolean arrays ``(ge, le)``: ``ge[k]`` holds when row k of
     pi1 dominates row k of pi2, i.e. pi1(i) pi2(j) <= pi2(i) pi1(j) to
-    ``tol`` for all i < j, and ``le[k]`` when it is dominated.
+    ``ORDER_TOL`` for all i < j, and ``le[k]`` when it is dominated.
     """
     pi1, pi2 = _check_pair(pi1, pi2, ndim=2)
     i, j = np.triu_indices(pi1.shape[1], k=1)
     diff = pi1[:, i] * pi2[:, j] - pi1[:, j] * pi2[:, i]
-    return (diff <= tol).all(axis=1), (diff >= -tol).all(axis=1)
+    return ((diff <= ORDER_TOL).all(axis=1),
+            (diff >= -ORDER_TOL).all(axis=1))
 
 
-def mlr_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
+def mlr_compare(pi1, pi2) -> Comparison:
     """Likelihood-ratio comparison of two beliefs, the one-row case of
     :func:`mlr_rows`: ``GE`` means pi1 dominates (pi1/pi2 increasing)."""
     pi1, pi2 = _check_pair(pi1, pi2)
-    ge, le = mlr_rows(pi1[None], pi2[None], tol)
+    ge, le = mlr_rows(pi1[None], pi2[None])
     return _verdict(ge[0], le[0])
 
 
@@ -116,16 +119,16 @@ def mlr_halfspaces(ref, below: bool) -> np.ndarray:
     return rows
 
 
-def fosd_compare(pi1, pi2, tol: float = ORDER_TOL) -> Comparison:
+def fosd_compare(pi1, pi2) -> Comparison:
     """First-order stochastic dominance via tail sums."""
     pi1, pi2 = _check_pair(pi1, pi2)
     t1 = np.cumsum(pi1[::-1])[::-1]
     t2 = np.cumsum(pi2[::-1])[::-1]
     d = t1 - t2
-    return _verdict((d >= -tol).all(), (d <= tol).all())
+    return _verdict((d >= -ORDER_TOL).all(), (d <= ORDER_TOL).all())
 
 
-def is_tp2(M, tol: float = ORDER_TOL) -> OrderVerdict:
+def is_tp2(M) -> OrderVerdict:
     """Totally positive of order 2: all 2x2 minors nonnegative.
 
     It suffices to check minors of adjacent rows and columns; a failing
@@ -136,7 +139,7 @@ def is_tp2(M, tol: float = ORDER_TOL) -> OrderVerdict:
     if M.ndim != 2:
         raise DimensionMismatch("is_tp2 expects a matrix")
     n, m = M.shape
-    worst = (None, -tol)
+    worst = (None, -ORDER_TOL)
     for i1, i2 in itertools.combinations(range(n), 2):
         minors = M[i1, :, None] * M[i2, None, :] \
             - M[i2, :, None] * M[i1, None, :]
@@ -152,7 +155,7 @@ def is_tp2(M, tol: float = ORDER_TOL) -> OrderVerdict:
     return HOLDS
 
 
-def tail_sum_supermodular(P_u, P_u1, tol: float = ORDER_TOL) -> OrderVerdict:
+def tail_sum_supermodular(P_u, P_u1) -> OrderVerdict:
     """Tail sums of P(u+1) - P(u) must be increasing in the row index."""
     P_u = np.asarray(P_u, dtype=float)
     P_u1 = np.asarray(P_u1, dtype=float)
@@ -160,7 +163,7 @@ def tail_sum_supermodular(P_u, P_u1, tol: float = ORDER_TOL) -> OrderVerdict:
         raise DimensionMismatch("matrices must share a square shape")
     tails = np.cumsum((P_u1 - P_u)[:, ::-1], axis=1)[:, ::-1]
     drops = np.diff(tails, axis=0)
-    bad = np.argwhere(drops < -tol)
+    bad = np.argwhere(drops < -ORDER_TOL)
     if bad.size:
         i, ell = bad[0]
         return fails({"l": int(ell) + 1, "rows": (int(i) + 1, int(i) + 2),
@@ -267,7 +270,7 @@ def copositive_order_transitions(P, Q) -> OrderVerdict:
     return _copositive(forms, P.shape[0])
 
 
-def check_F4(P_u, B_u, P_u1, B_u1, tol: float = ORDER_TOL) -> OrderVerdict:
+def check_F4(P_u, B_u, P_u1, B_u1) -> OrderVerdict:
     """Normalizer dominance condition.
 
     Holds iff the per-state observation likelihoods under action u+1
@@ -282,7 +285,7 @@ def check_F4(P_u, B_u, P_u1, B_u1, tol: float = ORDER_TOL) -> OrderVerdict:
     M_u = P_u @ B_u      # (i, y): P(y | i, u)
     M_u1 = P_u1 @ B_u1
     heads = np.cumsum(M_u1 - M_u, axis=1)
-    bad = np.argwhere(heads > tol)
+    bad = np.argwhere(heads > ORDER_TOL)
     if bad.size:
         i, ybar = bad[0]
         return fails({"state": int(i) + 1, "ybar": int(ybar) + 1,
@@ -290,7 +293,7 @@ def check_F4(P_u, B_u, P_u1, B_u1, tol: float = ORDER_TOL) -> OrderVerdict:
     return HOLDS
 
 
-def blackwell_factorize(B1, B2, tol: float = 1e-7) -> np.ndarray | None:
+def blackwell_factorize(B1, B2) -> np.ndarray | None:
     """Find row-stochastic R with ``B1 = B2 @ R``; None when infeasible.
 
     Solved as a single LP minimizing the worst-case entry residual; the
@@ -327,7 +330,7 @@ def blackwell_factorize(B1, B2, tol: float = 1e-7) -> np.ndarray | None:
         A_eq[k, k * Y1:(k + 1) * Y1] = 1.0
     res = solve_lp(c, A_ub=np.asarray(A_ub), b_ub=np.asarray(b_ub),
                    A_eq=A_eq, b_eq=np.ones(Y2))
-    if not res.optimal or res.value > tol:
+    if not res.optimal or res.value > BLACKWELL_TOL:
         return None
     R = res.x[:nR].reshape(Y2, Y1)
     R = np.clip(R, 0.0, None)

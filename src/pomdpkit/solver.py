@@ -28,6 +28,7 @@ DEDUP_TOL = 1e-12
 PRUNE_TOL = 1e-11
 WITNESS_MARGIN = 1e-9
 VECTOR_BUDGET = 100_000
+MAX_BACKUPS = 10_000   # backups before discounted VI gives up
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,9 @@ def _margin(g: np.ndarray, rivals: np.ndarray, region=()) -> tuple:
 def lp_prune(gamma: VectorSet) -> VectorSet:
     """Remove every vector that is never strictly below the others.
 
-    Vectors are visited in reverse canonical order against the set that
-    survives so far, and each visit makes one of three decisions:
+    Vectors are visited in reverse canonical order (the order a
+    ``VectorSet`` is stored in) against the set that survives so far, and
+    each visit makes one of three decisions:
 
     * **dominated** -- a survivor is ``<=`` ``g`` in every coordinate, so
       ``g`` is never strictly below it: dropped;
@@ -183,9 +185,7 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     # a kept vector's LP optimum would witness nothing later, as that
     # vector stays lowest there
     at_pool = _pool_values(V)
-    order = list(_sort_order(V, gamma.actions))
-    # visit in reverse canonical order so the kept set is deterministic
-    for idx in reversed(order):
+    for idx in range(n - 1, -1, -1):
         others = [i for i in alive if i != idx]
         if not others:
             continue
@@ -371,8 +371,7 @@ def gap_within(A: VectorSet, B: VectorSet, epsilon: float) -> bool:
 
 
 def value_iteration_discounted(model: PomdpModel, epsilon: float,
-                               method: str = "ip",
-                               max_iterations: int = 10_000):
+                               method: str = "ip"):
     """Iterate Bellman backups until ``sup |V_n - V_{n-1}| <= epsilon``.
 
     The stop test is :func:`gap_within`: a vertex or uniform-belief
@@ -383,8 +382,10 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
     rho = model.discount
     if not 0 <= rho < 1:
         raise DimensionMismatch("discounted solving needs rho < 1")
+    if not epsilon > 0:
+        raise DimensionMismatch(f"epsilon must be positive, got {epsilon}")
     current = vector_set(np.zeros((1, model.num_states)), [1], stage=0)
-    for n in range(1, max_iterations + 1):
+    for n in range(1, MAX_BACKUPS + 1):
         nxt = bellman_backup_step(current, model, method)
         nxt = VectorSet(nxt.vectors, nxt.actions, stage=n)
         if gap_within(nxt, current, epsilon):
@@ -392,12 +393,11 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
                                discounted=True)
         current = nxt
     raise PreconditionFailed(f"value iteration did not reach epsilon="
-                             f"{epsilon} in {max_iterations} backups")
+                             f"{epsilon} in {MAX_BACKUPS} backups")
 
 
 def policy_evaluation(model: PomdpModel, policy, epsilon: float,
-                      resolution: int | None = None,
-                      max_iterations: int = 100_000) -> GridValue:
+                      resolution: int) -> GridValue:
     """Expected discounted cost of a stationary belief policy.
 
     Iterates the fixed-policy Bellman operator on a simplex grid until
@@ -407,14 +407,10 @@ def policy_evaluation(model: PomdpModel, policy, epsilon: float,
     rho = model.discount
     if not 0 <= rho < 1:
         raise DimensionMismatch("policy evaluation needs rho < 1")
-    grid = GridValue(model, resolution or default_resolution(model))
+    grid = GridValue(model, resolution)
     actions = np.array([int(policy(p)) for p in grid.points], dtype=int)
-    grid.iterate_policy(actions, epsilon, max_iterations)
+    grid.iterate_policy(actions, epsilon)
     return grid
-
-
-def default_resolution(model: PomdpModel) -> int:
-    return {2: 1000, 3: 120}.get(model.num_states, 30)
 
 
 def grid_value_oracle(model: PomdpModel, resolution: int,

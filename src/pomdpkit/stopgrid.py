@@ -53,9 +53,7 @@ class StoppingGridSolution:
 
 
 def solve_stopping_grid(sm: StoppingModel, resolution: int,
-                        epsilon: float = 1e-9,
-                        max_iterations: int = 100_000
-                        ) -> StoppingGridSolution:
+                        epsilon: float = 1e-9) -> StoppingGridSolution:
     pts = simplex_lattice(sm.num_states, resolution)
     stop_vals = belief_cost_batch(sm.stop_cost, pts)
     cont_base = belief_cost_batch(sm.continue_cost, pts)
@@ -66,7 +64,7 @@ def solve_stopping_grid(sm: StoppingModel, resolution: int,
         cont = cont_base + sm.discount * continuation(V, maps)
         return np.minimum(stop_vals, cont), cont
 
-    V, cont_vals = converge(step, stop_vals, epsilon, max_iterations)
+    V, cont_vals = converge(step, stop_vals, epsilon)
     return StoppingGridSolution(sm, pts, V, stop_vals, cont_vals,
                                 resolution)
 

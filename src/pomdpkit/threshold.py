@@ -20,6 +20,8 @@ from .model import StoppingModel
 from .rng import make_rng, uniform_simplex
 from .stopgrid import batched_stopping_costs
 
+TRUNCATION_TOL = 1e-6   # discounted cost left beyond the truncation horizon
+
 
 def threshold_constraints_ok(theta: np.ndarray) -> bool:
     """Necessary and sufficient conditions for MLR monotonicity on lines:
@@ -73,8 +75,8 @@ def spherical_to_theta(phi) -> np.ndarray:
     return theta
 
 
-def truncation_horizon(sm: StoppingModel, tol: float = 1e-6) -> int:
-    """Smallest K with ``rho^K max|c| / (1 - rho) < tol``."""
+def truncation_horizon(sm: StoppingModel) -> int:
+    """Smallest K with ``rho^K max|c| / (1 - rho) < TRUNCATION_TOL``."""
     costs = []
     for c in (sm.stop_cost, sm.continue_cost):
         if hasattr(c, "lin"):
@@ -86,7 +88,7 @@ def truncation_horizon(sm: StoppingModel, tol: float = 1e-6) -> int:
     rho = sm.discount
     if rho >= 1.0:
         return 10_000
-    K = int(np.ceil(np.log(tol * (1 - rho) / cmax) / np.log(rho)))
+    K = int(np.ceil(np.log(TRUNCATION_TOL * (1 - rho) / cmax) / np.log(rho)))
     return max(K, 1)
 
 
@@ -201,13 +203,12 @@ def spsa_fit(sm: StoppingModel, iterations: int, seed: int,
 
 
 def evaluate_threshold_policy(sm: StoppingModel, theta, n_paths: int,
-                              seed: int, horizon: int | None = None
-                              ) -> np.ndarray:
+                              seed: int) -> np.ndarray:
     """Per-path sampled discounted costs of a linear threshold policy."""
     theta = np.asarray(theta, dtype=float)
     return evaluate_stop_policy(
         sm, lambda pis: linear_threshold_actions(theta, pis), n_paths,
-        seed, horizon)
+        seed)
 
 
 def evaluate_stop_policy(sm: StoppingModel, actions_fn, n_paths: int,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_calls, random_tp2_stochastic
-from pomdpkit import solver
+from pomdpkit import grid, solver
 from pomdpkit.apps import (
     absorption_pmf,
     build_machine_replacement,
@@ -285,11 +285,12 @@ class TestSocialLearning:
                                          beta=0.0, rho=0.9, grid_size=200)
         assert res.stop_mask.all()
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # one sweep leaves 63 of the 500 stop decisions wrong
+        monkeypatch.setattr(grid, "MAX_SWEEPS", 1)
         with pytest.raises(PreconditionFailed):
             solve_social_learning_stop(self.COSTS, self.B, d=1.8, beta=2.0,
-                                       rho=0.9, max_iterations=1)
+                                       rho=0.9)
 
 
 class TestGittins:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import count_calls
+from pomdpkit import grid
 from pomdpkit.cli import load_model, main
 from pomdpkit.model import model_to_json
 from pomdpkit.apps import build_machine_replacement
@@ -77,6 +79,28 @@ def test_wrong_model_kind_exit_code(command, capsys):
     assert json.loads(line)["error"] == "DimensionMismatch"
 
 
+REPLACEMENT_JSON = json.loads(model_to_json(build_machine_replacement(
+    0.3, 0.9, 0.8, 0.5, [1.0, 0.0], rho=0.9)))
+
+# model files that once crashed `solve` with a traceback; None: no file
+MALFORMED_FILES = {
+    "no-arrays": '{"X": 2, "U": 1}',
+    "not-an-object": "[1, 2]",
+    "horizon-not-an-int": json.dumps({**REPLACEMENT_JSON, "horizon": "abc"}),
+    "not-json": "X = 2",
+    "no-such-file": None,
+}
+
+
+def assert_one_error_line(capsys, error):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == error
+    return err
+
+
 class TestSolveCommand:
     def test_preset_stagewise_json(self, capsys):
         rc = main(["solve", "--model", "machine-replacement",
@@ -136,6 +160,48 @@ class TestSolveCommand:
         rc = main(["solve", "--model", model, f"--epsilon={epsilon}"])
         assert rc == 2
         assert "--epsilon" in json.loads(capsys.readouterr().err)["detail"]
+
+    @pytest.mark.parametrize("case", list(MALFORMED_FILES))
+    def test_malformed_model_file_exit_code(self, case, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        if MALFORMED_FILES[case] is not None:
+            path.write_text(MALFORMED_FILES[case])
+        assert main(["solve", "--model", str(path), "--horizon", "2"]) == 2
+        assert_one_error_line(capsys, "DimensionMismatch")
+
+    def test_vector_budget_exit_code(self, tmp_path, capsys):
+        # with 8 observations Monahan's third backup enumerates more
+        # vectors than VECTOR_BUDGET
+        rng = np.random.default_rng(0)
+        doc = {"X": 3, "U": 2, "Y": 8,
+               "P": rng.dirichlet(np.ones(3), size=(2, 3)).tolist(),
+               "B": rng.dirichlet(np.ones(8), size=(2, 3)).tolist(),
+               "c": rng.uniform(0, 1, (3, 2)).tolist(), "rho": 0.9}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--model", str(path), "--method", "monahan",
+                     "--horizon", "3"]) == 4
+        assert_one_error_line(capsys, "blowup")
+
+    def test_stopping_preset_solves(self, capsys):
+        assert main(["solve", "--model", "qd-classical",
+                     "--resolution", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "index,value,stop"
+        assert len(lines) == 202
+        # node i has change probability i / 200: one stop threshold
+        stop = [int(line.split(",")[2]) for line in lines[1:]]
+        assert stop[0] == 0 and stop[-1] == 1
+        assert stop == sorted(stop)
+
+    def test_grid_method_on_three_states(self, monkeypatch, capsys):
+        nearest = count_calls(monkeypatch, grid, "nearest_lattice_index")
+        assert main(["solve", "--model", "example1", "--method", "grid",
+                     "--resolution", "20", "--horizon", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "index,value,action"
+        assert len(lines) == 1 + 231     # comb(20 + 2, 2) lattice nodes
+        assert nearest
 
 
 class TestCheckCommand:
@@ -226,6 +292,16 @@ class TestMyopicCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_one_action_model_exit_code(self, tmp_path, capsys):
+        doc = {"X": 2, "U": 1, "Y": 2, "P": [[[0.9, 0.1], [0.2, 0.8]]],
+               "B": [[[0.7, 0.3], [0.4, 0.6]]], "c": [[1.0], [0.0]],
+               "rho": 0.9}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["myopic", "--model", str(path)]) == 3
+        err = assert_one_error_line(capsys, "infeasible")
+        assert "overlap maximization needs U = 2" in err["detail"]
 
     def test_table1d_per_belief_bytes(self, capsys):
         # per-belief bounds on example3; digest recorded when each bound

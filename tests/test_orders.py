@@ -124,12 +124,13 @@ class TestMlrRows:
 
 
 class TestMlrHalfspaces:
-    def test_rows_decide_the_order(self):
+    def test_rows_decide_the_order(self, monkeypatch):
+        monkeypatch.setattr(orders, "ORDER_TOL", 0.0)
         rng = make_rng(12)
         for _ in range(200):
             X = int(rng.integers(2, 6))
             ref, r = rng.dirichlet(np.ones(X), size=2)
-            verdict = mlr_compare(r, ref, tol=0.0)
+            verdict = mlr_compare(r, ref)
             below = (mlr_halfspaces(ref, below=True) @ r <= 0).all()
             above = (mlr_halfspaces(ref, below=False) @ r <= 0).all()
             assert below == (verdict in (Comparison.LE, Comparison.EQ))

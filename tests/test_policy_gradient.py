@@ -119,7 +119,7 @@ class TestSampleCost:
 
     def test_truncation_horizon_bound(self):
         sm = qd3_model(rho=0.9)
-        K = truncation_horizon(sm, tol=1e-6)
+        K = truncation_horizon(sm)
         cmax = 2.5  # largest cost coefficient in the model
         assert 0.9 ** K * cmax / (1 - 0.9) < 1e-5
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
-from helpers import lp_fixture
+from helpers import count_calls, lp_fixture
 from pomdpkit import simplexlp, solver
 from pomdpkit.cli import load_model
 from pomdpkit.errors import LpNumericFailure
@@ -87,6 +87,85 @@ class TestRecordedFixtures:
         assert np.asarray(lp["A_ub"]).shape == (63, 8)
         assert highs_lp(**lp).status == "infeasible"
         assert_agrees(lp)
+
+
+def fail_ratio_test_once(monkeypatch, corrupt_basis=False):
+    """The first ratio test of a solve finds no leaving row, as after
+    numerical corruption; ``corrupt_basis`` also makes the basis matrix
+    singular by repeating its first column."""
+    original = simplexlp._Tableau.leaving_row
+    fired = []
+
+    def leaving_row(self, col):
+        if fired:
+            return original(self, col)
+        fired.append(True)
+        if corrupt_basis:
+            self.basis[1] = self.basis[0]
+        return -1
+
+    monkeypatch.setattr(simplexlp._Tableau, "leaving_row", leaving_row)
+
+
+def klee_minty(d):
+    """Chvatal's form of the Klee-Minty cube: Dantzig pricing from the
+    origin visits all 2^d vertices."""
+    A = np.eye(d)
+    for i in range(d):
+        A[i, :i] = 2 * 10.0 ** np.arange(i, 0, -1)
+    return -10.0 ** np.arange(d - 1, -1, -1), A, 100.0 ** np.arange(d)
+
+
+class TestRecoveryPaths:
+    """Each recovery path of ``solve_lp``, forced from outside, ends at
+    HiGHS's optimum and shows on the solve's counters."""
+
+    def test_refactorization(self, monkeypatch):
+        lp = lp_fixture("search_prune")
+        fail_ratio_test_once(monkeypatch)
+        res = solve_lp(**lp)
+        assert res.refactorizations == 1 and not res.retried
+        assert abs(res.value - highs_lp(**lp).value) <= VALUE_TOL
+
+    def test_repaired_basis(self, monkeypatch):
+        lp = lp_fixture("search_prune")
+        repairs = count_calls(monkeypatch, simplexlp._Tableau,
+                              "_repair_basis")
+        fail_ratio_test_once(monkeypatch, corrupt_basis=True)
+        res = solve_lp(**lp)
+        assert len(repairs) == 1
+        assert res.refactorizations == 1 and not res.retried
+        assert abs(res.value - highs_lp(**lp).value) <= VALUE_TOL
+
+    def test_perturbed_retry(self, monkeypatch):
+        core = simplexlp._solve_core
+
+        def fail_unperturbed(*args):
+            if args[6] == 0.0:      # the perturbation
+                raise LpNumericFailure("forced")
+            return core(*args)
+
+        monkeypatch.setattr(simplexlp, "_solve_core", fail_unperturbed)
+        lp = {"c": [-1.0, -2.0], "A_ub": [[1.0, 1.0], [1.0, 3.0]],
+              "b_ub": [4.0, 6.0]}
+        res = solve_lp(**lp)
+        assert res.retried
+        assert abs(res.value - highs_lp(**lp).value) <= VALUE_TOL
+
+    def test_bland_switch(self, monkeypatch):
+        # solve_lp's row equilibration rescales the slacks and shortens
+        # the Klee-Minty walk to 2d - 1 pivots, so the tableau is driven
+        # directly; every pivot counts as a stall
+        c, A, b = klee_minty(8)
+        monkeypatch.setattr(simplexlp, "STALL_TOL", np.inf)
+        counts = {"pivots": 0, "refactorizations": 0, "bland": False}
+        tab = simplexlp._Tableau(np.hstack([A, np.eye(8)]), b,
+                                 np.arange(8, 16), counts)
+        tab.price(np.concatenate([c, np.zeros(8)]))
+        assert tab.solve(np.ones(16, dtype=bool), 10_000) == "optimal"
+        assert counts["bland"] and counts["pivots"] > 3 * (8 + 16)
+        control = highs_lp(c, A_ub=A, b_ub=b).value
+        assert tab.objective() == pytest.approx(control, rel=1e-12)
 
 
 def highs_feasible(M, b) -> bool:

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import count_calls, random_tp2_stochastic
-from pomdpkit import solver
+from pomdpkit import grid, solver
 from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.cli import load_model
-from pomdpkit.errors import Blowup, PreconditionFailed
+from pomdpkit.errors import Blowup, DimensionMismatch, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
-from pomdpkit.grid import (_comb_table, barycentric_weights, lattice_rank,
+from pomdpkit.grid import (_comb_table, barycentric_weights, converge,
+                           lattice_rank, nearest_lattice_index,
                            segment_weights, simplex_lattice)
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
@@ -437,10 +438,18 @@ class TestDiscounted:
         extra = bellman_backup_step(res.final, m)
         assert sup_difference(extra, res.final) <= 1e-6
 
-    def test_iteration_cap_is_not_a_vector_blowup(self):
+    def test_iteration_cap_is_not_a_vector_blowup(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_BACKUPS", 1)
         with pytest.raises(PreconditionFailed):
-            value_iteration_discounted(replacement(rho=0.9), 1e-6,
-                                       max_iterations=1)
+            value_iteration_discounted(replacement(rho=0.9), 1e-6)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_epsilon_rejected_before_a_backup(self, monkeypatch,
+                                                          epsilon):
+        backups = count_calls(monkeypatch, solver, "bellman_backup_step")
+        with pytest.raises(DimensionMismatch):
+            value_iteration_discounted(replacement(rho=0.9), epsilon)
+        assert not backups
 
 
 def exact_pool_gap(A, B):
@@ -576,12 +585,13 @@ class TestLovejoy:
 
 
 class TestGridOracle:
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         sm = build_quickest_detection(
             [0.0, 1.0], [[0.9]], [0.1], [[0.7, 0.3], [0.2, 0.8]],
             d=0.05, beta=1.0, delay_kind="classical")
+        monkeypatch.setattr(grid, "MAX_SWEEPS", 1)
         with pytest.raises(PreconditionFailed):
-            solve_stopping_grid(sm, 200, epsilon=1e-10, max_iterations=1)
+            solve_stopping_grid(sm, 200, epsilon=1e-10)
 
     def test_zero_cost_zero_table(self):
         m = PomdpModel(np.stack([np.eye(2)]), np.full((1, 2, 2), 0.5),
@@ -668,6 +678,31 @@ def _composition_rank(comps, M):
                 ).reshape(idx.shape)
         remaining = remaining - comps[..., i]
     return idx
+
+
+class TestConverge:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_epsilon_rejected_before_a_sweep(self, epsilon):
+        sweeps = []
+
+        def step(values):
+            sweeps.append(values)
+            return 0.5 * values, None
+
+        with pytest.raises(DimensionMismatch):
+            converge(step, np.ones(3), epsilon)
+        assert not sweeps
+
+
+class TestNearestLatticeIndex:
+    @pytest.mark.parametrize("X, M", [(2, 7), (3, 6), (4, 5)])
+    def test_matches_brute_force_l1_nearest(self, X, M):
+        nodes = simplex_lattice(X, M)
+        pis = np.vstack([make_rng(40 + X).dirichlet(np.ones(X), 500),
+                         nodes])
+        dist = np.abs(pis[:, None, :] - nodes[None, :, :]).sum(axis=2)
+        got = dist[np.arange(len(pis)), nearest_lattice_index(pis, M)]
+        assert np.allclose(got, dist.min(axis=1), rtol=0, atol=1e-12)
 
 
 class TestLatticeRank:
