@@ -136,10 +136,15 @@ def barycentric_weights(pis: np.ndarray,
     base = np.maximum(base, 0)
     d = np.clip(x - base, 0.0, 1.0)
     order = np.argsort(-d, axis=1, kind="stable")        # (n, X-1)
-    rank = np.argsort(order, axis=1)
-    # vertex k adds +1 to the first k coordinates in sorted order
-    steps = rank[:, None, :] < np.arange(X)[None, :, None]
-    verts = base[:, None, :] + steps                     # (n, X, X-1)
+    # vertex k + 1 is vertex k plus a unit step in coordinate i = order[k];
+    # by Pascal's rule that lowers the rank by T[base_i + r_i - 1, r_i - 1]
+    # with r_i = X - 1 - i (see _cumulative_rank)
+    T = _comb_table(M + X, X)
+    r = X - 1 - order
+    steps = T[np.take_along_axis(base, order, axis=1) + r - 1, r - 1]
+    idx = np.empty((n, X), dtype=np.int64)
+    idx[:, 0] = _cumulative_rank(base, M)
+    idx[:, 1:] = idx[:, :1] - np.cumsum(steps, axis=1)
     ds = np.take_along_axis(d, order, axis=1)
     w = np.empty((n, X))
     w[:, 0] = 1.0 - ds[:, 0]
@@ -148,7 +153,7 @@ def barycentric_weights(pis: np.ndarray,
     w[:, X - 1] = ds[:, X - 2]
     w = np.clip(w, 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
-    return _cumulative_rank(verts, M), w
+    return idx, w
 
 
 def nearest_lattice_index(pis: np.ndarray, resolution: int) -> np.ndarray:

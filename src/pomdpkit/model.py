@@ -115,8 +115,11 @@ class PomdpModel:
                 raise DimensionMismatch("terminal cost must have length X")
             if not np.isfinite(tc).all():
                 raise NegativeEntry("terminal cost must be finite")
-        if self.horizon is not None and self.horizon < 1:
-            raise DimensionMismatch("horizon must be a positive integer")
+        h = self.horizon
+        if h is not None and (isinstance(h, bool) or not isinstance(h, int)
+                              or h < 1):
+            raise DimensionMismatch(f"horizon must be a positive integer, "
+                                    f"got {h!r}")
         object.__setattr__(self, "transitions", _frozen(P))
         object.__setattr__(self, "observations", _frozen(B))
         object.__setattr__(self, "costs", _frozen(c))

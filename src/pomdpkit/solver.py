@@ -1,7 +1,7 @@
 """Piecewise-linear-concave value-function machinery.
 
-Cross-sums, LP dominance pruning, incremental-pruning and full-enumeration
-Bellman backups, finite-horizon and discounted solving, reduced-grid
+Cross-sums, LP dominance pruning, the Bellman backup (incremental pruning
+or full enumeration), finite-horizon and discounted solving, reduced-grid
 upper/lower bounds, a simplex-grid oracle and policy evaluation.
 
 The value function of every finite POMDP stage is the lower envelope of a
@@ -202,85 +202,44 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     return VectorSet(V[keep], gamma.actions[keep], stage=gamma.stage)
 
 
-def _backup_components(model: PomdpModel, gamma_next: VectorSet,
-                       rho: float):
-    """Per-(u, y) gradient-vector sets of one Bellman backup."""
-    U, Y = model.num_actions, model.num_obs
-    G = gamma_next.vectors
-    out = {}
-    for u in range(1, U + 1):
-        P = model.P(u)
-        B = model.B(u)
-        base = model.cost_vector(u) / Y
-        for y in range(1, Y + 1):
-            M = P * B[:, y - 1][None, :]   # P(u) diag(B_y(u))
-            out[(u, y)] = base[None, :] + rho * (G @ M.T)
-    return out
+def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
+                        method: str = "ip") -> VectorSet:
+    """One Bellman backup.
 
-
-def incremental_pruning_step(gamma_next: VectorSet,
-                             model: PomdpModel) -> VectorSet:
-    """One Bellman backup with pruning interleaved into the cross-sums."""
-    rho = model.discount
-    comps = _backup_components(model, gamma_next, rho)
+    For each action u the backed-up set is the cross-sum over
+    observations y of the pieces ``c_u / Y + rho Gamma P(u) diag(B_y(u))``
+    (the ``c_u / Y`` shares add up to the cost vector exactly once); the
+    sets of all actions are merged and pruned.  ``"ip"`` (incremental
+    pruning) also prunes every piece and every partial cross-sum;
+    ``"monahan"`` enumerates all ``U |Gamma|^Y`` vectors and prunes once.
+    """
+    if method not in ("ip", "monahan"):
+        raise ValueError(f"unknown backup method {method!r}")
     U, Y = model.num_actions, model.num_obs
     stage = gamma_next.stage - 1
-    all_vectors = []
-    all_actions = []
+    if method == "monahan" and U * len(gamma_next) ** Y > VECTOR_BUDGET:
+        raise Blowup(stage, U * len(gamma_next) ** Y, VECTOR_BUDGET)
+    prune = lp_prune if method == "ip" else (lambda vs: vs)
+    G = gamma_next.vectors
+    per_action = []
     for u in range(1, U + 1):
+        P, B = model.P(u), model.B(u)
+        base = model.cost_vector(u) / Y
         acc = None
-        for y in range(1, Y + 1):
-            piece = lp_prune(vector_set(comps[(u, y)],
-                                        np.full(comps[(u, y)].shape[0], u)))
-            acc = piece if acc is None else lp_prune(cross_sum(acc, piece))
+        for y in range(Y):
+            piece = prune(vector_set(
+                base + model.discount * (G @ (P * B[:, y]).T),
+                np.full(len(G), u)))
+            acc = piece if acc is None else prune(cross_sum(acc, piece))
             if len(acc) > VECTOR_BUDGET:
                 raise Blowup(stage, len(acc), VECTOR_BUDGET)
-        all_vectors.append(acc.vectors)
-        all_actions.append(np.full(len(acc), u))
-    merged = vector_set(np.vstack(all_vectors),
-                        np.concatenate(all_actions), stage)
+        per_action.append(acc)
+    merged = VectorSet(np.vstack([vs.vectors for vs in per_action]),
+                       np.concatenate([vs.actions for vs in per_action]),
+                       stage)
     if len(merged) > VECTOR_BUDGET:
         raise Blowup(stage, len(merged), VECTOR_BUDGET)
     return lp_prune(merged)
-
-
-def monahan_step(gamma_next: VectorSet, model: PomdpModel) -> VectorSet:
-    """Full ``U |Gamma|^Y`` enumeration followed by a single prune.
-
-    Each per-(u, y) component carries ``c_u / Y``, so the Y-fold
-    cross-sum accumulates the full cost vector exactly once.
-    """
-    rho = model.discount
-    comps = _backup_components(model, gamma_next, rho)
-    U, Y = model.num_actions, model.num_obs
-    stage = gamma_next.stage - 1
-    all_vectors = []
-    all_actions = []
-    count = 0
-    for u in range(1, U + 1):
-        raw = comps[(u, 1)]
-        for y in range(2, Y + 1):
-            raw = (raw[:, None, :] + comps[(u, y)][None, :, :]).reshape(
-                -1, model.num_states)
-            if raw.shape[0] > VECTOR_BUDGET:
-                raise Blowup(stage, raw.shape[0], VECTOR_BUDGET)
-        count += len(gamma_next) ** Y
-        all_vectors.append(raw)
-        all_actions.append(np.full(raw.shape[0], u))
-    if count > VECTOR_BUDGET:
-        raise Blowup(stage, count, VECTOR_BUDGET)
-    merged = vector_set(np.vstack(all_vectors),
-                        np.concatenate(all_actions), stage)
-    return lp_prune(merged)
-
-
-def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
-                        method: str = "ip") -> VectorSet:
-    if method == "ip":
-        return incremental_pruning_step(gamma_next, model)
-    if method == "monahan":
-        return monahan_step(gamma_next, model)
-    raise ValueError(f"unknown backup method {method!r}")
 
 
 @dataclass

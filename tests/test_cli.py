@@ -82,11 +82,16 @@ def test_wrong_model_kind_exit_code(command, capsys):
 REPLACEMENT_JSON = json.loads(model_to_json(build_machine_replacement(
     0.3, 0.9, 0.8, 0.5, [1.0, 0.0], rho=0.9)))
 
-# model files that once crashed `solve` with a traceback; None: no file
+# model files that once crashed `solve` with a traceback or loaded when
+# they should not; None: no file
 MALFORMED_FILES = {
     "no-arrays": '{"X": 2, "U": 1}',
     "not-an-object": "[1, 2]",
     "horizon-not-an-int": json.dumps({**REPLACEMENT_JSON, "horizon": "abc"}),
+    "horizon-a-float": json.dumps({**REPLACEMENT_JSON, "horizon": 2.5}),
+    "horizon-a-bool": json.dumps({**REPLACEMENT_JSON, "horizon": True}),
+    "horizon-a-numeric-string": json.dumps({**REPLACEMENT_JSON,
+                                            "horizon": "3"}),
     "not-json": "X = 2",
     "no-such-file": None,
 }
@@ -264,6 +269,17 @@ class TestFilterCommand:
         assert lines[0].startswith("k,map_lower")
         assert len(lines) == 51
 
+    def test_pomdp_sandwich_orders_the_map_states(self, capsys):
+        rc = main(["filter", "--model", "machine-replacement", "--sandwich",
+                   "--steps", "50", "--seed", "1"])
+        assert rc == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header.startswith("k,map_lower,map_exact,map_upper")
+        assert len(rows) == 50
+        for row in rows:
+            lower, exact, upper = map(int, row.split(",")[1:4])
+            assert lower <= exact <= upper
+
 
 class TestMyopicCommand:
     def test_table_csv_and_determinism(self, tmp_path):
@@ -285,6 +301,16 @@ class TestMyopicCommand:
                          "--seed", "1"]) == 0
             outs.append(capsys.readouterr().out.encode())
         assert outs[0] == outs[1]
+
+    def test_table1c_volumes(self, capsys):
+        rc = main(["myopic", "--table1c", "--samples", "2000",
+                   "--seed", "0"])
+        assert rc == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header == "rho,vol,L1,L2"
+        assert len(rows) == 6
+        for row in rows:
+            assert 0.0 <= float(row.split(",")[1]) <= 100.0
 
     def test_single_model_row(self, capsys):
         rc = main(["myopic", "--model", "example1", "--rho", "0.5",

@@ -29,10 +29,8 @@ from pomdpkit.solver import (
     evaluate_value,
     gap_within,
     grid_value_oracle,
-    incremental_pruning_step,
     lovejoy_bounds,
     lp_prune,
-    monahan_step,
     policy_evaluation,
     solve_finite_horizon,
     sup_difference,
@@ -340,7 +338,7 @@ class TestBackups:
         start = vector_set([[0.0, 0.0], [0.3, 0.1], [0.5, 0.2]],
                            [1, 1, 1], stage=1)
         with pytest.raises(Blowup) as info:
-            monahan_step(start, m)
+            bellman_backup_step(start, m, method="monahan")
         assert info.value.size == 18 == 2 * 3 ** 2  # U * |Gamma|^Y
 
     def test_methods_agree_pointwise(self):
@@ -350,8 +348,8 @@ class TestBackups:
         rng = make_rng(4)
         pis = uniform_simplex(rng, 200, 2)
         for _ in range(4):
-            cur_ip = incremental_pruning_step(cur_ip, m)
-            cur_mo = monahan_step(cur_mo, m)
+            cur_ip = bellman_backup_step(cur_ip, m, method="ip")
+            cur_mo = bellman_backup_step(cur_mo, m, method="monahan")
             for pi in pis[:50]:
                 assert evaluate_value(cur_ip, pi)[0] == pytest.approx(
                     evaluate_value(cur_mo, pi)[0], abs=1e-9)
@@ -365,7 +363,8 @@ class TestBackups:
         start = vector_set(rng.normal(size=(4, 3)),
                            np.ones(4, dtype=int), stage=1)
         with pytest.raises(Blowup):
-            monahan_step(start, m)  # 3 * 4^3 raw vectors
+            # 3 * 4^3 raw vectors
+            bellman_backup_step(start, m, method="monahan")
 
 
 class TestFiniteHorizon:
