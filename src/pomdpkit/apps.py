@@ -73,14 +73,14 @@ def absorption_pmf(pi0, P_bar, P_col, k_max: int) -> np.ndarray:
 
 
 def build_quickest_detection(pi0, P_bar, P_col, B, d: float, beta: float,
-                             alpha: float = 0.0, f=None,
+                             alpha: float = 0.0,
                              delay_kind: str = "classical",
                              rho: float = 1.0) -> StoppingModel:
     """Quickest detection with a phase-type change time.
 
     State 1 (the change) is absorbing; ``P_bar``/``P_col`` give the
     transient block and its absorption column.  The stop cost charges a
-    false alarm ``beta f' pi`` plus an optional variance penalty
+    false alarm ``beta (1 - e1)' pi`` plus an optional variance penalty
     ``alpha (e1' pi - (e1' pi)^2)``; the continue cost is the delay
     ``d e1' P' pi`` ("predicted") or ``d e1' pi`` ("classical").
     """
@@ -104,13 +104,9 @@ def build_quickest_detection(pi0, P_bar, P_col, B, d: float, beta: float,
     P[0, 0] = 1.0
     P[1:, 0] = P_col
     P[1:, 1:] = P_bar
-    if f is None:
-        f = np.ones(X)
-        f[0] = 0.0
-    f = np.asarray(f, dtype=float)
     e1 = np.zeros(X)
     e1[0] = 1.0
-    stop = QuadraticCost(lin=alpha * e1 + beta * f, h=e1, alpha=alpha)
+    stop = QuadraticCost(lin=alpha * e1 + beta * (1 - e1), h=e1, alpha=alpha)
     if delay_kind == "predicted":
         cont = d * P[:, 0]
     elif delay_kind == "classical":
@@ -129,14 +125,12 @@ def transformed_detection_costs(sm: StoppingModel, alpha: float,
     decreasing under the usual parameter conditions.
     """
     f = np.asarray(f, dtype=float)
-    stop = sm.stop_cost
-    if not isinstance(stop, QuadraticCost):
-        raise DimensionMismatch("expected the quickest-detection stop cost")
+    stop, cont = sm.stop_cost, sm.continue_cost
     new_stop = QuadraticCost(stop.lin - (alpha + beta) * f, stop.h,
                              stop.alpha)
-    cont = np.asarray(sm.continue_cost, dtype=float)
-    new_cont = cont - (alpha + beta) * f \
-        + sm.discount * (alpha + beta) * (sm.P @ f)
+    new_cont = QuadraticCost(cont.lin - (alpha + beta) * f
+                             + sm.discount * (alpha + beta) * (sm.P @ f),
+                             cont.h, cont.alpha)
     return new_stop, new_cont
 
 
@@ -185,14 +179,15 @@ def build_sampling_control(P, B, intervals, m, d: float,
                       discount=rho, allow_undiscounted=rho >= 1.0)
 
 
-def build_search_pomdp(P, overlook, blocking, cost_kind: str = "detect",
-                       action_costs=None, rho: float = 0.95) -> PomdpModel:
+def build_search_pomdp(P, overlook, blocking,
+                       rho: float = 0.95) -> PomdpModel:
     """Optimal search for a moving target as a 2X+1 state POMDP.
 
     Action u searches cell u; the augmented state tracks (last outcome,
     position) plus a terminal found state.  Observations are a
     deterministic readout of the outcome component: 1 = not found,
-    2 = blocked, 3 = found.
+    2 = blocked, 3 = found.  Each search pays minus its detection
+    probability.
     """
     P = np.asarray(P, dtype=float)
     X = P.shape[0]
@@ -225,16 +220,8 @@ def build_search_pomdp(P, overlook, blocking, cost_kind: str = "detect",
         obs[u, :X, 0] = 1.0
         obs[u, X:2 * X, 1] = 1.0
         obs[u, S - 1, 2] = 1.0
-        if cost_kind == "detect":
-            costs[:X, u] = -bF
-            costs[X:2 * X, u] = -bF
-        elif cost_kind == "delay":
-            costs[:2 * X, u] = 1.0
-        elif cost_kind == "cost":
-            c = np.asarray(action_costs, dtype=float)
-            costs[:2 * X, u] = c[u]
-        else:
-            raise DimensionMismatch(f"unknown cost kind {cost_kind!r}")
+        costs[:X, u] = -bF
+        costs[X:2 * X, u] = -bF
     return PomdpModel(transitions=trans, observations=obs, costs=costs,
                       discount=rho)
 

@@ -34,9 +34,13 @@ from .solver import evaluate_value, grid_value_oracle, lovejoy_bounds, \
     solve_finite_horizon, value_iteration_discounted
 from .stopgrid import solve_stopping_grid
 
+# the two-project benchmark of the `bandit` subcommand
+BANDIT = {"P": [[0.8, 0.2], [0.3, 0.7]], "B": [[0.85, 0.15], [0.25, 0.75]],
+          "r": [0.2, 1.0], "rho": 0.8}
+
 
 def _preset(name: str, rho: float | None):
-    """Named benchmark models; `social` and `bandit` are parameter dicts."""
+    """Named benchmark models; `social` is a parameter dict."""
     if name == "machine-replacement":
         return apps.build_machine_replacement(
             0.3, 0.9, 0.8, 0.5, [1.0, 0.0],
@@ -59,20 +63,11 @@ def _preset(name: str, rho: float | None):
     if name == "search":
         return apps.build_search_pomdp(
             [[0.8, 0.2], [0.3, 0.7]], overlook=[0.2, 0.3],
-            blocking=[0.1, 0.1], cost_kind="detect",
-            rho=0.9 if rho is None else rho)
+            blocking=[0.1, 0.1], rho=0.9 if rho is None else rho)
     if name == "social":
         return {"local_costs": [[4.57, 5.57], [2.57, 0.0]],
                 "B": [[0.9, 0.1], [0.1, 0.9]],
                 "d": 1.8, "beta": 2.0, "rho": 0.9}
-    if name == "bandit":
-        return {"P": [[0.8, 0.2], [0.3, 0.7]],
-                "B": [[0.85, 0.15], [0.25, 0.75]],
-                "r": [0.2, 1.0], "rho": 0.8}
-    if name == "transmission":
-        return apps.build_transmission_scheduling(
-            2, 4, 8, [[0.8, 0.2], [0.3, 0.7]], [0.6, 0.2],
-            [0.0, 0.4], lambda i: float(i))
     if name == "example1":
         return presets.example1(0.4 if rho is None else rho)
     if name == "example2":
@@ -102,11 +97,8 @@ def _load(args, *kinds: str):
     if args.model is None:
         raise DimensionMismatch(f"{args.command} needs --model")
     model = load_model(args.model, args.rho)
-    if isinstance(model, dict):
-        kind = "social" if "local_costs" in model else "bandit"
-    else:
-        kind = {PomdpModel: "pomdp", StoppingModel: "stopping",
-                apps.TransmissionMdp: "transmission"}[type(model)]
+    kind = "social" if isinstance(model, dict) else {
+        PomdpModel: "pomdp", StoppingModel: "stopping"}[type(model)]
     if kind not in kinds:
         raise DimensionMismatch(
             f"{args.command} takes a {'/'.join(kinds)} model; "
@@ -213,19 +205,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model, kind = _load(args, "pomdp", "stopping")
-    if kind == "stopping":
-        pm = PomdpModel(
-            transitions=np.stack([np.asarray(model.P)] * 2),
-            observations=np.stack([np.asarray(model.B)] * 2),
-            costs=np.zeros((model.num_states, 2)),
-            discount=min(model.discount, 0.999),
-        )
-        report = structural.pomdp_assumption_report(
-            pm, stop_cost=model.stop_cost,
-            continue_cost=model.continue_cost)
-    else:
-        report = structural.pomdp_assumption_report(model)
+    model, _ = _load(args, "pomdp", "stopping")
+    report = structural.pomdp_assumption_report(model)
     _emit(structural.report_to_json(report) + "\n", args.out)
     return 0
 
@@ -317,9 +298,8 @@ def cmd_spsa(args) -> int:
 
 
 def cmd_bandit(args) -> int:
-    params = _preset("bandit", None)
     result = apps.run_bandit_benchmark(
-        params["P"], params["B"], params["r"], params["rho"],
+        BANDIT["P"], BANDIT["B"], BANDIT["r"], BANDIT["rho"],
         episodes=args.episodes, horizon=args.steps, seed=args.seed)
     _emit(json.dumps(result) + "\n", args.out)
     return 0

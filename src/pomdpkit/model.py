@@ -299,48 +299,40 @@ class QuadraticCost:
         return float(self.batch(np.asarray(pi, dtype=float)[None])[0])
 
     def batch(self, pis: np.ndarray) -> np.ndarray:
+        """``C`` at each row of ``pis``; a linear cost (``alpha == 0``)
+        skips the quadratic term."""
+        if self.alpha == 0:
+            return pis @ self.lin
         return pis @ self.lin - self.alpha * (pis @ self.h) ** 2
-
-
-def belief_cost_value(cost, pi: np.ndarray) -> float:
-    """One-belief case of :func:`belief_cost_batch`."""
-    return float(belief_cost_batch(cost, np.asarray(pi, dtype=float)[None])[0])
-
-
-def belief_cost_batch(cost, pis: np.ndarray) -> np.ndarray:
-    """Evaluate a linear (vector) or :class:`QuadraticCost` belief cost
-    at each row of ``pis``."""
-    if isinstance(cost, QuadraticCost):
-        return cost.batch(pis)
-    return pis @ np.asarray(cost, dtype=float)
 
 
 @dataclass(frozen=True)
 class StoppingModel:
     """Two-action model with ``u=1`` stop (terminal) and ``u=2`` continue.
 
-    ``stop_cost`` and ``continue_cost`` are belief costs (an X-vector or a
-    :class:`QuadraticCost`); ``P``/``B`` drive the continue dynamics.  The
-    undiscounted case ``rho = 1`` is admitted because stopping embeds an
-    absorbing cost-free state.
+    ``stop_cost`` and ``continue_cost`` are belief costs, given as an
+    X-vector or a :class:`QuadraticCost` and stored as the latter (a
+    vector ``c`` as ``QuadraticCost(c, 0, 0)``); ``P``/``B`` drive the
+    continue dynamics.  The undiscounted case ``rho = 1`` is admitted
+    because stopping embeds an absorbing cost-free state.
     """
 
     P: np.ndarray
     B: np.ndarray
-    stop_cost: object
-    continue_cost: object
+    stop_cost: QuadraticCost
+    continue_cost: QuadraticCost
     discount: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "P", stochastic_matrix(self.P, action=2))
         object.__setattr__(self, "B", stochastic_matrix(self.B, action=2))
-        for cost in (self.stop_cost, self.continue_cost):
+        for name in ("stop_cost", "continue_cost"):
+            cost = getattr(self, name)
             if not isinstance(cost, QuadraticCost):
-                v = np.asarray(cost, dtype=float)
-                if v.shape != (self.num_states,):
-                    raise DimensionMismatch("belief cost has wrong length")
-                if not np.isfinite(v).all():
-                    raise NegativeEntry("belief cost must be finite")
+                cost = QuadraticCost(cost, np.zeros(np.shape(cost)), 0.0)
+            if cost.lin.shape != (self.num_states,):
+                raise DimensionMismatch(f"{name} has wrong length")
+            object.__setattr__(self, name, cost)
         if not 0.0 <= self.discount <= 1.0:
             raise InvalidDiscount(self.discount)
 
@@ -354,5 +346,4 @@ class StoppingModel:
 
     def cost(self, pi: np.ndarray, u: int) -> float:
         """Belief-stage cost of 1-indexed action ``u`` (1 stop, 2 continue)."""
-        return belief_cost_value(
-            self.stop_cost if u == 1 else self.continue_cost, pi)
+        return (self.stop_cost if u == 1 else self.continue_cost)(pi)

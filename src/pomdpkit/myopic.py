@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LpInfeasible, PreconditionFailed
 from .filters import PathSampler, cumulative, sample_index
-from .model import PomdpModel, belief_cost_value
+from .model import PomdpModel
 from .orders import blackwell_factorize
 from .rng import make_rng, uniform_simplex
 from .simplexlp import dual_feasible, solve_lp
@@ -391,29 +391,24 @@ class BlackwellRegion:
         self.cost_2 = cost_2
 
     def policy(self, pi) -> int:
-        v1 = belief_cost_value(self.cost_1, np.asarray(pi, dtype=float))
-        v2 = belief_cost_value(self.cost_2, np.asarray(pi, dtype=float))
+        pi = np.asarray(pi, dtype=float)[None]
+        v1, v2 = (pi @ self.cost_1)[0], (pi @ self.cost_2)[0]
         return 2 if v2 < v1 else 1
 
     def in_region(self, pi) -> bool:
         return self.policy(pi) == 2
 
 
-def blackwell_myopic_region(model: PomdpModel,
-                            cost_1=None, cost_2=None) -> BlackwellRegion:
+def blackwell_myopic_region(model: PomdpModel) -> BlackwellRegion:
     """Myopic lower-bound policy when kernel 2 Blackwell-dominates 1.
 
     Requires ``B(1) = B(2) R`` for a stochastic R; on the region where
     action 2 is myopically cheaper the optimal policy provably plays 2.
-    ``cost_1``/``cost_2`` may supply concave belief costs replacing the
-    linear model costs.
     """
     R = blackwell_factorize(model.B(1), model.B(2))
     if R is None:
         raise PreconditionFailed("kernel 2 does not Blackwell dominate 1")
-    c1 = cost_1 if cost_1 is not None else model.cost_vector(1)
-    c2 = cost_2 if cost_2 is not None else model.cost_vector(2)
-    return BlackwellRegion(R, c1, c2)
+    return BlackwellRegion(R, model.cost_vector(1), model.cost_vector(2))
 
 
 def table_csv(rows: list[dict]) -> str:

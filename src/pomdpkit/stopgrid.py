@@ -15,7 +15,9 @@ import numpy as np
 from .filters import PathSampler, cumulative, sample_index
 from .grid import (barycentric_weights, continuation, converge,
                    posterior_maps, simplex_lattice)
-from .model import StoppingModel, belief_cost_batch
+from .model import StoppingModel
+
+TIE_TOL = 1e-12   # stopping wins a stop/continue tie within this slack
 
 
 @dataclass
@@ -29,7 +31,7 @@ class StoppingGridSolution:
 
     @property
     def stop_mask(self) -> np.ndarray:
-        return self.stop_value <= self.continue_value + 1e-12
+        return self.stop_value <= self.continue_value + TIE_TOL
 
     def _weights(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return barycentric_weights(pis, self.resolution)
@@ -42,11 +44,11 @@ class StoppingGridSolution:
         """Lookahead stop/continue decisions (1 stop, 2 continue)."""
         pis = np.atleast_2d(np.asarray(pis, dtype=float))
         sm = self.model
-        stop = belief_cost_batch(sm.stop_cost, pis)
+        stop = sm.stop_cost.batch(pis)
         maps = posterior_maps(pis, sm.P, sm.B, self._weights)
-        cont = belief_cost_batch(sm.continue_cost, pis) \
+        cont = sm.continue_cost.batch(pis) \
             + sm.discount * continuation(self.values, maps)
-        return np.where(stop <= cont + 1e-12, 1, 2)
+        return np.where(stop <= cont + TIE_TOL, 1, 2)
 
     def action(self, pi) -> int:
         return int(self.actions(np.asarray(pi)[None, :])[0])
@@ -55,8 +57,8 @@ class StoppingGridSolution:
 def solve_stopping_grid(sm: StoppingModel, resolution: int,
                         epsilon: float = 1e-9) -> StoppingGridSolution:
     pts = simplex_lattice(sm.num_states, resolution)
-    stop_vals = belief_cost_batch(sm.stop_cost, pts)
-    cont_base = belief_cost_batch(sm.continue_cost, pts)
+    stop_vals = sm.stop_cost.batch(pts)
+    cont_base = sm.continue_cost.batch(pts)
     maps = list(posterior_maps(
         pts, sm.P, sm.B, lambda pis: barycentric_weights(pis, resolution)))
 
@@ -91,18 +93,15 @@ def batched_stopping_costs(sm: StoppingModel, policy_values, pi0s,
         acts = policy_values(beliefs[idx], idx)
         stopping = idx[acts == 1]
         if stopping.size:
-            total[stopping] += disc * belief_cost_batch(
-                sm.stop_cost, beliefs[stopping])
+            total[stopping] += disc * sm.stop_cost.batch(beliefs[stopping])
             alive[stopping] = False
         going = idx[acts == 2]
         if going.size:
-            total[going] += disc * belief_cost_batch(
-                sm.continue_cost, beliefs[going])
+            total[going] += disc * sm.continue_cost.batch(beliefs[going])
             states[going], ys = sampler.draw(0, states[going], rng)
             beliefs[going] = sampler.filter(0, beliefs[going], ys)
         disc *= sm.discount
     # paths still alive at the horizon stop and pay the stop cost
     if alive.any():
-        total[alive] += disc * belief_cost_batch(sm.stop_cost,
-                                                 beliefs[alive])
+        total[alive] += disc * sm.stop_cost.batch(beliefs[alive])
     return total

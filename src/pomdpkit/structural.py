@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionFailed
-from .model import PomdpModel, QuadraticCost
+from .model import PomdpModel, QuadraticCost, StoppingModel
 from .orders import (
     Comparison,
     HOLDS,
@@ -44,7 +44,7 @@ def _quadratic_decreasing(cost: QuadraticCost) -> OrderVerdict:
     """First-order decreasing check for ``lin' pi - alpha (h' pi)^2``.
 
     Sufficient condition: lin_i - lin_{i+1} >= 2 alpha h_1 (h_i - h_{i+1})
-    for monotone nonnegative ``h``.
+    for monotone nonnegative ``h``; exact for a linear cost (alpha = 0).
     """
     lin, h, alpha = cost.lin, cost.h, cost.alpha
     lhs = lin[:-1] - lin[1:]
@@ -57,11 +57,11 @@ def _quadratic_decreasing(cost: QuadraticCost) -> OrderVerdict:
 
 
 def _linear_decreasing(c: np.ndarray) -> OrderVerdict:
+    """Each column of the (X, U) cost matrix is decreasing in the state."""
     grow = np.argwhere(np.diff(c, axis=0) > VALUE_TOL)
     if grow.size:
         x = grow[0]
-        return fails({"state": int(x[0]) + 1,
-                      "action": int(x[1]) + 1 if c.ndim > 1 else 1})
+        return fails({"state": int(x[0]) + 1, "action": int(x[1]) + 1})
     return HOLDS
 
 
@@ -102,60 +102,51 @@ def _submodular_on_lines(delta) -> OrderVerdict:
     return HOLDS
 
 
-def pomdp_assumption_report(model: PomdpModel,
-                            stop_cost=None,
-                            continue_cost=None) -> dict:
+def pomdp_assumption_report(model: PomdpModel | StoppingModel) -> dict:
     """Verdicts for (C), (F1), (F2), (F3'), (F4) and (S).
 
-    ``stop_cost``/``continue_cost`` override the linear model costs when
-    the model carries belief costs (e.g. a variance-penalized stop cost).
+    A :class:`StoppingModel` is read as two actions (stop, continue) that
+    share its ``P`` and ``B``; its (C) and (S) are checked on its own
+    belief costs.
     """
     report = {}
-    U = model.num_actions
-    if stop_cost is not None and isinstance(stop_cost, QuadraticCost):
-        report["C"] = _quadratic_decreasing(stop_cost)
-        if continue_cost is not None \
-                and report["C"].status is Verdict.HOLDS:
-            other = (_quadratic_decreasing(continue_cost)
-                     if isinstance(continue_cost, QuadraticCost)
-                     else _linear_decreasing(
-                         np.asarray(continue_cost)[:, None]))
-            if other.status is not Verdict.HOLDS:
-                report["C"] = other
+    stopping = isinstance(model, StoppingModel)
+    if stopping:
+        P, B = [model.P] * 2, [model.B] * 2
+        report["C"] = _quadratic_decreasing(model.stop_cost)
+        if report["C"].status is Verdict.HOLDS:
+            report["C"] = _quadratic_decreasing(model.continue_cost)
     else:
+        P, B = model.transitions, model.observations
         report["C"] = _linear_decreasing(model.costs)
+    U = len(P)
 
-    for key, matrix in (("F1", model.B), ("F2", model.P)):
+    for key, matrices in (("F1", B), ("F2", P)):
         report[key] = HOLDS
-        for u in range(1, U + 1):
-            v = is_tp2(matrix(u))
+        for u, matrix in enumerate(matrices, 1):
+            v = is_tp2(matrix)
             if v.status is Verdict.FAILS:
                 report[key] = fails({"action": u, "minor": v.witness})
                 break
     report["F3"] = HOLDS
     for u in range(1, U):
-        v = copositive_order_full(model.P(u), model.B(u),
-                                  model.P(u + 1), model.B(u + 1))
+        v = copositive_order_full(P[u - 1], B[u - 1], P[u], B[u])
         if v.status is not Verdict.HOLDS:
             report["F3"] = OrderVerdict(v.status, {"action_pair": (u, u + 1),
                                                    **(v.witness or {})})
             break
     report["F4"] = HOLDS
     for u in range(1, U):
-        v = check_F4(model.P(u), model.B(u), model.P(u + 1),
-                     model.B(u + 1))
+        v = check_F4(P[u - 1], B[u - 1], P[u], B[u])
         if v.status is Verdict.FAILS:
             report["F4"] = fails({"action_pair": (u, u + 1), **v.witness})
             break
-    if U == 2:
-        if stop_cost is not None and (isinstance(stop_cost, QuadraticCost)
-                                      or isinstance(continue_cost,
-                                                    QuadraticCost)):
-            diff = _belief_cost_difference(continue_cost, stop_cost)
-            report["S"] = _submodular_on_lines(diff)
-        else:
-            delta = model.costs[:, 1] - model.costs[:, 0]
-            report["S"] = _submodular_on_lines(delta)
+    if stopping:
+        report["S"] = _submodular_on_lines(_belief_cost_difference(
+            model.continue_cost, model.stop_cost))
+    elif U == 2:
+        delta = model.costs[:, 1] - model.costs[:, 0]
+        report["S"] = _submodular_on_lines(delta)
     else:
         # pairwise submodularity across consecutive actions
         report["S"] = HOLDS
@@ -169,15 +160,9 @@ def pomdp_assumption_report(model: PomdpModel,
     return report
 
 
-def _belief_cost_difference(c2, c1):
+def _belief_cost_difference(q2: QuadraticCost,
+                            q1: QuadraticCost) -> QuadraticCost:
     """Continue-minus-stop cost as a QuadraticCost (phi, h, alpha)."""
-    def as_quad(c):
-        if isinstance(c, QuadraticCost):
-            return c
-        v = np.asarray(c, dtype=float)
-        return QuadraticCost(v, np.zeros_like(v), 0.0)
-
-    q2, q1 = as_quad(c2), as_quad(c1)
     if q1.alpha and q2.alpha:
         raise DimensionMismatch(
             "cost difference supports one quadratic term only")
@@ -370,14 +355,17 @@ def solve_mdp_finite(P: np.ndarray, costs: np.ndarray, horizon: int,
     return J, policies[::-1]
 
 
-def compare_mdp_costs(mdp1: PomdpModel, mdp2: PomdpModel,
-                      horizon: int = 25) -> OrderVerdict:
-    """Check ``J1(x) <= J2(x)`` for MDPs whose rows FOSD-dominate.
+def compare_mdp_costs(mdp1: PomdpModel, mdp2: PomdpModel) -> OrderVerdict:
+    """Check ``J1(x) <= J2(x)`` over ``mdp1.horizon`` stages for MDPs whose
+    rows FOSD-dominate.
 
     Preconditions: identical costs, (A1) decreasing costs and (A2)
     FOSD-increasing rows for the second model, and every row of the
     first model FOSD-dominating the matching row of the second.
     """
+    N = mdp1.horizon
+    if N is None:
+        raise DimensionMismatch("compare_mdp_costs needs a horizon")
     if not np.allclose(mdp1.costs, mdp2.costs):
         raise PreconditionFailed("models must share their costs")
     report = mdp_monotone_report(mdp2, "finite")
@@ -391,7 +379,6 @@ def compare_mdp_costs(mdp1: PomdpModel, mdp2: PomdpModel,
                                                   Comparison.EQ):
                 raise PreconditionFailed(
                     f"(A5) fails: row {i+1} of action {u}")
-    N = mdp1.horizon or horizon
     J1, _ = solve_mdp_finite(np.asarray(mdp1.transitions), mdp1.costs, N,
                              mdp1.terminal_vector(), mdp1.discount)
     J2, _ = solve_mdp_finite(np.asarray(mdp2.transitions), mdp2.costs, N,
@@ -453,19 +440,21 @@ def transmission_policy_check(tmdp) -> dict:
 
 
 def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,
-                        kind: str, horizon: int = 8) -> OrderVerdict:
+                        kind: str) -> OrderVerdict:
     """Check the cost-dominance direction on the whole belief simplex.
 
     ``kind="transition"``: model1's transitions copositive-dominate
     model2's (model1 is cheaper).  ``kind="observation"``: model1's
     kernel Blackwell-dominates model2's (model1 is cheaper).  Both
-    models are solved exactly over ``model1.horizon`` stages, or
-    ``horizon`` when model1 has none, and
+    models are solved exactly over ``model1.horizon`` stages, and
     :func:`solver.sup_envelope_gap` gives ``max_pi J1 - J2`` with a belief
     attaining it.  A gap above ``COMPARE_TOL`` fails only when that
     belief shows it in rational arithmetic too; otherwise the float gap
     overstated it by rounding.
     """
+    N = model1.horizon
+    if N is None:
+        raise DimensionMismatch("compare_pomdp_costs needs a horizon")
     if kind == "observation":
         for u in range(1, model1.num_actions + 1):
             if blackwell_factorize(model2.B(u), model1.B(u)) is None:
@@ -484,7 +473,6 @@ def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,
                     f"dominated ({v.status.value}): {v.witness}")
     else:
         raise DimensionMismatch(f"unknown comparison kind {kind!r}")
-    N = model1.horizon or horizon
     r1 = solve_finite_horizon(model1, N)
     r2 = solve_finite_horizon(model2, N)
     gap, pi = sup_envelope_gap(r1.final, r2.final)

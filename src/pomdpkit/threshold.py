@@ -77,14 +77,9 @@ def spherical_to_theta(phi) -> np.ndarray:
 
 def truncation_horizon(sm: StoppingModel) -> int:
     """Smallest K with ``rho^K max|c| / (1 - rho) < TRUNCATION_TOL``."""
-    costs = []
-    for c in (sm.stop_cost, sm.continue_cost):
-        if hasattr(c, "lin"):
-            costs.append(np.max(np.abs(c.lin)) + abs(c.alpha)
-                         * np.max(np.abs(c.h)) ** 2)
-        else:
-            costs.append(np.max(np.abs(np.asarray(c, dtype=float))))
-    cmax = max(max(costs), 1e-12)
+    cmax = max(max(np.max(np.abs(c.lin)) + abs(c.alpha)
+                   * np.max(np.abs(c.h)) ** 2
+                   for c in (sm.stop_cost, sm.continue_cost)), 1e-12)
     rho = sm.discount
     if rho >= 1.0:
         return 10_000

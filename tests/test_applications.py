@@ -218,8 +218,7 @@ class TestSearchPomdp:
 
     def test_detection_reward_negative_costs(self):
         m = build_search_pomdp([[0.8, 0.2], [0.3, 0.7]],
-                               overlook=[0.2, 0.3], blocking=[0.1, 0.1],
-                               cost_kind="detect")
+                               overlook=[0.2, 0.3], blocking=[0.1, 0.1])
         assert m.cost_vector(1)[0] == pytest.approx(-(0.9 * 0.8))
         assert m.cost_vector(1)[4] == 0.0
 

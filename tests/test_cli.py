@@ -426,5 +426,7 @@ class TestSocialAndLovejoyPaths:
             assert lo <= hi + 1e-9
 
     def test_dict_preset_outside_its_command(self, capsys):
-        rc = main(["solve", "--model", "bandit", "--horizon", "3"])
+        rc = main(["simulate", "--model", "social", "--steps", "3"])
         assert rc == 2
+        err = assert_one_error_line(capsys, "DimensionMismatch")
+        assert "'social' is a social model" in err["detail"]

@@ -209,3 +209,35 @@ class TestStoppingModel:
         pi = np.array([0.2, 0.2, 0.6])
         assert sm.cost(pi, 1) == pytest.approx(0.8)
         assert sm.cost(pi, 2) == pytest.approx(0.2)
+
+    def test_vector_costs_are_stored_as_linear_quadratic_costs(self):
+        sm = StoppingModel(P=P_TP2_3, B=P_TP2_3,
+                           stop_cost=[0.0, 1.0, 1.0],
+                           continue_cost=np.array([1.0, 0.0, 0.0]))
+        assert isinstance(sm.continue_cost, QuadraticCost)
+        assert sm.stop_cost.alpha == 0.0
+        assert np.array_equal(sm.stop_cost.lin, [0.0, 1.0, 1.0])
+        assert np.array_equal(sm.stop_cost.h, np.zeros(3))
+
+    @pytest.mark.parametrize("cost", [
+        QuadraticCost(lin=np.ones(2), h=np.ones(2), alpha=1.0),
+        np.ones(4),
+    ], ids=["quadratic", "vector"])
+    def test_belief_cost_of_wrong_length_rejected(self, cost):
+        with pytest.raises(DimensionMismatch, match="wrong length"):
+            StoppingModel(P=P_TP2_3, B=P_TP2_3, stop_cost=np.zeros(3),
+                          continue_cost=cost)
+
+    def test_non_finite_belief_cost_rejected(self):
+        with pytest.raises(NegativeEntry):
+            StoppingModel(P=P_TP2_3, B=P_TP2_3,
+                          stop_cost=np.array([0.0, np.inf, 1.0]),
+                          continue_cost=np.zeros(3))
+
+    def test_linear_batch_skips_the_quadratic_term(self):
+        # a large level vector overflows (h' pi)^2 to inf, and 0 * inf is
+        # nan: the quadratic term must be skipped, not multiplied by zero
+        lin = np.array([0.3, -1.7, 2.5])
+        q = QuadraticCost(lin=lin, h=np.full(3, 1e200), alpha=0.0)
+        pis = make_rng(3).dirichlet(np.ones(3), size=50)
+        assert np.array_equal(q.batch(pis), pis @ lin)

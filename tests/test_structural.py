@@ -20,8 +20,8 @@ from pomdpkit.apps import (
     build_quickest_detection,
     build_transmission_scheduling,
 )
-from pomdpkit.errors import PreconditionFailed
-from pomdpkit.model import PomdpModel, QuadraticCost
+from pomdpkit.errors import DimensionMismatch, PreconditionFailed
+from pomdpkit.model import PomdpModel, QuadraticCost, StoppingModel
 from pomdpkit.orders import OrderVerdict, Verdict, copositive_order_full
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import solve_finite_horizon, evaluate_value
@@ -38,6 +38,10 @@ from pomdpkit.structural import (
     transmission_policy_check,
     verify_value_monotone,
 )
+
+
+def stopping_model(stop_cost, continue_cost) -> StoppingModel:
+    return StoppingModel(QUAD_P1, QUAD_B1, stop_cost, continue_cost, 0.9)
 
 
 class TestAssumptionReport:
@@ -70,16 +74,33 @@ class TestAssumptionReport:
         e1 = np.array([1.0, 0.0, 0.0])
         # the transformed variance-penalty cost has linear part 2a e1
         good = QuadraticCost(lin=4.0 * e1, h=e1, alpha=2.0)
-        m = PomdpModel(np.stack([QUAD_P1] * 2), np.stack([QUAD_B1] * 2),
-                       np.zeros((3, 2)), 0.9)
-        rep = pomdp_assumption_report(m, stop_cost=good,
-                                      continue_cost=np.zeros(3))
+        rep = pomdp_assumption_report(stopping_model(good, np.zeros(3)))
         assert rep["C"].status is Verdict.HOLDS
         bad = QuadraticCost(lin=np.array([0.0, 1.0, 3.0]),
                             h=np.array([0.0, 0.5, 1.0]), alpha=1.0)
-        rep = pomdp_assumption_report(m, stop_cost=bad,
-                                      continue_cost=np.zeros(3))
+        rep = pomdp_assumption_report(stopping_model(bad, np.zeros(3)))
         assert rep["C"].status is Verdict.FAILS
+
+    def test_increasing_linear_stop_cost_fails(self):
+        rep = pomdp_assumption_report(
+            stopping_model(np.array([0.0, 1.0, 1.0]), np.zeros(3)))
+        assert rep["C"] == OrderVerdict(Verdict.FAILS,
+                                        {"state": 1, "gap": -1.0})
+
+    def test_increasing_continue_cost_fails(self):
+        rep = pomdp_assumption_report(
+            stopping_model(np.zeros(3), np.array([0.0, 0.0, 2.0])))
+        assert rep["C"] == OrderVerdict(Verdict.FAILS,
+                                        {"state": 2, "gap": -2.0})
+
+    def test_stopping_model_reads_as_two_actions(self):
+        # the report of a stopping model is that of the 2-action POMDP
+        # sharing its kernels, with its own belief costs for (C) and (S)
+        stop, cont = np.array([1.0, 0.5, 0.5]), np.array([2.0, 1.0, 0.0])
+        rep = pomdp_assumption_report(stopping_model(stop, cont))
+        pm = PomdpModel(np.stack([QUAD_P1] * 2), np.stack([QUAD_B1] * 2),
+                        np.column_stack([stop, cont]), 0.9)
+        assert rep == pomdp_assumption_report(pm)
 
     def test_f3_witness_names_the_failing_action_pair(self):
         # actions 1 and 2 share their kernels, so only the pair (2, 3) can
@@ -243,6 +264,12 @@ class TestCompareMdpCosts:
         with pytest.raises(PreconditionFailed):
             compare_mdp_costs(m2, m1)  # dominance direction reversed
 
+    def test_model_without_horizon_raises(self):
+        m1, m2 = self._pair(make_rng(10))
+        m1 = PomdpModel(m1.transitions, m1.observations, m1.costs, 0.9)
+        with pytest.raises(DimensionMismatch, match="needs a horizon"):
+            compare_mdp_costs(m1, m2)
+
 
 def blackwell_pair(seed: int) -> tuple:
     """Two 2-state models whose second kernels garble the first's."""
@@ -322,6 +349,13 @@ class TestComparePomdpCosts:
         good, bad = blackwell_pair(13)
         compare_pomdp_costs(good, bad, kind="observation")
         assert [args[1] for args in horizons] == [5, 5]
+
+    def test_model_without_horizon_raises(self):
+        good, bad = blackwell_pair(13)
+        good = PomdpModel(good.transitions, good.observations, good.costs,
+                          0.9)
+        with pytest.raises(DimensionMismatch, match="needs a horizon"):
+            compare_pomdp_costs(good, bad, kind="observation")
 
     def test_witness_failing_the_exact_check_holds(self, monkeypatch):
         # a float gap the belief does not show in rationals is rounding
