@@ -29,6 +29,7 @@ PRUNE_TOL = 1e-11
 WITNESS_MARGIN = 1e-9
 VECTOR_BUDGET = 100_000
 MAX_BACKUPS = 10_000   # backups before discounted VI gives up
+POOL_CAP = 512         # witness beliefs a solve keeps, the most recent
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,33 @@ def cross_sum(A: VectorSet, B: VectorSet) -> VectorSet:
     return VectorSet(V, a, stage=A.stage)
 
 
-def _pool_values(V: np.ndarray) -> np.ndarray:
-    """Each row's values at the vertices (exact) and the uniform belief (a
-    mean within about X ulps of ``max |V|``, which ``WITNESS_MARGIN``
-    covers while ``X max |V| < 1e6``), shape (n, X + 1)."""
-    return np.hstack([V, V.mean(axis=1, keepdims=True)])
+class BeliefPool:
+    """The witness beliefs of one solve: where an LP of an earlier prune
+    found a kept vector strictly lowest, the most recent ``POOL_CAP``.
+
+    Counts the keeps that only a pooled belief witnessed and the prune
+    LPs left to solve.
+    """
+
+    def __init__(self, dim: int):
+        self.beliefs = np.empty((0, dim))
+        self.settled = 0
+        self.lps = 0
+
+    def add(self, pi: np.ndarray) -> None:
+        pi = np.clip(pi, 0.0, None)
+        self.beliefs = np.vstack([self.beliefs, pi / pi.sum()])[-POOL_CAP:]
+
+
+def _pool_values(V: np.ndarray, pool: BeliefPool | None = None) -> np.ndarray:
+    """Each row's values at the vertices (exact), the uniform belief and
+    the pooled beliefs, shape (n, X + 1 + pooled).  The mean and the dot
+    products round within about X ulps of ``max |V|``, which
+    ``WITNESS_MARGIN`` covers while ``X max |V| < 1e6``."""
+    cols = [V, V.mean(axis=1, keepdims=True)]
+    if pool is not None:
+        cols.append(V @ pool.beliefs.T)
+    return np.hstack(cols)
 
 
 def _margin(g: np.ndarray, rivals: np.ndarray, region=()) -> tuple:
@@ -158,7 +181,7 @@ def _margin(g: np.ndarray, rivals: np.ndarray, region=()) -> tuple:
     return -res.value, res.x[:X]
 
 
-def lp_prune(gamma: VectorSet) -> VectorSet:
+def lp_prune(gamma: VectorSet, pool: BeliefPool | None = None) -> VectorSet:
     """Remove every vector that is never strictly below the others.
 
     Vectors are visited in reverse canonical order (the order a
@@ -167,12 +190,14 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
 
     * **dominated** -- a survivor is ``<=`` ``g`` in every coordinate, so
       ``g`` is never strictly below it: dropped;
-    * **witnessed** -- at a vertex or the uniform belief ``g`` lies below
-      every survivor by more than ``PRUNE_TOL + WITNESS_MARGIN``: kept
-      (see :func:`_pool_values` for the margin);
+    * **witnessed** -- at a vertex, the uniform belief or a belief of
+      ``pool`` ``g`` lies below every survivor by more than ``PRUNE_TOL +
+      WITNESS_MARGIN``: kept (see :func:`_pool_values` for the margin);
     * **LP** -- otherwise :func:`_margin` finds the best margin by which
       ``g`` undercuts the rest over the simplex, and a margin
-      ``<= PRUNE_TOL`` drops ``g``.
+      ``<= PRUNE_TOL`` drops ``g``.  A keep adds the LP's belief to
+      ``pool``, where later prunes of the same solve find it; with no
+      ``pool`` the call starts an empty one of its own.
 
     The first two settle in exact arithmetic what the LP would, so the LP
     stays the judge of every vector they leave open.
@@ -180,11 +205,13 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
     n = len(gamma)
     if n <= 1:
         return gamma
+    if pool is None:
+        pool = BeliefPool(gamma.dim)
     alive = list(range(n))
     V = gamma.vectors
-    # a kept vector's LP optimum would witness nothing later, as that
-    # vector stays lowest there
-    at_pool = _pool_values(V)
+    # a kept vector's LP optimum would witness nothing later in this call,
+    # as that vector stays lowest there
+    at_pool = _pool_values(V, pool)
     for idx in range(n - 1, -1, -1):
         others = [i for i in alive if i != idx]
         if not others:
@@ -192,18 +219,26 @@ def lp_prune(gamma: VectorSet) -> VectorSet:
         if (V[others] <= V[idx]).all(axis=1).any():
             alive.remove(idx)
             continue
-        if (at_pool[idx] < at_pool[others].min(axis=0)
-                - (PRUNE_TOL + WITNESS_MARGIN)).any():
+        below = at_pool[idx] < (at_pool[others].min(axis=0)
+                                - (PRUNE_TOL + WITNESS_MARGIN))
+        if below.any():
+            # the first witness lies past the X + 1 fixed columns
+            if np.argmax(below) > gamma.dim:
+                pool.settled += 1
             continue
-        margin = _margin(V[idx], V[others])[0]
+        margin, pi = _margin(V[idx], V[others])
+        pool.lps += 1
         if margin is not None and margin <= PRUNE_TOL:
             alive.remove(idx)
+        elif pi is not None:
+            pool.add(pi)
     keep = sorted(alive)
     return VectorSet(V[keep], gamma.actions[keep], stage=gamma.stage)
 
 
 def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
-                        method: str = "ip") -> VectorSet:
+                        method: str = "ip",
+                        pool: BeliefPool | None = None) -> VectorSet:
     """One Bellman backup.
 
     For each action u the backed-up set is the cross-sum over
@@ -212,6 +247,7 @@ def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
     sets of all actions are merged and pruned.  ``"ip"`` (incremental
     pruning) also prunes every piece and every partial cross-sum;
     ``"monahan"`` enumerates all ``U |Gamma|^Y`` vectors and prunes once.
+    Every prune shares ``pool`` (see :func:`lp_prune`).
     """
     if method not in ("ip", "monahan"):
         raise ValueError(f"unknown backup method {method!r}")
@@ -219,7 +255,8 @@ def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
     stage = gamma_next.stage - 1
     if method == "monahan" and U * len(gamma_next) ** Y > VECTOR_BUDGET:
         raise Blowup(stage, U * len(gamma_next) ** Y, VECTOR_BUDGET)
-    prune = lp_prune if method == "ip" else (lambda vs: vs)
+    prune = ((lambda vs: lp_prune(vs, pool)) if method == "ip"
+             else (lambda vs: vs))
     G = gamma_next.vectors
     per_action = []
     for u in range(1, U + 1):
@@ -239,7 +276,7 @@ def bellman_backup_step(gamma_next: VectorSet, model: PomdpModel,
                        stage)
     if len(merged) > VECTOR_BUDGET:
         raise Blowup(stage, len(merged), VECTOR_BUDGET)
-    return lp_prune(merged)
+    return lp_prune(merged, pool)
 
 
 @dataclass
@@ -247,6 +284,10 @@ class SolveResult:
     stage_sets: list            # Gamma_N .. Gamma_0 (finite) or [final]
     error_bound: float
     discounted: bool
+    # prune counters of the solve, not written by ``to_json``: keeps that
+    # only a pooled belief settled, and the prune LPs left
+    pool_keeps: int = 0
+    prune_lps: int = 0
 
     @property
     def final(self) -> VectorSet:
@@ -294,9 +335,10 @@ def solve_finite_horizon(model: PomdpModel, horizon: int,
     """Stagewise sets ``Gamma_N .. Gamma_0`` for an N-stage problem."""
     terminal = model.terminal_vector()
     sets = [vector_set(terminal[None, :], [1], stage=horizon)]
+    pool = BeliefPool(model.num_states)
     for _ in range(horizon):
-        sets.append(bellman_backup_step(sets[-1], model, method))
-    return SolveResult(sets, 0.0, discounted=False)
+        sets.append(bellman_backup_step(sets[-1], model, method, pool))
+    return SolveResult(sets, 0.0, False, pool.settled, pool.lps)
 
 
 def sup_envelope_gap(A: VectorSet, B: VectorSet) -> tuple:
@@ -344,12 +386,13 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
     if not epsilon > 0:
         raise DimensionMismatch(f"epsilon must be positive, got {epsilon}")
     current = vector_set(np.zeros((1, model.num_states)), [1], stage=0)
+    pool = BeliefPool(model.num_states)
     for n in range(1, MAX_BACKUPS + 1):
-        nxt = bellman_backup_step(current, model, method)
+        nxt = bellman_backup_step(current, model, method, pool)
         nxt = VectorSet(nxt.vectors, nxt.actions, stage=n)
         if gap_within(nxt, current, epsilon):
-            return SolveResult([nxt], epsilon * rho / (1.0 - rho),
-                               discounted=True)
+            return SolveResult([nxt], epsilon * rho / (1.0 - rho), True,
+                               pool.settled, pool.lps)
         current = nxt
     raise PreconditionFailed(f"value iteration did not reach epsilon="
                              f"{epsilon} in {MAX_BACKUPS} backups")
@@ -441,8 +484,9 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
     terminal = model.terminal_vector()
     upper = [vector_set(terminal[None, :], [1], stage=N)]
     lower = [pts @ terminal]
+    pool = BeliefPool(X)
     for k in range(N):
-        full = bellman_backup_step(upper[-1], model)
+        full = bellman_backup_step(upper[-1], model, pool=pool)
         vals = upper_pts @ full.vectors.T
         mask = sorted(set(np.argmin(vals, axis=1).tolist()))
         upper.append(VectorSet(full.vectors[mask], full.actions[mask],

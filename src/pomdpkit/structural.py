@@ -43,12 +43,16 @@ COMPARE_TOL = 1e-7
 def _quadratic_decreasing(cost: QuadraticCost) -> OrderVerdict:
     """First-order decreasing check for ``lin' pi - alpha (h' pi)^2``.
 
-    Sufficient condition: lin_i - lin_{i+1} >= 2 alpha h_1 (h_i - h_{i+1})
-    for monotone nonnegative ``h``; exact for a linear cost (alpha = 0).
+    Moving mass from state i to i + 1 changes the cost at rate
+    ``lin_{i+1} - lin_i + 2 alpha (h_i - h_{i+1}) t`` with ``t = h' pi``,
+    which ranges over ``[min h, max h]`` on the simplex.  The rate is
+    linear in ``t``, so checking ``lin_i - lin_{i+1} >= 2 alpha (h_i -
+    h_{i+1}) t`` at both ends is exact for any ``h``.
     """
     lin, h, alpha = cost.lin, cost.h, cost.alpha
     lhs = lin[:-1] - lin[1:]
-    rhs = 2 * alpha * h[0] * (h[:-1] - h[1:])
+    rhs = np.outer(2 * alpha * (h[:-1] - h[1:]),
+                   [h.min(), h.max()]).max(axis=1)
     bad = np.argwhere(lhs < rhs - VALUE_TOL)
     if bad.size:
         i = int(bad[0][0])

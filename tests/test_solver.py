@@ -22,6 +22,7 @@ from pomdpkit.simplexlp import solve_lp
 from pomdpkit.solver import (
     DEDUP_TOL,
     PRUNE_TOL,
+    BeliefPool,
     SolveResult,
     VectorSet,
     bellman_backup_step,
@@ -246,6 +247,23 @@ class TestPruneDecisions:
             assert same_set(lp_prune(vs), lp_only_prune(vs))
         assert 1 in sizes
 
+    def test_pool_matches_lp_only_prune(self):
+        # the same 200 inputs, with a pool of random beliefs and vertices
+        rng = np.random.default_rng(0)
+        pool_rng = np.random.default_rng(1)
+        settled = 0
+        for _ in range(200):
+            vs = random_prune_input(rng)
+            pool = BeliefPool(vs.dim)
+            pool.beliefs = np.vstack([
+                pool_rng.dirichlet(np.ones(vs.dim), size=8), np.eye(vs.dim)])
+            assert same_set(lp_prune(vs, pool), lp_only_prune(vs))
+            # every belief an LP keep added is a belief
+            assert (pool.beliefs >= 0).all()
+            assert np.allclose(pool.beliefs.sum(axis=1), 1.0)
+            settled += pool.settled
+        assert settled > 0
+
     def test_near_duplicates_side_with_highs(self):
         # gradient spreads of 1e-9..1e-7, where the LP kernel's ratio test
         # can be off by up to about 1e-7 (see TestKnownGap)
@@ -289,11 +307,25 @@ class TestPruneDecisions:
                     == (tuple(V[idx]) in kept[0])
 
     def test_sampling_horizon_7_lp_count(self, monkeypatch):
-        # a count, not a time: the LP-only prune solves 841 LPs here and
-        # the prechecks leave 314
+        # a count, not a time: the LP-only prune solves 841 LPs here, the
+        # dominance and vertex prechecks leave 314 and the solve's belief
+        # pool 145
         calls = count_calls(monkeypatch, solver, "solve_lp")
         solve_finite_horizon(load_model("sampling"), 7)
-        assert 0 < len(calls) <= 420
+        assert 0 < len(calls) <= 160
+
+    def test_search_horizon_8_lp_count(self, monkeypatch):
+        # the prechecks alone leave 541 LPs here, the belief pool 267
+        calls = count_calls(monkeypatch, solver, "solve_lp")
+        solve_finite_horizon(load_model("search"), 8)
+        assert 0 < len(calls) <= 295
+
+    def test_sampling_horizon_7_pool_counters(self):
+        res = solve_finite_horizon(load_model("sampling"), 7)
+        assert (res.pool_keeps, res.prune_lps) == (169, 145)
+        assert "pool_keeps" not in res.to_json()
+        back = SolveResult.from_json(res.to_json())
+        assert (back.pool_keeps, back.prune_lps) == (0, 0)
 
     def test_replacement_vi_stop_test_lp_count(self, monkeypatch):
         # the witness settles all 236 "not yet" stop tests; the LP-only
@@ -307,6 +339,65 @@ class TestPruneDecisions:
         lps = count_calls(monkeypatch, solver, "solve_lp")
         assert solver.sup_difference(*sups[0]) <= 1e-6
         assert 0 < len(lps) <= 4
+
+
+def plain_finite_horizon(model, horizon):
+    sets = [vector_set(model.terminal_vector()[None, :], [1],
+                       stage=horizon)]
+    for _ in range(horizon):
+        sets.append(bellman_backup_step(sets[-1], model, pool=None))
+    return sets
+
+
+def plain_value_iteration(model, epsilon):
+    current = vector_set(np.zeros((1, model.num_states)), [1], stage=0)
+    for n in range(1, 1000):
+        nxt = bellman_backup_step(current, model, pool=None)
+        nxt = VectorSet(nxt.vectors, nxt.actions, stage=n)
+        if gap_within(nxt, current, epsilon):
+            return [nxt]
+        current = nxt
+    raise AssertionError("no convergence")
+
+
+class TestBeliefPool:
+    """One pool per solve changes which prunes need an LP, not what they
+    keep."""
+
+    @pytest.mark.parametrize("name, solve, plain", [
+        ("search", lambda m: solve_finite_horizon(m, 8),
+         lambda m: plain_finite_horizon(m, 8)),
+        ("sampling", lambda m: solve_finite_horizon(m, 7),
+         lambda m: plain_finite_horizon(m, 7)),
+        ("sampling", lambda m: value_iteration_discounted(m, 0.05),
+         lambda m: plain_value_iteration(m, 0.05)),
+    ])
+    def test_stage_sets_match_unpooled_backups(self, name, solve, plain):
+        model = load_model(name)
+        ours, ref = solve(model).stage_sets, plain(model)
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            assert same_set(a, b) and a.stage == b.stage
+
+    def test_no_state_leaks_between_solves(self, monkeypatch):
+        model = load_model("sampling")
+        counts = []
+        for _ in range(2):
+            calls = count_calls(monkeypatch, solver, "solve_lp")
+            solve_finite_horizon(model, 5)
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] > 0
+
+    def test_cap_keeps_the_most_recent(self, monkeypatch):
+        monkeypatch.setattr(solver, "POOL_CAP", 3)
+        pool = BeliefPool(2)
+        for k in range(5):
+            pool.add(np.array([k, 1.0]))
+        assert np.allclose(pool.beliefs[:, 0], [2 / 3, 3 / 4, 4 / 5])
+        # an LP point a rounding error off the simplex is clipped onto it
+        pool.add(np.array([-1e-12, 2.0]))
+        assert np.array_equal(pool.beliefs[-1], [0.0, 1.0])
 
 
 class TestBackups:

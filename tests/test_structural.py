@@ -81,6 +81,15 @@ class TestAssumptionReport:
         rep = pomdp_assumption_report(stopping_model(bad, np.zeros(3)))
         assert rep["C"].status is Verdict.FAILS
 
+    def test_quadratic_cost_with_non_monotone_level_fails(self):
+        # cost 0, -1, 0 at e1, e2, e3: h' pi reaches 1 at e2, where moving
+        # mass from state 2 to 3 raises the cost at rate 2
+        cost = QuadraticCost(lin=np.zeros(3), h=np.array([0.0, 1.0, 0.0]),
+                             alpha=1.0)
+        rep = pomdp_assumption_report(stopping_model(cost, np.zeros(3)))
+        assert rep["C"] == OrderVerdict(Verdict.FAILS,
+                                        {"state": 2, "gap": -2.0})
+
     def test_increasing_linear_stop_cost_fails(self):
         rep = pomdp_assumption_report(
             stopping_model(np.array([0.0, 1.0, 1.0]), np.zeros(3)))
