@@ -1,8 +1,8 @@
 """Model builders and application routines for the worked examples:
 machine replacement, quickest change detection with phase-type change
-times, controlled-sampling detection, optimal search, social learning,
-POMDP bandits with a Gittins index (from one restart-in-belief solve),
-and transmission scheduling.
+times, controlled-sampling detection, optimal search, social-learning
+stopping, and POMDP bandits with a Gittins index (from one
+restart-in-belief solve).
 """
 
 from __future__ import annotations
@@ -15,19 +15,16 @@ from .errors import (
     DimensionMismatch,
     InvalidProbability,
     NonTransient,
-    PreconditionFailed,
     PriorMassOnState1,
 )
 from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
 from .grid import continuation, converge, posterior_maps, segment_weights
 from .model import PomdpModel, QuadraticCost, StoppingModel, belief
-from .orders import Comparison, mlr_compare, mlr_halfspaces
 from .rng import make_rng
 from .solver import value_iteration_discounted
 
 GRID_TOL = 1e-9   # sweep tolerance of the social-learning and index grids
-DYKSTRA_ROUNDS = 400   # passes of project_to_mlr_band
 
 
 def build_machine_replacement(theta: float, p: float, q: float, R: float,
@@ -53,23 +50,6 @@ def build_machine_replacement(theta: float, p: float, q: float, R: float,
         discount=rho,
         horizon=horizon,
     )
-
-
-def absorption_pmf(pi0, P_bar, P_col, k_max: int) -> np.ndarray:
-    """Distribution of the absorption time into state 1.
-
-    ``nu_0 = pi0(1)`` and ``nu_k = pibar0' P_bar^(k-1) P_col``.
-    """
-    pi0 = np.asarray(pi0, dtype=float)
-    P_bar = np.asarray(P_bar, dtype=float)
-    P_col = np.asarray(P_col, dtype=float)
-    out = np.empty(k_max + 1)
-    out[0] = pi0[0]
-    w = pi0[1:].copy()
-    for k in range(1, k_max + 1):
-        out[k] = float(w @ P_col)
-        w = w @ P_bar
-    return out
 
 
 def build_quickest_detection(pi0, P_bar, P_col, B, d: float, beta: float,
@@ -115,23 +95,6 @@ def build_quickest_detection(pi0, P_bar, P_col, B, d: float, beta: float,
         raise DimensionMismatch(f"unknown delay kind {delay_kind!r}")
     return StoppingModel(P=P, B=B, stop_cost=stop, continue_cost=cont,
                          discount=rho)
-
-
-def transformed_detection_costs(sm: StoppingModel, alpha: float,
-                                beta: float, f) -> tuple:
-    """Shifted costs with the stop cost pinned through ``-(a+b) f' pi``.
-
-    The shift leaves the optimal policy unchanged and makes both costs
-    decreasing under the usual parameter conditions.
-    """
-    f = np.asarray(f, dtype=float)
-    stop, cont = sm.stop_cost, sm.continue_cost
-    new_stop = QuadraticCost(stop.lin - (alpha + beta) * f, stop.h,
-                             stop.alpha)
-    new_cont = QuadraticCost(cont.lin - (alpha + beta) * f
-                             + sm.discount * (alpha + beta) * (sm.P @ f),
-                             cont.h, cont.alpha)
-    return new_stop, new_cont
 
 
 def build_sampling_control(P, B, intervals, m, d: float,
@@ -224,29 +187,6 @@ def build_search_pomdp(P, overlook, blocking,
         costs[X:2 * X, u] = -bF
     return PomdpModel(transitions=trans, observations=obs, costs=costs,
                       discount=rho)
-
-
-@dataclass(frozen=True)
-class SocialLearningPartition:
-    kappas: tuple     # kappa_0 .. kappa_4
-    intervals: tuple  # P_1 .. P_4 as (lo, hi] pairs
-
-
-def social_learning_partition(local_costs, B) -> SocialLearningPartition:
-    """Closed-form cascade/learning partition of the public-belief line."""
-    c = np.asarray(local_costs, dtype=float)
-    B = np.asarray(B, dtype=float)
-    d1 = c[0, 1] - c[0, 0]   # c(e1,2) - c(e1,1)
-    d2 = c[1, 0] - c[1, 1]   # c(e2,1) - c(e2,2)
-    if d1 <= 0 or d2 <= 0:
-        raise PreconditionFailed(
-            "needs c(e1,1) < c(e1,2) and c(e2,2) < c(e2,1)")
-    k1 = d1 * B[0, 0] / (d1 * B[0, 0] + d2 * B[1, 0])
-    k2 = d1 / (d1 + d2)
-    k3 = d1 * B[0, 1] / (d1 * B[0, 1] + d2 * B[1, 1])
-    kappas = (1.0, float(k1), float(k2), float(k3), 0.0)
-    intervals = tuple((kappas[i + 1], kappas[i]) for i in range(4))
-    return SocialLearningPartition(kappas, intervals)
 
 
 @dataclass
@@ -415,127 +355,3 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
     out["ci_overlap"] = bool(a["ci_low"] <= b["ci_high"]
                              and b["ci_low"] <= a["ci_high"])
     return out
-
-
-@dataclass(frozen=True)
-class OpportunisticChoice:
-    index: int | None
-    comparable: bool
-
-
-def opportunistic_bandit_policy(beliefs) -> OpportunisticChoice:
-    """Pick the MLR-largest belief when the beliefs form a chain.
-
-    Returns ``comparable=False`` when some pair is MLR incomparable; the
-    caller then projects with :func:`project_to_mlr_band` and retries.
-    Ties resolve to the smallest project index.
-    """
-    pis = [np.asarray(b, dtype=float) for b in beliefs]
-    best = 0
-    for k in range(1, len(pis)):
-        cmp = mlr_compare(pis[k], pis[best])
-        if cmp is Comparison.INCOMPARABLE:
-            return OpportunisticChoice(None, False)
-        if cmp is Comparison.GE:
-            best = k
-    # verify chain property across all pairs
-    for i in range(len(pis)):
-        for j in range(i + 1, len(pis)):
-            if mlr_compare(pis[i], pis[j]) is Comparison.INCOMPARABLE:
-                return OpportunisticChoice(None, False)
-    return OpportunisticChoice(best + 1, True)
-
-
-def project_to_mlr_band(pi, lower=None, upper=None) -> np.ndarray:
-    """Nearest belief (squared Euclidean) MLR-between two references.
-
-    Dykstra's alternating projections onto the simplex and the MLR
-    half-spaces (which are linear once the references are fixed).
-    """
-    pi = np.asarray(pi, dtype=float)
-    X = pi.size
-    halfspaces = []
-    if lower is not None:       # a @ x <= 0  <=>  x >= lower (MLR)
-        halfspaces += list(mlr_halfspaces(lower, below=False))
-    if upper is not None:
-        halfspaces += list(mlr_halfspaces(upper, below=True))
-    sets = halfspaces + ["simplex"]
-    x = pi.copy()
-    mem = [np.zeros(X) for _ in sets]
-    for _ in range(DYKSTRA_ROUNDS):
-        for k, s in enumerate(sets):
-            y = x + mem[k]
-            if isinstance(s, str):
-                z = _project_simplex(y)
-            else:
-                val = s @ y
-                z = y - (val / (s @ s)) * s if val > 0 else y
-            mem[k] = y - z
-            x = z
-    return np.clip(x, 0, None) / max(x.sum(), 1e-300)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
-    cond = u - (css - 1) / k > 0
-    rho_idx = np.max(np.flatnonzero(cond)) + 1
-    tau = (css[rho_idx - 1] - 1) / rho_idx
-    return np.clip(v - tau, 0.0, None)
-
-
-@dataclass
-class TransmissionMdp:
-    """Finite-horizon transmission-scheduling MDP over (buffer, channel).
-
-    Actions: 1 = idle, 2 = transmit.  A transmit succeeds with
-    probability ``1 - err_prob[s]``; the terminal cost charges
-    ``c_N(i)`` for i packets left after N slots.
-    """
-
-    channel: np.ndarray       # (K, K) channel transition matrix
-    err_prob: np.ndarray      # (K,)
-    action_cost: np.ndarray   # (2,)
-    terminal: np.ndarray      # (L+1,)
-    buffer_size: int
-    horizon: int
-
-    def solve(self):
-        """Backward DP; returns values[n][i, s] and policies[n][i, s]
-        for n = 0..N (n counts remaining slots)."""
-        K = self.channel.shape[0]
-        L = self.buffer_size
-        V = np.tile(self.terminal[:, None], (1, K)).astype(float)
-        values = [V.copy()]
-        policies = []
-        for n in range(1, self.horizon + 1):
-            EV = V @ self.channel.T      # E[V(i, s') | s]
-            Q = np.empty((L + 1, K, 2))
-            for a in range(2):
-                gamma = np.zeros(K) if a == 0 else 1.0 - self.err_prob
-                down = np.vstack([EV[0:1], EV[:-1]])  # V(i-1, .)
-                Q[:, :, a] = self.action_cost[a] \
-                    + gamma[None, :] * down + (1 - gamma[None, :]) * EV
-            Q[0, :, :] = 0.0            # empty buffer: done, no cost
-            # maximal selection: transmit on ties, which is the monotone
-            # version of the optimal policy; an empty buffer idles
-            pol = np.where(Q[:, :, 1] <= Q[:, :, 0] + 1e-12, 2, 1)
-            pol[0, :] = 1
-            V = Q.min(axis=2)
-            values.append(V.copy())
-            policies.append(pol)
-        return values, policies
-
-
-def build_transmission_scheduling(K: int, L: int, N: int, P_channel,
-                                  err_prob, c_action,
-                                  c_N) -> TransmissionMdp:
-    P_channel = np.asarray(P_channel, dtype=float)
-    err_prob = np.asarray(err_prob, dtype=float)
-    c_action = np.asarray(c_action, dtype=float)
-    c_N = np.asarray([c_N(i) if callable(c_N) else c_N[i]
-                      for i in range(L + 1)], dtype=float)
-    if P_channel.shape != (K, K) or err_prob.shape != (K,):
-        raise DimensionMismatch("channel matrices must be (K, K) and (K,)")
-    return TransmissionMdp(P_channel, err_prob, c_action, c_N, L, N)

@@ -1,6 +1,6 @@
 """Dominating transition matrices and the MLR sandwich filter.
 
-Rank-1 and LP constructions of transition matrices that bracket a given
+The rank-1 construction of transition matrices that bracket a given
 chain in the copositive order, plus the sandwich run that brackets the
 exact posterior between cheap lower/upper filters.
 """
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LpInfeasible, NotTP2, OrderingViolation
-from .orders import is_tp2, mlr_halfspaces, mlr_rows
-from .simplexlp import solve_lp
+from .errors import NotTP2, OrderingViolation
+from .orders import is_tp2, mlr_rows
 
 
 def rank1_bounds(P) -> tuple[np.ndarray, np.ndarray]:
@@ -30,57 +29,6 @@ def rank1_bounds(P) -> tuple[np.ndarray, np.ndarray]:
         raise NotTP2("rank-1 bracket requires a TP2 matrix")
     lower = np.tile(P[0], (P.shape[0], 1))
     upper = np.tile(P[-1], (P.shape[0], 1))
-    return lower, upper
-
-
-def _lp_bound_row(target: np.ndarray, ref: np.ndarray, eps: float,
-                  direction: str) -> np.ndarray:
-    """Closest row (L1) to ``target`` that is MLR-bounded by ``ref``."""
-    X = target.size
-    mlr = mlr_halfspaces(ref, below=direction == "lower")
-    m = len(mlr)
-    # variables: r (X) then t (X); |r - target| <= t is the row pair
-    # r_i - t_i <= target_i, -r_i - t_i <= -target_i for each i
-    nv = 2 * X
-    idx = np.arange(X)
-    pair = m + 2 * idx
-    A_ub = np.zeros((m + 2 * X, nv))
-    A_ub[:m, :X] = mlr
-    A_ub[pair, idx] = 1.0
-    A_ub[pair, X + idx] = -1.0
-    A_ub[pair + 1, idx] = -1.0
-    A_ub[pair + 1, X + idx] = -1.0
-    b_ub = np.concatenate([np.zeros(m),
-                           np.column_stack([target, -target]).ravel()])
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :X] = 1.0
-    c = np.concatenate([np.zeros(X), np.ones(X)])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0])
-    if not res.optimal or res.value > eps + 1e-9:
-        raise LpInfeasible(
-            f"no row within L1 distance {eps} is MLR-{direction} bounded")
-    return np.clip(res.x[:X], 0.0, None) / res.x[:X].sum()
-
-
-def lp_bounds(P, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """LP construction of bracketing matrices within induced 1-norm eps.
-
-    Row i of the lower bound is the L1-closest row to P_i among rows MLR
-    dominated by P_1; the upper bound uses rows dominating P_X.  The
-    induced 1-norm constraint ``||P - P_bound||_1 <= eps`` is exactly a
-    per-row L1 budget.  Raises :class:`LpInfeasible` when eps is too
-    small; the construction assumes a TP2 ``P`` (otherwise rows need not
-    be MLR-comparable to the extreme rows and the LPs are refused).
-    """
-    P = np.asarray(P, dtype=float)
-    if not is_tp2(P):
-        raise LpInfeasible("lp_bounds requires a TP2 matrix")
-    X = P.shape[0]
-    lower = np.empty_like(P)
-    upper = np.empty_like(P)
-    for i in range(X):
-        lower[i] = _lp_bound_row(P[i], P[0], eps, "lower")
-        upper[i] = _lp_bound_row(P[i], P[-1], eps, "upper")
     return lower, upper
 
 

@@ -1,6 +1,6 @@
 """Belief-state recursions: HMM filter/predictor, the batched Bayes
-kernel, the batched path sampler, social-learning filter, risk-sensitive
-update and seeded trajectory simulation.
+kernel, the batched path sampler, social-learning filter and seeded
+trajectory simulation.
 
 Every batched posterior in the package goes through :func:`bayes_batch`
 except those of :func:`bounds.sandwich_filter`, which raises at a
@@ -154,18 +154,6 @@ def social_learning_step(pi, a: int, local_costs, B) -> FilterStep:
     """Public-belief update driven by an observed action ``a``."""
     L = social_action_likelihoods(pi, local_costs, B)
     return _bayes(L[:, a - 1] * np.asarray(pi, dtype=float))
-
-
-def risk_sensitive_step(pi, y: int, model: PomdpModel,
-                        weights) -> FilterStep:
-    """Filter update with exponential cost weights:
-    ``T(pi, y) ∝ B_y P' diag(weights) pi`` (action 2 dynamics)."""
-    pi = np.asarray(pi, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != pi.shape:
-        raise DimensionMismatch("weight vector must match belief length")
-    u = min(2, model.num_actions)
-    return _bayes(model.B(u)[:, y - 1] * (model.P(u).T @ (w * pi)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Simplex-grid value machinery shared by the grid oracle, policy
-evaluation, the stopping grid, the reduced-grid bounds and the 2-state
-social-learning and retirement-index grids.
+"""Simplex-grid value machinery shared by the grid oracle, the stopping
+grid, the reduced-grid bounds and the 2-state social-learning and
+retirement-index grids.
 
 Grid nodes are the lattice points ``k / resolution`` (all compositions of
 ``resolution`` into X parts, in lexicographic order).  Off-grid beliefs
@@ -278,30 +278,6 @@ class GridValue:
             V, pol = converge(self.sweep, self.values, epsilon)
         self.values = V
         self.policy_table = pol
-        return self
-
-    def iterate_policy(self, actions: np.ndarray,
-                       epsilon: float) -> "GridValue":
-        """Fixed-policy evaluation sweeps (actions are 1-indexed)."""
-        if self._maps is None:
-            self._build_maps()
-        rho = self.model.discount
-        n = len(self.points)
-        a0 = actions - 1
-        cost = self._costs[np.arange(n), a0]
-        sels = [a0 == u for u in range(len(self._maps))]
-        parts = [(sel, [(idx[sel], w[sel], sigma[sel])
-                        for idx, w, sigma in mu])
-                 for sel, mu in zip(sels, self._maps)]
-
-        def step(V):
-            cont = np.zeros(n)
-            for sel, mu in parts:
-                cont[sel] = continuation(V, mu)
-            return cost + rho * cont, None
-
-        self.values, _ = converge(step, np.zeros(n), epsilon)
-        self.policy_table = actions
         return self
 
     # -- policies ----------------------------------------------------------

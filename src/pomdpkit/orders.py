@@ -106,19 +106,6 @@ def mlr_compare(pi1, pi2) -> Comparison:
     return _verdict(ge[0], le[0])
 
 
-def mlr_halfspaces(ref, below: bool) -> np.ndarray:
-    """Rows ``a`` with ``a @ r <= 0`` iff r <=r ref (``below``) or
-    r >=r ref: ``ref(i) r(j) - ref(j) r(i)``, negated for ``>=r``, one
-    row per pair i < j in row-major order."""
-    ref = np.asarray(ref, dtype=float)
-    i, j = np.triu_indices(ref.size, k=1)
-    sign = 1.0 if below else -1.0
-    rows = np.zeros((i.size, ref.size))
-    k = np.arange(i.size)
-    rows[k, j], rows[k, i] = sign * ref[i], -sign * ref[j]
-    return rows
-
-
 def fosd_compare(pi1, pi2) -> Comparison:
     """First-order stochastic dominance via tail sums."""
     pi1, pi2 = _check_pair(pi1, pi2)

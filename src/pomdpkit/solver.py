@@ -2,7 +2,7 @@
 
 Cross-sums, LP dominance pruning, the Bellman backup (incremental pruning
 or full enumeration), finite-horizon and discounted solving, reduced-grid
-upper/lower bounds, a simplex-grid oracle and policy evaluation.
+upper/lower bounds and a simplex-grid oracle.
 
 The value function of every finite POMDP stage is the lower envelope of a
 finite set of hyperplanes ("gradient vectors"); all solvers here
@@ -112,11 +112,6 @@ def evaluate_value(gamma: VectorSet, pi) -> tuple[float, np.ndarray, int]:
     # vector
     pick = int(np.argmax(vals <= best + DEDUP_TOL))
     return best, gamma.vectors[pick], int(gamma.actions[pick])
-
-
-def evaluate_batch(gamma: VectorSet, pis: np.ndarray) -> np.ndarray:
-    """Envelope values at many beliefs (rows of ``pis``)."""
-    return (pis @ gamma.vectors.T).min(axis=1)
 
 
 def cross_sum(A: VectorSet, B: VectorSet) -> VectorSet:
@@ -396,23 +391,6 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
         current = nxt
     raise PreconditionFailed(f"value iteration did not reach epsilon="
                              f"{epsilon} in {MAX_BACKUPS} backups")
-
-
-def policy_evaluation(model: PomdpModel, policy, epsilon: float,
-                      resolution: int) -> GridValue:
-    """Expected discounted cost of a stationary belief policy.
-
-    Iterates the fixed-policy Bellman operator on a simplex grid until
-    successive sweeps differ by at most ``epsilon``; the returned table
-    interpolates like the grid oracle.
-    """
-    rho = model.discount
-    if not 0 <= rho < 1:
-        raise DimensionMismatch("policy evaluation needs rho < 1")
-    grid = GridValue(model, resolution)
-    actions = np.array([int(policy(p)) for p in grid.points], dtype=int)
-    grid.iterate_policy(actions, epsilon)
-    return grid
 
 
 def grid_value_oracle(model: PomdpModel, resolution: int,

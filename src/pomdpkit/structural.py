@@ -69,40 +69,29 @@ def _linear_decreasing(c: np.ndarray) -> OrderVerdict:
     return HOLDS
 
 
-def _submodular_on_lines(delta) -> OrderVerdict:
+def _submodular_on_lines(delta: QuadraticCost) -> OrderVerdict:
     """Submodularity of a two-action cost difference on vertex lines.
 
-    For linear costs with difference vector ``delta = c_2 - c_1`` the
-    condition is ``delta_1 >= delta_x >= delta_X`` for every state x.
-    For a quadratic difference ``phi' pi + alpha (h' pi)^2`` the two
-    families of linear inequalities are checked at the sub-simplex
-    vertices, which suffices because they are linear in the base belief.
+    For a difference ``phi' pi + alpha (h' pi)^2`` the two families of
+    linear inequalities are checked at the sub-simplex vertices, which
+    suffices because they are linear in the base belief.  A linear
+    difference (``alpha = 0``) reduces to ``delta_1 >= delta_x >=
+    delta_X`` for every state x.
     """
-    if isinstance(delta, QuadraticCost):
-        phi = delta.lin
-        alpha = -delta.alpha   # stored as lin - alpha (h)^2
-        h = delta.h
-        X = phi.size
-        for j in range(X - 1):       # vertices of {pi(X) = 0}
-            lhs = phi[X - 1] - phi[j] + 2 * alpha * h[X - 1] \
-                * (h[X - 1] - h[j])
-            if lhs > VALUE_TOL:
-                return fails({"line": "e_X", "vertex": j + 1,
-                              "value": float(lhs)})
-        for j in range(1, X):        # vertices of {pi(1) = 0}
-            lhs = phi[0] - phi[j] + 2 * alpha * h[X - 1] * (h[0] - h[j])
-            if lhs < -VALUE_TOL:
-                return fails({"line": "e_1", "vertex": j + 1,
-                              "value": float(lhs)})
-        return HOLDS
-    delta = np.asarray(delta, dtype=float)
-    X = delta.size
-    if (delta[0] < delta - VALUE_TOL).any():
-        j = int(np.argmax(delta))
-        return fails({"line": "e_1", "state": j + 1})
-    if (delta[X - 1] > delta + VALUE_TOL).any():
-        j = int(np.argmin(delta))
-        return fails({"line": "e_X", "state": j + 1})
+    phi = delta.lin
+    alpha = -delta.alpha   # stored as lin - alpha (h)^2
+    h = delta.h
+    X = phi.size
+    for j in range(X - 1):       # vertices of {pi(X) = 0}
+        lhs = phi[X - 1] - phi[j] + 2 * alpha * h[X - 1] * (h[X - 1] - h[j])
+        if lhs > VALUE_TOL:
+            return fails({"line": "e_X", "vertex": j + 1,
+                          "value": float(lhs)})
+    for j in range(1, X):        # vertices of {pi(1) = 0}
+        lhs = phi[0] - phi[j] + 2 * alpha * h[X - 1] * (h[0] - h[j])
+        if lhs < -VALUE_TOL:
+            return fails({"line": "e_1", "vertex": j + 1,
+                          "value": float(lhs)})
     return HOLDS
 
 
@@ -148,18 +137,17 @@ def pomdp_assumption_report(model: PomdpModel | StoppingModel) -> dict:
     if stopping:
         report["S"] = _submodular_on_lines(_belief_cost_difference(
             model.continue_cost, model.stop_cost))
-    elif U == 2:
-        delta = model.costs[:, 1] - model.costs[:, 0]
-        report["S"] = _submodular_on_lines(delta)
     else:
-        # pairwise submodularity across consecutive actions
+        # consecutive actions, each difference a linear QuadraticCost; a
+        # witness names its action pair when there are more than two
         report["S"] = HOLDS
         for u in range(U - 1):
             delta = model.costs[:, u + 1] - model.costs[:, u]
-            v = _submodular_on_lines(delta)
+            v = _submodular_on_lines(
+                QuadraticCost(delta, np.zeros_like(delta), 0.0))
             if v.status is Verdict.FAILS:
-                report["S"] = fails({"action_pair": (u + 1, u + 2),
-                                     **v.witness})
+                report["S"] = v if U == 2 else fails(
+                    {"action_pair": (u + 1, u + 2), **v.witness})
                 break
     return report
 
@@ -393,54 +381,6 @@ def compare_mdp_costs(mdp1: PomdpModel, mdp2: PomdpModel) -> OrderVerdict:
         return fails({"state": x + 1, "J1": float(J1[x]),
                       "J2": float(J2[x])})
     return HOLDS
-
-
-def transmission_policy_check(tmdp) -> dict:
-    """Monotone-structure report for a transmission-scheduling MDP.
-
-    Verifies that the optimal policy transmits more aggressively as the
-    residual time shrinks, that it is a threshold in the buffer state,
-    and that the threshold grows with the remaining slots; the terminal
-    cost's monotonicity and integer convexity gate the threshold claims.
-    """
-    _, policies = tmdp.solve()  # policies[j]: n = j + 1 slots remaining
-    report: dict[str, OrderVerdict] = {}
-    c_N = np.asarray(tmdp.terminal, dtype=float)
-    if (np.diff(c_N) < -VALUE_TOL).any():
-        report["increasing_terminal"] = fails({"terminal": c_N.tolist()})
-    else:
-        report["increasing_terminal"] = HOLDS
-    second = np.diff(c_N, 2)
-    if (second < -VALUE_TOL).any():
-        report["convex_terminal"] = fails({"terminal": c_N.tolist()})
-    else:
-        report["convex_terminal"] = HOLDS
-
-    report["decreasing_in_n"] = HOLDS
-    for j in range(len(policies) - 1):
-        if (policies[j + 1] > policies[j]).any():
-            i, s = np.argwhere(policies[j + 1] > policies[j])[0]
-            report["decreasing_in_n"] = fails(
-                {"n": j + 2, "buffer": int(i), "channel": int(s) + 1})
-            break
-
-    report["threshold_in_buffer"] = HOLDS
-    thresholds = np.zeros((len(policies), policies[0].shape[1]))
-    for j, pol in enumerate(policies):
-        if (np.diff(pol, axis=0) < 0).any():
-            i, s = np.argwhere(np.diff(pol, axis=0) < 0)[0]
-            report["threshold_in_buffer"] = fails(
-                {"n": j + 1, "buffer": int(i) + 1, "channel": int(s) + 1})
-            break
-        thresholds[j] = (pol == 1).sum(axis=0)
-
-    report["threshold_increasing_in_n"] = HOLDS
-    if report["threshold_in_buffer"].status is Verdict.HOLDS:
-        if (np.diff(thresholds, axis=0) < 0).any():
-            j, s = np.argwhere(np.diff(thresholds, axis=0) < 0)[0]
-            report["threshold_increasing_in_n"] = fails(
-                {"n": int(j) + 2, "channel": int(s) + 1})
-    return report
 
 
 def compare_pomdp_costs(model1: PomdpModel, model2: PomdpModel,

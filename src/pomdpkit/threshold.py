@@ -87,28 +87,6 @@ def truncation_horizon(sm: StoppingModel) -> int:
     return max(K, 1)
 
 
-def _path_horizon(sm: StoppingModel, horizon: int | None) -> int:
-    """``horizon`` capped at the truncation horizon, which is the default."""
-    K = truncation_horizon(sm)
-    return K if horizon is None else min(K, horizon)
-
-
-def sample_cost(sm: StoppingModel, policy, horizon: int | None,
-                seed: int, pi0=None) -> float:
-    """One sampled discounted cost of a stop/continue belief policy."""
-    rng = make_rng(seed)
-    K = _path_horizon(sm, horizon)
-    if pi0 is None:
-        pi0 = uniform_simplex(rng, 1, sm.num_states)[0]
-
-    def batch_policy(pis, idx):
-        return np.asarray([int(policy(p)) for p in pis])
-
-    return float(batched_stopping_costs(sm, batch_policy,
-                                        np.asarray(pi0)[None, :], K,
-                                        rng)[0])
-
-
 @dataclass
 class SpsaHyper:
     step: float = 0.1        # Delta: perturbation scale
@@ -211,7 +189,10 @@ def evaluate_stop_policy(sm: StoppingModel, actions_fn, n_paths: int,
                          ) -> np.ndarray:
     """Per-path costs of an arbitrary batched stop/continue policy."""
     rng = make_rng(seed)
-    K = _path_horizon(sm, horizon)
+    # ``horizon`` is capped at the truncation horizon, its default
+    K = truncation_horizon(sm)
+    if horizon is not None:
+        K = min(K, horizon)
     pi0 = uniform_simplex(rng, n_paths, sm.num_states)
 
     def batch_policy(pis, idx):

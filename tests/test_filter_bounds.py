@@ -6,12 +6,10 @@ import pytest
 from helpers import random_tp2_stochastic
 from pomdpkit.bounds import (
     CountingPredictor,
-    lp_bounds,
     rank1_bounds,
     sandwich_filter,
 )
-from pomdpkit.errors import LpInfeasible, NotTP2, OrderingViolation
-from pomdpkit.model import quantized_gaussian_observation
+from pomdpkit.errors import NotTP2, OrderingViolation
 from pomdpkit.orders import (
     Comparison,
     copositive_order_transitions,
@@ -41,41 +39,6 @@ class TestRank1Bounds:
         for _ in range(30):
             P = random_tp2_stochastic(rng, int(rng.integers(2, 6)))
             lo, hi = rank1_bounds(P)
-            assert copositive_order_transitions(lo, P)
-            assert copositive_order_transitions(P, hi)
-
-
-class TestLpBounds:
-    def test_large_budget_always_feasible(self):
-        rng = make_rng(1)
-        for _ in range(10):
-            P = random_tp2_stochastic(rng, 4)
-            lo, hi = lp_bounds(P, 2.0)
-            assert np.allclose(lo.sum(axis=1), 1.0)
-            assert np.allclose(hi.sum(axis=1), 1.0)
-
-    def test_zero_budget_requires_dominated_rows(self):
-        P = np.tile([0.5, 0.5], (2, 1))
-        lo, hi = lp_bounds(P, 0.0)
-        assert np.allclose(lo, P) and np.allclose(hi, P)
-        rng = make_rng(2)
-        P = random_tp2_stochastic(rng, 3)
-        with pytest.raises(LpInfeasible):
-            lp_bounds(P, 0.0)  # rows not already below row 1
-
-    def test_constraints_verified_directly(self):
-        rng = make_rng(3)
-        for _ in range(10):
-            P = random_tp2_stochastic(rng, 3, var=(1.0, 3.0))
-            eps = 0.8
-            lo, hi = lp_bounds(P, eps)
-            assert np.abs(P - lo).sum(axis=1).max() <= eps + 1e-7
-            assert np.abs(P - hi).sum(axis=1).max() <= eps + 1e-7
-            for i in range(3):
-                assert mlr_compare(lo[i], P[0]) in (Comparison.LE,
-                                                    Comparison.EQ)
-                assert mlr_compare(hi[i], P[-1]) in (Comparison.GE,
-                                                     Comparison.EQ)
             assert copositive_order_transitions(lo, P)
             assert copositive_order_transitions(P, hi)
 

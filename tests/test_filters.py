@@ -16,7 +16,6 @@ from pomdpkit.filters import (
     hmm_filter_step,
     hmm_predictor_step,
     normalizer_vector,
-    risk_sensitive_step,
     sample_index,
     simulate_trajectory,
     social_action_likelihoods,
@@ -322,28 +321,6 @@ class TestSocialLearning:
         pi = np.array([0.3, 0.7])
         step = social_learning_step(pi, 1, self.COSTS[:, :1], self.B)
         assert np.allclose(step.posterior, pi)
-
-
-class TestRiskSensitive:
-    def test_unit_weights_reduce_to_filter(self):
-        m = reference_model()
-        rng = make_rng(4)
-        for _ in range(20):
-            pi = uniform_simplex(rng, 1, 3)[0]
-            a = risk_sensitive_step(pi, 2, m, np.ones(3))
-            b = hmm_filter_step(pi, 2, 1, m)
-            assert np.allclose(a.posterior, b.posterior)
-            assert a.normalizer == pytest.approx(b.normalizer)
-
-    def test_random_weights_match_formula(self):
-        m = reference_model()
-        rng = make_rng(5)
-        for _ in range(20):
-            pi = uniform_simplex(rng, 1, 3)[0]
-            w = rng.uniform(0.5, 2.0, 3)
-            got = risk_sensitive_step(pi, 1, m, w)
-            raw = np.diag(m.B(1)[:, 0]) @ m.P(1).T @ np.diag(w) @ pi
-            assert np.allclose(got.posterior, raw / raw.sum())
 
 
 class TestSimulateTrajectory:

@@ -32,7 +32,6 @@ from pomdpkit.orders import (
     ORDER_TOL,
     mdp_monotone_report,
     mlr_compare,
-    mlr_halfspaces,
     mlr_rows,
     tail_sum_supermodular,
 )
@@ -121,28 +120,6 @@ class TestMlrRows:
             mlr_rows(np.ones((2, 3)), np.ones((2, 4)))
         with pytest.raises(DimensionMismatch):
             mlr_rows(np.ones(3), np.ones(3))
-
-
-class TestMlrHalfspaces:
-    def test_rows_decide_the_order(self, monkeypatch):
-        monkeypatch.setattr(orders, "ORDER_TOL", 0.0)
-        rng = make_rng(12)
-        for _ in range(200):
-            X = int(rng.integers(2, 6))
-            ref, r = rng.dirichlet(np.ones(X), size=2)
-            verdict = mlr_compare(r, ref)
-            below = (mlr_halfspaces(ref, below=True) @ r <= 0).all()
-            above = (mlr_halfspaces(ref, below=False) @ r <= 0).all()
-            assert below == (verdict in (Comparison.LE, Comparison.EQ))
-            assert above == (verdict in (Comparison.GE, Comparison.EQ))
-
-    def test_row_order(self):
-        rows = mlr_halfspaces([0.2, 0.3, 0.5], below=True)
-        # pairs (1,2), (1,3), (2,3): ref_i r_j - ref_j r_i
-        assert np.array_equal(rows, [[-0.3, 0.2, 0.0], [-0.5, 0.0, 0.2],
-                                     [0.0, -0.5, 0.3]])
-        assert np.array_equal(mlr_halfspaces([0.2, 0.3, 0.5], below=False),
-                              -rows)
 
 
 class TestFosdCompare:

@@ -5,14 +5,13 @@ import pytest
 
 from pomdpkit.apps import build_quickest_detection
 from pomdpkit.rng import make_rng, uniform_simplex
-from pomdpkit.stopgrid import solve_stopping_grid
+from pomdpkit.stopgrid import batched_stopping_costs, solve_stopping_grid
 from pomdpkit.threshold import (
     SpsaHyper,
     evaluate_stop_policy,
     evaluate_threshold_policy,
     linear_threshold_action,
     linear_threshold_actions,
-    sample_cost,
     spherical_to_theta,
     spsa_fit,
     threshold_constraints_ok,
@@ -98,14 +97,16 @@ class TestSampleCost:
             [0.0, 0.5, 0.5], [[0.5, 0.2], [0.3, 0.6]], [0.3, 0.1],
             [[0.7, 0.2, 0.1], [0.15, 0.5, 0.35], [0.15, 0.5, 0.35]],
             d=0.0, beta=0.0, alpha=0.0, delay_kind="predicted", rho=0.9)
-        c = sample_cost(zero, lambda pi: 2, None, seed=1)
-        assert c == pytest.approx(0.0)
+        costs = evaluate_stop_policy(zero, lambda b: np.full(len(b), 2), 3,
+                                     seed=1)
+        assert costs == pytest.approx(np.zeros(3))
 
     def test_immediate_stop_pays_stop_cost(self):
         sm = qd3_model()
         pi0 = np.array([0.0, 0.4, 0.6])
-        c = sample_cost(sm, lambda pi: 1, None, seed=2, pi0=pi0)
-        assert c == pytest.approx(sm.cost(pi0, 1))
+        c = batched_stopping_costs(sm, lambda b, idx: np.ones(len(b), int),
+                                   pi0, truncation_horizon(sm), make_rng(2))
+        assert c == pytest.approx([sm.cost(pi0, 1)])
 
     def test_zero_horizon_pays_stop_cost_at_prior(self):
         sm = qd3_model()
@@ -114,8 +115,9 @@ class TestSampleCost:
         costs = evaluate_stop_policy(sm, lambda b: np.full(len(b), 2), 3,
                                      seed=1, horizon=0)
         assert costs == pytest.approx(stop)
-        assert sample_cost(sm, lambda pi: 2, 0, seed=1, pi0=pis[0]) \
-            == pytest.approx(stop[0])
+        assert batched_stopping_costs(
+            sm, lambda b, idx: np.full(len(b), 2), pis, 0, make_rng(1)) \
+            == pytest.approx(stop)
 
     def test_truncation_horizon_bound(self):
         sm = qd3_model(rho=0.9)

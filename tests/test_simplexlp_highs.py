@@ -426,8 +426,8 @@ class TestSearchPreset:
         # envelopes, not vector counts
         for a, b in zip(ours.stage_sets, control.stage_sets):
             assert a.stage == b.stage
-            np.testing.assert_allclose(solver.evaluate_batch(a, pis),
-                                       solver.evaluate_batch(b, pis),
+            np.testing.assert_allclose((pis @ a.vectors.T).min(axis=1),
+                                       (pis @ b.vectors.T).min(axis=1),
                                        rtol=0, atol=VALUE_TOL)
 
     def test_discounted_vi_matches_highs(self, search):

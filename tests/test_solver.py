@@ -32,7 +32,6 @@ from pomdpkit.solver import (
     grid_value_oracle,
     lovejoy_bounds,
     lp_prune,
-    policy_evaluation,
     solve_finite_horizon,
     sup_difference,
     value_iteration_discounted,
@@ -603,44 +602,6 @@ class TestGapWithin:
                 seen.add(self.decide(sups, A, B, gap + offset))
         # both answers, and "not yet" both with and without an LP
         assert seen == {(True, False), (False, False), (False, True)}
-
-
-class TestPolicyEvaluation:
-    def test_optimal_greedy_recovers_value(self):
-        m = replacement(rho=0.9)
-        res = value_iteration_discounted(m, 1e-7)
-        pe = policy_evaluation(m, res.policy(), 1e-8, resolution=2000)
-        rng = make_rng(9)
-        for pi in uniform_simplex(rng, 100, 2):
-            assert pe.value(pi) == pytest.approx(res.value(pi), abs=2e-4)
-
-    def test_constant_action_zero_cost(self):
-        m = PomdpModel(np.stack([np.eye(2)] * 2), np.full((2, 2, 2), 0.5),
-                       np.zeros((2, 2)), 0.9)
-        pe = policy_evaluation(m, lambda pi: 2, 1e-10, resolution=50)
-        assert np.allclose(pe.values, 0.0)
-
-    def test_suboptimal_policy_dominates_optimum(self):
-        m = replacement(rho=0.9)
-        res = value_iteration_discounted(m, 1e-7)
-        pe = policy_evaluation(m, lambda pi: 2, 1e-8, resolution=2000)
-        rng = make_rng(10)
-        for pi in uniform_simplex(rng, 100, 2):
-            assert pe.value(pi) >= res.value(pi) - 1e-6
-
-    def test_against_monte_carlo(self):
-        from pomdpkit.filters import simulate_trajectory
-
-        m = replacement(rho=0.8)
-        policy = lambda pi: 1 if pi[1] < 0.6 else 2  # noqa: E731
-        pe = policy_evaluation(m, policy, 1e-9, resolution=3000)
-        pi0 = np.array([0.5, 0.5])
-        costs = [simulate_trajectory(m, policy, 80, seed=s,
-                                     pi0=pi0).discounted_cost
-                 for s in range(3000)]
-        mc = np.mean(costs)
-        se = np.std(costs) / np.sqrt(len(costs))
-        assert abs(pe.value(pi0) - mc) < 3 * se + 1e-3
 
 
 class TestLovejoy:

@@ -15,11 +15,7 @@ from helpers import (
     random_tp2_stochastic,
 )
 from pomdpkit import structural
-from pomdpkit.apps import (
-    build_machine_replacement,
-    build_quickest_detection,
-    build_transmission_scheduling,
-)
+from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.errors import DimensionMismatch, PreconditionFailed
 from pomdpkit.model import PomdpModel, QuadraticCost, StoppingModel
 from pomdpkit.orders import OrderVerdict, Verdict, copositive_order_full
@@ -35,7 +31,6 @@ from pomdpkit.structural import (
     probe_switching_curve,
     report_to_json,
     sample_mlr_pair,
-    transmission_policy_check,
     verify_value_monotone,
 )
 
@@ -109,6 +104,17 @@ class TestAssumptionReport:
         rep = pomdp_assumption_report(stopping_model(stop, cont))
         pm = PomdpModel(np.stack([QUAD_P1] * 2), np.stack([QUAD_B1] * 2),
                         np.column_stack([stop, cont]), 0.9)
+        assert rep == pomdp_assumption_report(pm)
+
+    def test_failing_s_reads_as_two_actions(self):
+        # one (S) check for both model kinds, so a failure carries one
+        # witness: delta = cont - stop rises from -1 at e1 to 0.5 at e3
+        stop, cont = np.array([2.0, 1.0, 0.0]), np.array([1.0, 0.5, 0.5])
+        rep = pomdp_assumption_report(stopping_model(stop, cont))
+        pm = PomdpModel(np.stack([QUAD_P1] * 2), np.stack([QUAD_B1] * 2),
+                        np.column_stack([stop, cont]), 0.9)
+        assert rep["S"] == OrderVerdict(
+            Verdict.FAILS, {"line": "e_X", "vertex": 1, "value": 1.5})
         assert rep == pomdp_assumption_report(pm)
 
     def test_f3_witness_names_the_failing_action_pair(self):
@@ -402,35 +408,3 @@ class TestComparePomdpCosts:
         with pytest.raises(PreconditionFailed,
                            match=r"action 1 .*Fails.*'belief'"):
             compare_pomdp_costs(other, best, kind="transition")
-
-
-class TestTransmissionScheduling:
-    def _mdp(self, c_N=lambda i: float(i)):
-        return build_transmission_scheduling(
-            K=2, L=4, N=8, P_channel=[[0.8, 0.2], [0.3, 0.7]],
-            err_prob=[0.6, 0.2], c_action=[0.0, 0.4], c_N=c_N)
-
-    def test_linear_terminal_cost_monotone(self):
-        rep = transmission_policy_check(self._mdp())
-        assert rep["decreasing_in_n"].status is Verdict.HOLDS
-        assert rep["threshold_in_buffer"].status is Verdict.HOLDS
-        assert rep["threshold_increasing_in_n"].status is Verdict.HOLDS
-
-    def test_value_decreasing_in_remaining_time(self):
-        values, _ = self._mdp().solve()
-        for n in range(len(values) - 1):
-            assert (values[n + 1] <= values[n] + 1e-9).all()
-
-    def test_single_packet_trivially_monotone(self):
-        mdp = build_transmission_scheduling(
-            K=2, L=1, N=4, P_channel=[[0.8, 0.2], [0.3, 0.7]],
-            err_prob=[0.6, 0.2], c_action=[0.0, 0.4],
-            c_N=lambda i: float(i))
-        rep = transmission_policy_check(mdp)
-        assert rep["threshold_in_buffer"].status is Verdict.HOLDS
-
-    def test_concave_terminal_cost_reported_not_asserted(self):
-        mdp = self._mdp(c_N=lambda i: float(np.sqrt(i)))
-        rep = transmission_policy_check(mdp)
-        assert rep["convex_terminal"].status is Verdict.FAILS
-        assert "threshold_in_buffer" in rep
