@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroLikelihood
-from .model import PomdpModel, belief
+from .model import PomdpModel
 from .rng import make_rng
 
 ZERO_LIKELIHOOD = 1e-300
@@ -183,8 +183,9 @@ class Trajectory:
 
 
 def simulate_trajectory(model: PomdpModel, policy, horizon: int,
-                        seed: int, pi0=None) -> Trajectory:
-    """Simulate the POMDP dynamics for ``horizon`` steps.
+                        seed: int) -> Trajectory:
+    """Simulate the POMDP dynamics for ``horizon`` steps from the uniform
+    belief.
 
     ``policy`` maps a belief vector to a 1-indexed action.  The belief
     sequence follows the filter recursion step by step and the returned
@@ -195,10 +196,7 @@ def simulate_trajectory(model: PomdpModel, policy, horizon: int,
         raise DimensionMismatch("horizon must be >= 1")
     rng = make_rng(seed)
     X = model.num_states
-    pi = np.full(X, 1.0 / X) if pi0 is None else belief(pi0)
-    if pi.size != X:
-        raise DimensionMismatch(f"pi0 has {pi.size} entries, the model "
-                                f"has {X} states")
+    pi = np.full(X, 1.0 / X)
     sampler = PathSampler(model.transitions, model.observations)
     x = sample_index(cumulative(pi[None]), rng)
     states = [int(x[0]) + 1]

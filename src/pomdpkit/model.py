@@ -164,7 +164,7 @@ class InvalidDiscount(DimensionMismatch):
         )
 
 
-def validate_model(raw, *, allow_undiscounted: bool = False) -> PomdpModel:
+def validate_model(raw) -> PomdpModel:
     """Build a :class:`PomdpModel` from the JSON wire schema
     ``{"X":..,"U":..,"Y":..,"P":..,"B":..,"c":..,"rho":..,"horizon":?,
     "terminal":?}``.
@@ -197,7 +197,6 @@ def validate_model(raw, *, allow_undiscounted: bool = False) -> PomdpModel:
             discount=float(raw["rho"]),
             horizon=raw.get("horizon"),
             terminal_cost=raw.get("terminal"),
-            allow_undiscounted=allow_undiscounted,
         )
     except KeyError as exc:
         raise DimensionMismatch(f"model lacks key {exc}") from None

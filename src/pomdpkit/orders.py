@@ -295,28 +295,16 @@ def blackwell_factorize(B1, B2) -> np.ndarray | None:
     Y2 = B2.shape[1]
     nR = Y2 * Y1
     # variables: vec(R) row-major, then t; minimize t
-    nv = nR + 1
-    c = np.zeros(nv)
+    c = np.zeros(nR + 1)
     c[-1] = 1.0
-    A_ub = []
-    b_ub = []
-    for i in range(X):
-        for j in range(Y1):
-            row = np.zeros(nv)
-            for k in range(Y2):
-                row[k * Y1 + j] = B2[i, k]
-            row[-1] = -1.0
-            A_ub.append(row.copy())
-            b_ub.append(B1[i, j])
-            row2 = -row
-            row2[-1] = -1.0
-            A_ub.append(row2)
-            b_ub.append(-B1[i, j])
-    A_eq = np.zeros((Y2, nv))
-    for k in range(Y2):
-        A_eq[k, k * Y1:(k + 1) * Y1] = 1.0
-    res = solve_lp(c, A_ub=np.asarray(A_ub), b_ub=np.asarray(b_ub),
-                   A_eq=A_eq, b_eq=np.ones(Y2))
+    # (B2 R)_ij - t <= B1_ij and -(B2 R)_ij - t <= -B1_ij, interleaved per
+    # (i, j); kron(B2, I) has B2_ik at row (i, j), column (k, j)
+    BR = np.kron(B2, np.eye(Y1))
+    A_ub = np.hstack([np.stack([BR, -BR], axis=1).reshape(-1, nR),
+                      np.full((2 * X * Y1, 1), -1.0)])
+    b_ub = np.stack([B1, -B1], axis=2).reshape(-1)
+    A_eq = np.hstack([np.kron(np.eye(Y2), np.ones(Y1)), np.zeros((Y2, 1))])
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(Y2))
     if not res.optimal or res.value > BLACKWELL_TOL:
         return None
     R = res.x[:nR].reshape(Y2, Y1)

@@ -24,7 +24,7 @@ from .grid import GridValue, barycentric_weights
 from .model import PomdpModel
 from .simplexlp import solve_lp
 
-DEDUP_TOL = 1e-12
+DEDUP_TOL = 1e-12      # evaluate_value's tie window
 PRUNE_TOL = 1e-11
 WITNESS_MARGIN = 1e-9
 VECTOR_BUDGET = 100_000
@@ -65,28 +65,18 @@ def _sort_order(V: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _dedup(V: np.ndarray, a: np.ndarray) -> tuple:
-    """Dedup at DEDUP_TOL keeping the lowest action tag of each group of
-    equal vectors; the result is in ``_sort_order``."""
+    """Drop exact repeats, keeping the lowest action tag of each vector;
+    the result is in ``_sort_order`` and is its own dedup.  Near-equal
+    vectors are left to :func:`lp_prune`."""
     if V.shape[0] <= 1:
         return V.copy(), a.copy()
-    # vector-major with the tag last, so a vector's equals within
-    # DEDUP_TOL are among the kept rows whose first coordinate is within
-    # DEDUP_TOL of its own: a short tail of ``keep`` from ``start`` on
+    # vector-major with the tag last, so repeats are adjacent, lowest tag
+    # first
     order = np.lexsort((a,) + tuple(V[:, j]
                                     for j in reversed(range(V.shape[1]))))
     V, a = V[order], a[order]
-    first = V[:, 0].tolist()
-    keep, start = [0], 0
-    for i in range(1, V.shape[0]):
-        while start < len(keep) and first[keep[start]] < first[i] - DEDUP_TOL:
-            start += 1
-        tail = keep[start:]
-        near = np.flatnonzero(
-            np.abs(V[tail] - V[i]).max(axis=1) <= DEDUP_TOL) if tail else ()
-        if not len(near):
-            keep.append(i)
-        elif a[i] < a[tail[near[-1]]]:
-            keep[start + near[-1]] = i
+    keep = np.ones(len(V), dtype=bool)
+    keep[1:] = (V[1:] != V[:-1]).any(axis=1)
     V, a = V[keep], a[keep]
     order = _sort_order(V, a)
     return V[order], a[order]
@@ -183,8 +173,9 @@ def lp_prune(gamma: VectorSet, pool: BeliefPool | None = None) -> VectorSet:
     ``VectorSet`` is stored in) against the set that survives so far, and
     each visit makes one of three decisions:
 
-    * **dominated** -- a survivor is ``<=`` ``g`` in every coordinate, so
-      ``g`` is never strictly below it: dropped;
+    * **dominated** -- a survivor is ``<= g + PRUNE_TOL`` in every
+      coordinate, so ``g`` undercuts it nowhere by more than ``PRUNE_TOL``
+      (the LP's verdict too): dropped, near-copies of a survivor included;
     * **witnessed** -- at a vertex, the uniform belief or a belief of
       ``pool`` ``g`` lies below every survivor by more than ``PRUNE_TOL +
       WITNESS_MARGIN``: kept (see :func:`_pool_values` for the margin);
@@ -194,7 +185,7 @@ def lp_prune(gamma: VectorSet, pool: BeliefPool | None = None) -> VectorSet:
       ``pool``, where later prunes of the same solve find it; with no
       ``pool`` the call starts an empty one of its own.
 
-    The first two settle in exact arithmetic what the LP would, so the LP
+    The first two settle with no LP what the LP would decide, so the LP
     stays the judge of every vector they leave open.
     """
     n = len(gamma)
@@ -211,7 +202,7 @@ def lp_prune(gamma: VectorSet, pool: BeliefPool | None = None) -> VectorSet:
         others = [i for i in alive if i != idx]
         if not others:
             continue
-        if (V[others] <= V[idx]).all(axis=1).any():
+        if (V[others] <= V[idx] + PRUNE_TOL).all(axis=1).any():
             alive.remove(idx)
             continue
         below = at_pool[idx] < (at_pool[others].min(axis=0)

@@ -185,17 +185,13 @@ def evaluate_threshold_policy(sm: StoppingModel, theta, n_paths: int,
 
 
 def evaluate_stop_policy(sm: StoppingModel, actions_fn, n_paths: int,
-                         seed: int, horizon: int | None = None
-                         ) -> np.ndarray:
+                         seed: int) -> np.ndarray:
     """Per-path costs of an arbitrary batched stop/continue policy."""
     rng = make_rng(seed)
-    # ``horizon`` is capped at the truncation horizon, its default
-    K = truncation_horizon(sm)
-    if horizon is not None:
-        K = min(K, horizon)
     pi0 = uniform_simplex(rng, n_paths, sm.num_states)
 
     def batch_policy(pis, idx):
         return actions_fn(pis)
 
-    return batched_stopping_costs(sm, batch_policy, pi0, K, rng)
+    return batched_stopping_costs(sm, batch_policy, pi0,
+                                  truncation_horizon(sm), rng)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import P_TP2_3, random_belief_pair, random_tp2_stochastic
 from pomdpkit.cli import load_model
-from pomdpkit.errors import DimensionMismatch, ZeroLikelihood
+from pomdpkit.errors import ZeroLikelihood
 from pomdpkit.filters import (
     PathSampler,
     bayes_batch,
@@ -22,7 +22,6 @@ from pomdpkit.filters import (
     social_learning_step,
 )
 from pomdpkit.model import PomdpModel, validate_model
-from pomdpkit.presets import example1
 from pomdpkit.orders import Comparison, mlr_compare, fosd_compare
 from pomdpkit.rng import make_rng, uniform_simplex
 
@@ -363,11 +362,6 @@ class TestSimulateTrajectory:
         se = np.sqrt(stat[0] * (1 - stat[0]) / 100_000) * 3
         # serial correlation widens the band; triple it again
         assert abs(freq1 - stat[0]) < 9 * se
-
-    def test_pi0_length_must_match_states(self):
-        with pytest.raises(DimensionMismatch):
-            simulate_trajectory(example1(0.4), lambda pi: 1, 5, seed=0,
-                                pi0=[0.5, 0.5])
 
     def test_csv_dump_shape(self):
         m = reference_model()

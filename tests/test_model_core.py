@@ -90,7 +90,8 @@ class TestValidateModel:
         raw["rho"] = 1.0
         with pytest.raises(DimensionMismatch):
             validate_model(raw)
-        validate_model(raw, allow_undiscounted=True)
+        PomdpModel(raw["P"], raw["B"], raw["c"], 1.0,
+                   allow_undiscounted=True)
         raw["horizon"] = 4
         validate_model(raw)
 

@@ -358,6 +358,47 @@ class TestBlackwell:
         B1 = np.full((2, 2), 0.5)
         assert blackwell_factorize(B2, B1) is None
 
+    def test_lp_matches_row_by_row_build(self, monkeypatch):
+        def loop_lp(B1, B2):
+            # one residual pair per (i, j), then one row sum per k
+            X, Y1 = B1.shape
+            Y2 = B2.shape[1]
+            nv = Y2 * Y1 + 1
+            A_ub, b_ub = [], []
+            for i in range(X):
+                for j in range(Y1):
+                    row = np.zeros(nv)
+                    for k in range(Y2):
+                        row[k * Y1 + j] = B2[i, k]
+                    row[-1] = -1.0
+                    row2 = -row
+                    row2[-1] = -1.0
+                    A_ub += [row, row2]
+                    b_ub += [B1[i, j], -B1[i, j]]
+            A_eq = np.zeros((Y2, nv))
+            for k in range(Y2):
+                A_eq[k, k * Y1:(k + 1) * Y1] = 1.0
+            return np.array(A_ub), np.array(b_ub), A_eq
+
+        seen = []
+        solve_lp = orders.solve_lp
+
+        def recording(c, **lp):
+            seen.append(lp)
+            return solve_lp(c, **lp)
+
+        monkeypatch.setattr(orders, "solve_lp", recording)
+        rng = make_rng(12)
+        for _ in range(20):
+            X, Y1, Y2 = rng.integers(1, 5, size=3)
+            B1 = rng.dirichlet(np.ones(Y1), size=X)
+            B2 = rng.dirichlet(np.ones(Y2), size=X)
+            blackwell_factorize(B1, B2)
+            A_ub, b_ub, A_eq = loop_lp(B1, B2)
+            assert np.array_equal(seen[-1]["A_ub"], A_ub)
+            assert np.array_equal(seen[-1]["b_ub"], b_ub)
+            assert np.array_equal(seen[-1]["A_eq"], A_eq)
+
 
 class TestMdpMonotoneReport:
     def test_zero_cost_mdp_all_hold(self):

@@ -112,9 +112,6 @@ class TestSampleCost:
         sm = qd3_model()
         pis = uniform_simplex(make_rng(1), 3, 3)
         stop = [sm.cost(p, 1) for p in pis]
-        costs = evaluate_stop_policy(sm, lambda b: np.full(len(b), 2), 3,
-                                     seed=1, horizon=0)
-        assert costs == pytest.approx(stop)
         assert batched_stopping_costs(
             sm, lambda b, idx: np.full(len(b), 2), pis, 0, make_rng(1)) \
             == pytest.approx(stop)

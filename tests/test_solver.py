@@ -6,6 +6,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_calls, random_tp2_stochastic
 from pomdpkit import grid, solver
@@ -88,12 +90,15 @@ class TestEvaluateAndCrossSum:
         assert vs.vectors.tolist() == [[1.0, 1.0], [2.0, 0.0]]
 
     def test_near_duplicate_apart_in_sort_order_is_merged(self):
-        # [1, 2] sorts between [1, 1] and [1 + 1e-15, 1], which are equal
-        # within DEDUP_TOL; one copy survives, under the lower tag
-        vs = vector_set([[1.0, 1.0], [1.0, 2.0], [1.0 + 1e-15, 1.0]],
+        # [2, 0] is stored between [1 + 1e-15, 1] and [1, 1], which a
+        # vector set keeps apart; the prune keeps one copy, under the
+        # lower tag
+        vs = vector_set([[1.0, 1.0], [2.0, 0.0], [1.0 + 1e-15, 1.0]],
                         [2, 1, 1])
-        assert vs.actions.tolist() == [1, 1]
-        assert vs.vectors.tolist() == [[1.0, 2.0], [1.0 + 1e-15, 1.0]]
+        assert vs.actions.tolist() == [1, 1, 2]
+        kept = lp_prune(vs)
+        assert kept.actions.tolist() == [1, 1]
+        assert kept.vectors.tolist() == [[1.0 + 1e-15, 1.0], [2.0, 0.0]]
 
     def test_vector_set_is_stored_in_tie_break_order(self):
         # four vectors tie at the uniform belief, across tags and within
@@ -170,6 +175,63 @@ class TestLpPrune:
             for pi in uniform_simplex(rng, 50, 3):
                 assert evaluate_value(kept, pi)[0] == pytest.approx(
                     evaluate_value(vs, pi)[0], abs=1e-9)
+
+
+@st.composite
+def planted_sets(draw):
+    """A random vector set, and the same rows with near-copies (offsets
+    of at most 1e-13, same tag) of some of them planted in."""
+    X = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-2.0, 2.0)
+    V = np.array(draw(st.lists(st.lists(entry, min_size=X, max_size=X),
+                               min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.integers(1, 3), min_size=n,
+                               max_size=n)))
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    offsets = draw(st.lists(st.lists(st.floats(-1e-13, 1e-13), min_size=X,
+                                     max_size=X),
+                            min_size=len(picks), max_size=len(picks)))
+    planted = vector_set(np.vstack([V, V[picks] + np.reshape(offsets,
+                                                             (-1, X))]),
+                         np.concatenate([a, a[picks]]))
+    return vector_set(V, a), planted
+
+
+def rewrapped(vs):
+    return VectorSet(vs.vectors, vs.actions, vs.stage)
+
+
+class TestExactDedup:
+    """A vector set drops exact repeats only; near-copies are the
+    prune's to drop."""
+
+    def test_chain_of_near_copies_is_left_to_the_prune(self):
+        # (0, 0) under tag 2 is within 1e-12 of both other rows, which are
+        # 1.5e-12 apart; all three stay until the prune, which keeps one
+        # copy under the lowest tag
+        vs = VectorSet([[0, 0], [5e-13, 1.5e-12], [9e-13, 6e-13]],
+                       [2, 2, 1])
+        assert len(vs) == 3
+        assert same_set(rewrapped(vs), vs)
+        kept = lp_prune(vs)
+        assert kept.actions.tolist() == [1]
+        assert kept.vectors.tolist() == [[9e-13, 6e-13]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_sets())
+    def test_near_copies_leave_the_prune_unchanged(self, sets):
+        vs, planted = sets
+        kept, kept_planted = lp_prune(vs), lp_prune(planted)
+        for s in (vs, planted, kept, kept_planted):
+            assert same_set(rewrapped(s), s)
+        # a kept near-copy can sort apart from its original, so match
+        # rows: each has a partner within 1e-12 under the same tag
+        assert len(kept_planted) == len(kept)
+        near = ((np.abs(kept.vectors[:, None] - kept_planted.vectors[None])
+                 .max(axis=2) <= 1e-12)
+                & (kept.actions[:, None] == kept_planted.actions[None]))
+        assert near.any(axis=0).all() and near.any(axis=1).all()
 
 
 def lp_only_prune(gamma):
@@ -321,7 +383,7 @@ class TestPruneDecisions:
 
     def test_sampling_horizon_7_pool_counters(self):
         res = solve_finite_horizon(load_model("sampling"), 7)
-        assert (res.pool_keeps, res.prune_lps) == (169, 145)
+        assert (res.pool_keeps, res.prune_lps) == (169, 144)
         assert "pool_keeps" not in res.to_json()
         back = SolveResult.from_json(res.to_json())
         assert (back.pool_keeps, back.prune_lps) == (0, 0)
