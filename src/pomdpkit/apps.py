@@ -197,6 +197,13 @@ class SocialLearningStopResult:
     stop_intervals: list      # (lo, hi) pairs in pi(2)
 
 
+def _check_grid_size(grid_size: int) -> None:
+    """A pi(2) grid needs both end points."""
+    if grid_size < 2:
+        raise DimensionMismatch(
+            f"grid size must be at least 2 points, got {grid_size}")
+
+
 def solve_social_learning_stop(local_costs, B, d: float, beta: float,
                                rho: float, grid_size: int = 500
                                ) -> SocialLearningStopResult:
@@ -205,8 +212,10 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
     The public belief jumps through the social-learning filter, whose
     action likelihoods depend on the belief itself; the transformed
     continue cost is ``d e1' pi - (1 - rho) beta e2' pi`` and stopping
-    costs zero.
+    costs zero.  Raises :class:`DimensionMismatch` unless
+    ``grid_size >= 2``.
     """
+    _check_grid_size(grid_size)
     ts = np.linspace(0.0, 1.0, grid_size)
     pis = np.column_stack([1.0 - ts, ts])
     cont_cost = d * pis[:, 0] - (1.0 - rho) * beta * pis[:, 1]
@@ -263,8 +272,10 @@ def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
     For each retirement reward M on a grid the whole value table
     ``V(., M)`` comes from one vectorized solve; the index at a node is
     where ``V - M`` crosses zero (linearly interpolated between sweep
-    points).  Returns ``(pi2_grid, gamma_values)``.
+    points).  Returns ``(pi2_grid, gamma_values)``.  Raises
+    :class:`DimensionMismatch` unless ``grid_size >= 2``.
     """
+    _check_grid_size(grid_size)
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     r = np.asarray(r, dtype=float)

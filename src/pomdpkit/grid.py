@@ -21,6 +21,7 @@ of zero-likelihood observations carry ``sigma = 0`` and drop out.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -33,7 +34,13 @@ MAX_SWEEPS = 100_000   # sweeps before every grid loop gives up
 
 
 def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
-    """All beliefs with coordinates k/resolution, in lexicographic order."""
+    """All beliefs with coordinates k/resolution, in lexicographic order.
+
+    Raises :class:`DimensionMismatch` unless ``resolution >= 1``.
+    """
+    if resolution < 1:
+        raise DimensionMismatch(
+            f"grid resolution must be at least 1, got {resolution}")
     pts = []
 
     def rec(prefix, remaining, slots):
@@ -47,9 +54,13 @@ def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
     return np.asarray(pts, dtype=float) / resolution
 
 
+@lru_cache(maxsize=32)     # a few (resolution, X) pairs per process
 def _comb_table(n: int, k: int) -> np.ndarray:
     """``T[i, j] = comb(i, j)`` for ``i <= n``, ``j <= k``, by Pascal's rule
-    ``comb(i, j) = sum_{m < i} comb(m, j - 1)``."""
+    ``comb(i, j) = sum_{m < i} comb(m, j - 1)``.
+
+    Built once per ``(n, k)`` and shared, so the array is read-only.
+    """
     # the largest entry; a cumsum past int64 would wrap without an error
     if comb(n, min(k, n // 2)) > np.iinfo(np.int64).max:
         raise OverflowError(f"comb({n}, j) for j <= {k} exceeds int64")
@@ -57,6 +68,7 @@ def _comb_table(n: int, k: int) -> np.ndarray:
     T[:, 0] = 1
     for j in range(1, k + 1):
         np.cumsum(T[:-1, j - 1], out=T[1:, j])
+    T.flags.writeable = False
     return T
 
 
@@ -82,21 +94,37 @@ def _cumulative_rank(v: np.ndarray, M: int) -> np.ndarray:
     ``comb(v_i + X - i - 1, X - i)``.
     """
     X = v.shape[-1] + 1
-    T = _comb_table(M + X, X)
-    r = np.arange(X - 1, 0, -1)
-    # T[v + r - 1, r] as one gather from the flat table, T[a, b] being
-    # flat[a * (X + 1) + b]; the terms are summed one coordinate at a
-    # time, which is faster than a reduction over the short last axis
-    terms = T.ravel()[v * (X + 1) + ((r - 1) * (X + 1) + r)]
-    idx = T[M + X - 1, X - 1] - 1
+    flat = _comb_table(M + X, X).ravel()
+    return _rank_from_terms(flat[_rank_positions(v)], M)
+
+
+def _rank_positions(v: np.ndarray) -> np.ndarray:
+    """Flat positions of the rank terms ``T[v_i + r_i - 1, r_i]``,
+    ``r_i = X - i`` for ``i = 1..X-1`` as in :func:`_cumulative_rank`, in
+    the comb table ``T = _comb_table(M + X, X)``, whose entry ``T[a, b]``
+    is ``flat[a * (X + 1) + b]``.
+
+    The entry just before each, ``T[v_i + r_i - 1, r_i - 1]``, is by
+    Pascal's rule the drop in the rank term when ``v_i`` grows by one.
+    """
+    X = v.shape[-1] + 1
+    pos = v * (X + 1)
+    for i in range(X - 1):
+        r = X - 1 - i
+        pos[..., i] += (r - 1) * (X + 1) + r
+    return pos
+
+
+def _rank_from_terms(terms: np.ndarray, M: int) -> np.ndarray:
+    """The rank ``comb(M + X - 1, X - 1) - 1 - sum_i terms_i`` from the
+    (..., X-1) rank terms read at :func:`_rank_positions`."""
+    X = terms.shape[-1] + 1
+    idx = comb(M + X - 1, X - 1) - 1
+    # one coordinate at a time is faster than a reduction over the short
+    # last axis
     for i in range(X - 1):
         idx = idx - terms[..., i]
     return idx
-
-
-def _cumulative_coords(pis: np.ndarray, M: int) -> np.ndarray:
-    cum = np.cumsum(pis[:, ::-1], axis=1)[:, ::-1]
-    return np.clip(M * cum[:, 1:], 0.0, M)
 
 
 def segment_weights(t: np.ndarray,
@@ -120,38 +148,60 @@ def barycentric_weights(pis: np.ndarray,
                         resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex indices and weights on the lattice's simplicial subdivision.
 
-    Works in cumulative coordinates, where each lattice cell is a cube
-    sliced by the ordering constraints; the vertex chain follows the
-    descending fractional parts.  Returns ``(idx, w)`` of shapes (n, X)
-    with ``w >= 0`` and unit row sums.
+    Works in cumulative coordinates ``x``, where each lattice cell is a
+    unit cube at ``base = floor(x)`` sliced by the ordering constraints.
+    The vertex chain starts at ``base`` and takes a unit step in each
+    coordinate in turn, in stable descending order of the fractional
+    parts ``d = x - base``; vertex ``k`` weighs ``d_(k) - d_(k+1)``,
+    with ``d_(0) = 1`` and ``d_(X) = 0``.
+    One gather from the flat comb table reads, per coordinate, both the
+    base's rank term and the rank drop of that coordinate's step (see
+    :func:`_rank_positions`); one flat permutation puts the steps and
+    the fractional parts in chain order.  Returns ``(idx, w)`` of shapes
+    (n, X) with ``w >= 0`` and unit row sums.
     """
     pis = np.atleast_2d(np.asarray(pis, dtype=float))
     n, X = pis.shape
     M = resolution
     if X == 2:
         return segment_weights(pis[:, 0], M)
-    x = _cumulative_coords(pis, M)                       # (n, X-1)
+    # cumulative coordinates x_i = M (pi_{i+1} + ... + pi_X), summed from
+    # the end; the short rows are worked one column at a time throughout,
+    # which is faster than a reduction or broadcast along them
+    x = np.empty((n, X - 1))
+    x[:, X - 2] = pis[:, X - 1]
+    for i in range(X - 3, -1, -1):
+        np.add(x[:, i + 1], pis[:, i + 1], out=x[:, i])
+    x *= M
+    np.clip(x, 0.0, M, out=x)
     # x is coordinatewise decreasing, so floor(x) is too
     base = np.minimum(np.floor(x + 1e-12), M - 1).astype(np.int64)
-    base = np.maximum(base, 0)
+    np.maximum(base, 0, out=base)
     d = np.clip(x - base, 0.0, 1.0)
-    order = np.argsort(-d, axis=1, kind="stable")        # (n, X-1)
-    # vertex k + 1 is vertex k plus a unit step in coordinate i = order[k];
-    # by Pascal's rule that lowers the rank by T[base_i + r_i - 1, r_i - 1]
-    # with r_i = X - 1 - i (see _cumulative_rank)
-    T = _comb_table(M + X, X)
-    r = X - 1 - order
-    steps = T[np.take_along_axis(base, order, axis=1) + r - 1, r - 1]
+    del x
+    flat = _comb_table(M + X, X).ravel()
+    pos = _rank_positions(base)
+    del base
     idx = np.empty((n, X), dtype=np.int64)
-    idx[:, 0] = _cumulative_rank(base, M)
-    idx[:, 1:] = idx[:, :1] - np.cumsum(steps, axis=1)
-    ds = np.take_along_axis(d, order, axis=1)
+    idx[:, 0] = _rank_from_terms(flat[pos], M)
+    steps = flat[pos - 1]                 # rank drop of each unit step
+    del pos
+    # the chain order as flat positions in the row-major (n, X-1) arrays
+    perm = np.argsort(-d, axis=1, kind="stable")
+    rows = np.arange(0, n * (X - 1), X - 1)
+    for k in range(X - 1):
+        perm[:, k] += rows
+    steps = steps.ravel()[perm]
+    for k in range(X - 1):
+        np.subtract(idx[:, k], steps[:, k], out=idx[:, k + 1])
+    del steps
+    ds = d.ravel()[perm]
+    del d, perm
     w = np.empty((n, X))
     w[:, 0] = 1.0 - ds[:, 0]
-    if X > 2:
-        w[:, 1:X - 1] = ds[:, :X - 2] - ds[:, 1:X - 1]
+    w[:, 1:X - 1] = ds[:, :X - 2] - ds[:, 1:]
     w[:, X - 1] = ds[:, X - 2]
-    w = np.clip(w, 0.0, None)
+    np.clip(w, 0.0, None, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return idx, w
 

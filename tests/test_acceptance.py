@@ -194,10 +194,66 @@ class TestCriterion2TableC:
 ORACLE_MARGIN = 1e-6  # strictness of the monotone-cost constraints
 
 
-def _highs_overlap(model, pis, linprog):
+def _linprog_feasibility(A, b):
+    """``feasible(A2, b2)``: whether ``A f <= b, A2 f <= b2`` has a free
+    solution ``f``, one ``linprog(method="highs")`` call per test."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    def feasible(A2, b2):
+        res = linprog(np.zeros(A.shape[1]), A_ub=np.vstack([A, A2]),
+                      b_ub=np.concatenate([b, b2]), bounds=(None, None),
+                      method="highs")
+        assert res.status in (0, 2), res.message
+        return res.status == 0
+
+    return feasible
+
+
+def _persistent_feasibility(core):
+    """:func:`_linprog_feasibility` on one HiGHS model per ``(A, b)``,
+    through scipy's HiGHS bindings ``core``.  The model persists across
+    tests and only its last rows, ``A2 f <= b2``, are replaced; that
+    skips the per-call checks and set-up that make up most of a
+    ``linprog`` call on these small LPs."""
+    inf = core.kHighsInf
+    status = core.HighsModelStatus
+
+    def build(A, b):
+        h = core._Highs()
+        h.setOptionValue("output_flag", False)
+        X = A.shape[1]
+        h.addVars(X, np.full(X, -inf), np.full(X, inf))
+
+        def add_rows(A, b):
+            m = len(b)
+            h.addRows(m, np.full(m, -inf), b, A.size,
+                      np.arange(0, A.size, X), np.tile(np.arange(X), m),
+                      A.ravel())
+
+        add_rows(A, b)
+        fixed = len(b)
+
+        def feasible(A2, b2):
+            extra = h.getNumRow() - fixed
+            if extra:
+                h.deleteRows(extra, np.arange(fixed, fixed + extra))
+            add_rows(A2, b2)
+            h.run()
+            got = h.getModelStatus()
+            assert got in (status.kOptimal, status.kInfeasible), \
+                h.modelStatusToString(got)
+            return got == status.kOptimal
+
+        return feasible
+
+    return build
+
+
+def _highs_overlap(model, pis, feasibility):
     """Per-belief overlap mask and count of unordered beliefs, decided by
     HiGHS on LPs built here from ``model.P``, ``model.costs`` and
-    ``model.discount`` alone.
+    ``model.discount`` alone; ``feasibility`` is
+    :func:`_linprog_feasibility` or a :func:`_persistent_feasibility`.
 
     Action ``a`` is attainable at ``pi`` when some free transform ``f``
     makes every ``c_u + (I - rho P(u)) f`` strictly increasing (C1) or
@@ -214,18 +270,14 @@ def _highs_overlap(model, pis, linprog):
     diff = np.eye(X)[1:] - np.eye(X)[:-1]
     grow = np.concatenate([diff @ M[u] for u in range(U)])
     gap = np.concatenate([diff @ c[:, u] for u in range(U)])
-    polytope = {"C1": (-grow, gap - ORACLE_MARGIN),
-                "C2": (grow, -gap - ORACLE_MARGIN)}
+    polytope = {"C1": feasibility(-grow, gap - ORACLE_MARGIN),
+                "C2": feasibility(grow, -gap - ORACLE_MARGIN)}
 
     def attainable(tag, pi, a):
-        A, b = polytope[tag]
         others = [u for u in range(U) if u != a]
-        A = np.vstack([A, [pi @ (M[a] - M[u]) for u in others]])
-        b = np.concatenate([b, [pi @ (c[:, u] - c[:, a]) for u in others]])
-        res = linprog(np.zeros(X), A_ub=A, b_ub=b, bounds=(None, None),
-                      method="highs")
-        assert res.status in (0, 2), res.message
-        return res.status == 0
+        return polytope[tag](
+            np.array([pi @ (M[a] - M[u]) for u in others]),
+            np.array([pi @ (c[:, u] - c[:, a]) for u in others]))
 
     mask = np.zeros(len(pis), dtype=bool)
     unordered = 0
@@ -236,6 +288,17 @@ def _highs_overlap(model, pis, linprog):
         mask[k] = lo == hi
         unordered += lo is not None and lo > hi
     return mask, unordered
+
+
+def _oracle_feasibility():
+    """The persistent HiGHS models where scipy's private bindings import;
+    otherwise one ``linprog`` call per LP, which gives the same verdicts
+    (``test_persistent_oracle_matches_linprog``)."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return _linprog_feasibility
+    return _persistent_feasibility(_core)
 
 
 class TestCriterion3TableD:
@@ -262,10 +325,10 @@ class TestCriterion3TableD:
                        if v + 3 * s < t - self.TOL_PP]
         mismatches = unordered = 0
         if unreachable:
-            linprog = pytest.importorskip("scipy.optimize").linprog
+            feasibility = _oracle_feasibility()
             for k in unreachable:
                 mask, bad = _highs_overlap(example3(RHO_GRID[k]), pis,
-                                           linprog)
+                                           feasibility)
                 mismatches += int((mask != masks[k]).sum())
                 unordered += bad
         ok = bool(unreachable) and mismatches == 0 and unordered == 0
@@ -298,6 +361,33 @@ class TestCriterion3TableD:
         assert unreachable, "no table entry is provably out of reach"
         assert mismatches == 0, "engine and oracle overlap masks differ"
         assert unordered == 0, "oracle finds lower bound above upper"
+
+    def test_persistent_oracle_matches_linprog(self):
+        core = pytest.importorskip("scipy.optimize._highspy._core")
+        pis = uniform_simplex(make_rng(3), 100, 8)
+        verdicts = {}
+
+        def recorded(name, feasibility):
+            def build(A, b):
+                feasible = feasibility(A, b)
+
+                def record(A2, b2):
+                    verdicts.setdefault(name, []).append(feasible(A2, b2))
+                    return verdicts[name][-1]
+
+                return record
+
+            return build
+
+        model = example3(0.9)
+        fast = _highs_overlap(model, pis, recorded(
+            "persistent", _persistent_feasibility(core)))
+        slow = _highs_overlap(model, pis, recorded(
+            "linprog", _linprog_feasibility))
+        # the same LPs in the same order, with the same verdicts
+        assert verdicts["persistent"] == verdicts["linprog"]
+        assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1]
+        assert 0 < fast[0].sum() < len(pis)
 
 
 class TestCriterion4SolverCrossValidation:

@@ -238,6 +238,12 @@ class TestGittins:
                           tol_m=1e-7)
         assert g == pytest.approx(0.7 / 0.2, abs=1e-6)
 
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_table_needs_two_grid_points(self, grid_size):
+        with pytest.raises(DimensionMismatch):
+            gittins_index_table_2state(self.P, self.B, [0.2, 1.0], 0.8,
+                                       grid_size=grid_size)
+
     def test_matches_grid_bisection_oracle(self):
         r = [0.2, 1.0]
         rho = 0.8

@@ -166,6 +166,22 @@ class TestSolveCommand:
         assert rc == 2
         assert "--epsilon" in json.loads(capsys.readouterr().err)["detail"]
 
+    @pytest.mark.parametrize("argv", [
+        ["example1", "--method", "grid", "--resolution", "0",
+         "--horizon", "2"],
+        ["example1", "--method", "grid", "--resolution", "-2",
+         "--horizon", "2"],
+        ["qd-classical", "--resolution", "0"],
+        ["social", "--resolution", "0"],
+        ["social", "--resolution", "1"],
+    ], ids=["grid-0", "grid-negative", "stopping-0", "social-0", "social-1"])
+    def test_degenerate_resolution_exit_code(self, argv, capsys):
+        # resolution 0 once printed a nan grid with exit code 0, and a
+        # negative one or a social grid of 0 points ended in a traceback
+        assert main(["solve", "--model"] + argv) == 2
+        assert "at least" in assert_one_error_line(
+            capsys, "DimensionMismatch")["detail"]
+
     @pytest.mark.parametrize("case", list(MALFORMED_FILES))
     def test_malformed_model_file_exit_code(self, case, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -2,7 +2,7 @@
 and the grid oracle, with independent oracles for each."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import numpy as np
 import pytest
@@ -775,6 +775,10 @@ class TestCombTable:
                 got = _comb_table(n, k)
                 assert got.dtype == np.int64
                 assert got.tolist() == T
+                # every grid shares the memoised table
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0] = 2
 
 
 def _composition_rank(comps, M):
@@ -791,6 +795,68 @@ def _composition_rank(comps, M):
                 ).reshape(idx.shape)
         remaining = remaining - comps[..., i]
     return idx
+
+
+def _freudenthal_reference(pi, M):
+    """Reference interpolation of one belief, in plain Python floats.
+
+    The steps of :func:`barycentric_weights`, one belief at a time:
+    cumulative coordinates summed from the last state, their floor, a
+    stable sort of the fractional parts in descending order, and the
+    vertex walk from the floor, one unit step per coordinate in that
+    order, each vertex ranked by :func:`_composition_rank`.  The weight
+    sum is numpy's sum of the row, whose order of additions depends on X.
+    """
+    X = len(pi)
+    cum = [0.0] * (X - 1)
+    cum[X - 2] = pi[X - 1]
+    for i in range(X - 3, -1, -1):
+        cum[i] = cum[i + 1] + pi[i + 1]
+    x = [min(max(M * c, 0.0), float(M)) for c in cum]
+    base = [max(min(floor(v + 1e-12), M - 1), 0) for v in x]
+    d = [min(max(v - b, 0.0), 1.0) for v, b in zip(x, base)]
+    order = sorted(range(X - 1), key=lambda i: -d[i])
+    vertex = list(base)
+    comps = []
+    for k in range(X):
+        if k:
+            vertex[order[k - 1]] += 1
+        comps.append([M - vertex[0]]
+                     + [vertex[i - 1] - vertex[i] for i in range(1, X - 1)]
+                     + [vertex[X - 2]])
+    ds = [d[i] for i in order]
+    w = ([1.0 - ds[0]] + [ds[k] - ds[k + 1] for k in range(X - 2)]
+         + [ds[X - 2]])
+    w = np.array([max(v, 0.0) for v in w])
+    return _composition_rank(np.array(comps), M), w / w.sum()
+
+
+class TestBarycentricWeights:
+    @pytest.mark.parametrize("X, M", [(3, 100), (3, 7), (4, 30), (8, 6)])
+    def test_matches_per_row_reference(self, X, M):
+        rng = make_rng(50 + X)
+        nodes = simplex_lattice(X, M)
+        # cell faces: means of 2 or 4 lattice nodes tie fractional parts
+        pick = rng.integers(0, len(nodes), size=(4, 200))
+        faces = np.vstack([(nodes[pick[0]] + nodes[pick[1]]) / 2,
+                           nodes[pick].mean(axis=0)])
+        # simplex boundary: vertices, and beliefs with zero coordinates
+        sparse = rng.dirichlet(np.ones(X), 300)
+        sparse[rng.random((300, X)) < 0.5] = 0.0
+        sparse[sparse.sum(axis=1) == 0, 0] = 1.0
+        sparse /= sparse.sum(axis=1, keepdims=True)
+        some_nodes = nodes[rng.permutation(len(nodes))[:500]]
+        pis = np.vstack([rng.dirichlet(np.ones(X), 300), some_nodes, faces,
+                         np.eye(X), sparse])
+        idx, w = barycentric_weights(pis, M)
+        ref = [_freudenthal_reference(pi.tolist(), M) for pi in pis]
+        assert np.array_equal(idx, np.array([r[0] for r in ref]))
+        assert np.array_equal(w, np.array([r[1] for r in ref]))
+        # the tie rule is exercised: many faces have equal fractional parts
+        x = M * np.cumsum(faces[:, ::-1], axis=1)[:, -2::-1]
+        frac = x - np.floor(x + 1e-12)
+        ties = [len(set(f)) < X - 1 for f in frac.tolist()]
+        assert sum(ties) > 20
 
 
 class TestConverge:
