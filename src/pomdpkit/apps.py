@@ -16,6 +16,7 @@ from .errors import (
     InvalidProbability,
     NonTransient,
     PriorMassOnState1,
+    check_at_least,
 )
 from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
@@ -197,26 +198,24 @@ class SocialLearningStopResult:
     stop_intervals: list      # (lo, hi) pairs in pi(2)
 
 
-def _check_grid_size(grid_size: int) -> None:
-    """A pi(2) grid needs both end points."""
-    if grid_size < 2:
-        raise DimensionMismatch(
-            f"grid size must be at least 2 points, got {grid_size}")
+def _pi2_nodes(resolution: int) -> np.ndarray:
+    """The nodes ``k / resolution`` of a pi(2) grid; raises
+    :class:`DimensionMismatch` unless ``resolution >= 1``."""
+    check_at_least("grid resolution", resolution, 1)
+    return np.linspace(0.0, 1.0, resolution + 1)
 
 
 def solve_social_learning_stop(local_costs, B, d: float, beta: float,
-                               rho: float, grid_size: int = 500
+                               rho: float, resolution: int = 499
                                ) -> SocialLearningStopResult:
     """Grid DP for the social-learning stopping problem (X = 2).
 
     The public belief jumps through the social-learning filter, whose
     action likelihoods depend on the belief itself; the transformed
     continue cost is ``d e1' pi - (1 - rho) beta e2' pi`` and stopping
-    costs zero.  Raises :class:`DimensionMismatch` unless
-    ``grid_size >= 2``.
+    costs zero.  The grid is the nodes ``k / resolution`` of pi(2).
     """
-    _check_grid_size(grid_size)
-    ts = np.linspace(0.0, 1.0, grid_size)
+    ts = _pi2_nodes(resolution)
     pis = np.column_stack([1.0 - ts, ts])
     cont_cost = d * pis[:, 0] - (1.0 - rho) * beta * pis[:, 1]
     # the public belief does not move on its own; the action seen is the
@@ -225,12 +224,12 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
     maps = []
     for a in range(L.shape[2]):
         post, sigma = bayes_batch(pis, L[:, :, a], pis)
-        maps.append((*segment_weights(post[:, 1], grid_size - 1), sigma))
+        maps.append((*segment_weights(post[:, 1], resolution), sigma))
 
     def step(V):
         return np.minimum(0.0, cont_cost + rho * continuation(V, maps)), None
 
-    V, _ = converge(step, np.zeros(grid_size), GRID_TOL)
+    V, _ = converge(step, np.zeros(len(ts)), GRID_TOL)
     stop = V >= -1e-12   # stopping attains the zero branch
     # maximal runs of stopping points, closed at their last point
     edges = np.diff(np.concatenate([[0], stop.astype(int), [0]]))
@@ -265,40 +264,39 @@ def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4) -> float:
     return -value_iteration_discounted(model, tol_m * (1.0 - rho)).value(pi)
 
 
-def gittins_index_table_2state(P, B, r, rho: float, grid_size: int = 201,
+def gittins_index_table_2state(P, B, r, rho: float, resolution: int = 200,
                                m_steps: int = 96) -> tuple:
     """Retirement index over a pi(2) grid via a shared M-sweep.
 
     For each retirement reward M on a grid the whole value table
     ``V(., M)`` comes from one vectorized solve; the index at a node is
     where ``V - M`` crosses zero (linearly interpolated between sweep
-    points).  Returns ``(pi2_grid, gamma_values)``.  Raises
-    :class:`DimensionMismatch` unless ``grid_size >= 2``.
+    points).  Returns ``(pi2_grid, gamma_values)`` on the nodes
+    ``k / resolution``.
     """
-    _check_grid_size(grid_size)
+    ts = _pi2_nodes(resolution)
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     r = np.asarray(r, dtype=float)
-    ts = np.linspace(0.0, 1.0, grid_size)
     pts = np.column_stack([1 - ts, ts])
     maps = list(posterior_maps(
-        pts, P, B, lambda post: segment_weights(post[:, 1], grid_size - 1)))
+        pts, P, B, lambda post: segment_weights(post[:, 1], resolution)))
     base = pts @ r
 
     def solve(M: float) -> np.ndarray:
         def step(V):
             return np.maximum(M, base + rho * continuation(V, maps)), None
 
-        return converge(step, np.full(grid_size, M), GRID_TOL)[0]
+        return converge(step, np.full(len(ts), M), GRID_TOL)[0]
 
     M_hi = float(r.max() / (1.0 - rho))
     Ms = np.linspace(0.0, M_hi, m_steps)
-    slack = np.empty((m_steps, grid_size))
+    slack = np.empty((m_steps, len(ts)))
     for k, M in enumerate(Ms):
         slack[k] = solve(M) - M
-    gamma = np.full(grid_size, M_hi)
+    gamma = np.full(len(ts), M_hi)
     tol = 10 * GRID_TOL / (1 - rho)
-    for g in range(grid_size):
+    for g in range(len(ts)):
         below = np.flatnonzero(slack[:, g] <= tol)
         if below.size == 0:
             continue
@@ -320,6 +318,7 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
     discounted rewards with 95% confidence intervals and their overlap.
     The index policy interpolates a precomputed 2-state index table.
     """
+    check_at_least("episodes", episodes, 2)   # a sample std needs two
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     r = np.asarray(r, dtype=float)

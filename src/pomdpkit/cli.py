@@ -24,14 +24,15 @@ from .errors import (
     LpInfeasible,
     PomdpKitError,
     PreconditionFailed,
+    check_at_least,
 )
 from .filters import PathSampler, simulate_trajectory
 from .grid import GridValue
 from .model import PomdpModel, StoppingModel, model_from_json, \
     quantized_gaussian_observation
 from .rng import make_rng, uniform_simplex
-from .solver import evaluate_value, grid_value_oracle, lovejoy_bounds, \
-    solve_finite_horizon, value_iteration_discounted
+from .solver import evaluate_value, lovejoy_bounds, solve_finite_horizon, \
+    value_iteration_discounted
 from .stopgrid import solve_stopping_grid
 
 # the two-project benchmark of the `bandit` subcommand
@@ -118,12 +119,14 @@ def cmd_solve(args) -> int:
     if args.epsilon is not None and not args.epsilon > 0:
         raise DimensionMismatch(f"--epsilon must be positive, got "
                                 f"{args.epsilon}")
+    if args.horizon is not None:
+        check_at_least("--horizon", args.horizon, 1)
     model, kind = _load(args, "pomdp", "stopping", "social")
     if kind == "social":
         res = apps.solve_social_learning_stop(
             model["local_costs"], model["B"], model["d"], model["beta"],
             model["rho"] if args.rho is None else args.rho,
-            grid_size=500 if args.resolution is None else args.resolution)
+            resolution=499 if args.resolution is None else args.resolution)
         rows = ["pi2,value,stop"]
         for t, v, s in zip(res.grid, res.values, res.stop_mask):
             rows.append(f"{t:.12g},{v:.12g},{int(s)}")
@@ -141,25 +144,22 @@ def cmd_solve(args) -> int:
         _emit("\n".join(rows) + "\n", args.out)
         return 0
     if args.method == "grid":
-        grid = grid_value_oracle(model, resolution,
-                                 horizon=args.horizon,
-                                 epsilon=args.epsilon)
+        grid = GridValue(model, resolution).iterate(args.epsilon,
+                                                    args.horizon)
         rows = ["index,value,action"]
         for i, v in enumerate(grid.values):
             rows.append(f"{i},{v:.12g},{int(grid.policy_table[i])}")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
     if args.method == "lovejoy":
-        lb = lovejoy_bounds(model, args.grid_points,
-                            horizon=args.horizon or model.horizon)
+        lb = lovejoy_bounds(model, args.grid_points, horizon=args.horizon)
+        pts = lb.lower.points
         doc = {
             "upper_sizes": [len(s) for s in lb.upper_sets],
-            "resolution": lb.resolution,
-            "grid": [[float(v) for v in p] for p in lb.grid_points],
-            "upper_values": [float(lb.upper_value(p))
-                             for p in lb.grid_points],
-            "lower_values": [float(lb.lower_value(p))
-                             for p in lb.grid_points],
+            "resolution": lb.lower.resolution,
+            "grid": [[float(v) for v in p] for p in pts],
+            "upper_values": [float(lb.upper_value(p)) for p in pts],
+            "lower_values": [float(lb.lower.value(p)) for p in pts],
         }
         _emit(json.dumps(doc) + "\n", args.out)
         return 0
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", default="ip",
                     choices=["ip", "monahan", "lovejoy", "grid"])
     sp.add_argument("--resolution", type=int,
-                    help="grid resolution (default 1000; 500 for social)")
+                    help="grid resolution M, nodes spaced 1/M (default 1000; "
+                         "499 for social)")
     sp.add_argument("--grid-points", type=int, default=20)
     sp.add_argument("--query", help="belief to evaluate, comma separated")
     sp.add_argument("--out")

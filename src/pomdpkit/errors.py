@@ -11,6 +11,12 @@ class DimensionMismatch(PomdpKitError):
     pass
 
 
+def check_at_least(name: str, value, low) -> None:
+    """Raise :class:`DimensionMismatch` unless ``value >= low``."""
+    if not value >= low:
+        raise DimensionMismatch(f"{name} must be at least {low}, got {value}")
+
+
 class NegativeEntry(PomdpKitError):
     pass
 

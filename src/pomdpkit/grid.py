@@ -1,13 +1,13 @@
-"""Simplex-grid value machinery shared by the grid oracle, the stopping
-grid, the reduced-grid bounds and the 2-state social-learning and
-retirement-index grids.
+"""Simplex-grid value machinery shared by grid value iteration, the
+stopping grid, the reduced-grid bounds and the 2-state social-learning
+and retirement-index grids.
 
 Grid nodes are the lattice points ``k / resolution`` (all compositions of
 ``resolution`` into X parts, in lexicographic order).  Off-grid beliefs
 are evaluated by linear interpolation for X = 2 (:func:`segment_weights`,
 which also serves the 2-state grids over pi(2)), by nearest neighbor for
-X >= 3 (the oracle default), or by barycentric interpolation on the
-standard simplicial subdivision of the lattice, which is exact for
+X >= 3 (the :class:`GridValue` default), or by barycentric interpolation
+on the standard simplicial subdivision of the lattice, which is exact for
 piecewise linear functions and never overshoots a concave one.
 
 Every grid backup runs on one engine in two parts.
@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionFailed
+from .errors import DimensionMismatch, PreconditionFailed, check_at_least
 from .filters import bayes_batch
 from .model import PomdpModel
 
@@ -38,9 +38,7 @@ def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
 
     Raises :class:`DimensionMismatch` unless ``resolution >= 1``.
     """
-    if resolution < 1:
-        raise DimensionMismatch(
-            f"grid resolution must be at least 1, got {resolution}")
+    check_at_least("grid resolution", resolution, 1)
     pts = []
 
     def rec(prefix, remaining, slots):
@@ -265,7 +263,8 @@ def converge(step, values: np.ndarray, epsilon: float):
 
 
 class GridValue:
-    """Value table over the simplex lattice with a Bellman sweep engine."""
+    """Value table over the simplex lattice with a Bellman sweep engine;
+    ``interpolation`` defaults to linear at X = 2, nearest node at X >= 3."""
 
     def __init__(self, model: PomdpModel, resolution: int,
                  interpolation: str | None = None):
@@ -318,8 +317,13 @@ class GridValue:
 
     def iterate(self, epsilon: float | None = None,
                 horizon: int | None = None) -> "GridValue":
-        """Value iteration to tolerance or fixed horizon."""
+        """Value iteration to tolerance or fixed horizon, with the greedy
+        lattice policy attached (``None`` at horizon 0).  Exactly one of
+        ``epsilon`` and ``horizon >= 0`` must be given."""
+        if (horizon is None) == (epsilon is None):
+            raise DimensionMismatch("give exactly one of horizon / epsilon")
         if horizon is not None:
+            check_at_least("horizon", horizon, 0)
             V = self.points @ self.model.terminal_vector()
             pol = None
             for _ in range(horizon):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LpInfeasible, PreconditionFailed
+from .errors import LpInfeasible, PreconditionFailed, check_at_least
 from .filters import PathSampler, cumulative, sample_index
 from .model import PomdpModel
 from .orders import blackwell_factorize
@@ -249,6 +249,7 @@ def overlap_volume(model: PomdpModel, pair: MyopicPair | None = None,
     X = model.num_states
     if pair is not None and X <= 3:
         return _exact_overlap(pair), 0.0
+    check_at_least("n_samples", n_samples, 1)
     rng = make_rng(seed)
     pis = uniform_simplex(rng, n_samples, X)
     if pair is None:
@@ -355,6 +356,7 @@ def percent_loss(model: PomdpModel, pair: MyopicPair, pi0,
     the overlap region.  Both are estimated over ``n_runs`` Monte Carlo
     paths of the given horizon with paired random streams.
     """
+    check_at_least("n_runs", n_runs, 1)
     pi0 = np.asarray(pi0, dtype=float)
     actual = np.asarray(model.costs)
 

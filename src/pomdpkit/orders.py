@@ -312,10 +312,11 @@ def blackwell_factorize(B1, B2) -> np.ndarray | None:
     return R / R.sum(axis=1, keepdims=True)
 
 
-def mdp_monotone_report(model, variant: str = "discounted") -> dict:
+def mdp_monotone_report(model) -> dict:
     """Verdicts for the four monotone-MDP conditions on a fully observed
     model: decreasing costs (A1), FOSD-increasing rows (A2), submodular
-    costs (A3) and tail-sum supermodular transitions (A4)."""
+    costs (A3) and tail-sum supermodular transitions (A4).  A model with a
+    finite horizon also needs a decreasing terminal cost for (A1)."""
     c = np.asarray(model.costs, dtype=float)
     P = np.asarray(model.transitions, dtype=float)
     U = P.shape[0]
@@ -327,10 +328,9 @@ def mdp_monotone_report(model, variant: str = "discounted") -> dict:
         report["A1"] = fails({"state": int(x) + 1, "action": int(u) + 1})
     else:
         report["A1"] = HOLDS
-    if variant == "finite" and model.terminal_cost is not None:
-        tc = model.terminal_vector()
-        if (np.diff(tc) > ORDER_TOL).any():
-            report["A1"] = fails({"terminal": True})
+    if model.horizon is not None \
+            and (np.diff(model.terminal_vector()) > ORDER_TOL).any():
+        report["A1"] = fails({"terminal": True})
 
     report["A2"] = HOLDS
     # row i + 1 FOSD-dominates row i: the tail sums of fosd_compare

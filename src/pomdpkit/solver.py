@@ -1,8 +1,8 @@
 """Piecewise-linear-concave value-function machinery.
 
 Cross-sums, LP dominance pruning, the Bellman backup (incremental pruning
-or full enumeration), finite-horizon and discounted solving, reduced-grid
-upper/lower bounds and a simplex-grid oracle.
+or full enumeration), finite-horizon and discounted solving and
+reduced-grid upper/lower bounds.
 
 The value function of every finite POMDP stage is the lower envelope of a
 finite set of hyperplanes ("gradient vectors"); all solvers here
@@ -19,8 +19,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import Blowup, DimensionMismatch, PreconditionFailed
-from .grid import GridValue, barycentric_weights
+from .errors import Blowup, DimensionMismatch, PreconditionFailed, \
+    check_at_least
+from .grid import GridValue
 from .model import PomdpModel
 from .simplexlp import solve_lp
 
@@ -319,6 +320,7 @@ class SolveResult:
 def solve_finite_horizon(model: PomdpModel, horizon: int,
                          method: str = "ip") -> SolveResult:
     """Stagewise sets ``Gamma_N .. Gamma_0`` for an N-stage problem."""
+    check_at_least("horizon", horizon, 0)
     terminal = model.terminal_vector()
     sets = [vector_set(terminal[None, :], [1], stage=horizon)]
     pool = BeliefPool(model.num_states)
@@ -384,20 +386,6 @@ def value_iteration_discounted(model: PomdpModel, epsilon: float,
                              f"{epsilon} in {MAX_BACKUPS} backups")
 
 
-def grid_value_oracle(model: PomdpModel, resolution: int,
-                      horizon: int | None = None,
-                      epsilon: float | None = None) -> GridValue:
-    """Value iteration on the uniform simplex lattice.
-
-    Interpolates linearly for X = 2 and by nearest lattice point for
-    X >= 3; returns the table with its greedy policy on the lattice
-    attached.
-    """
-    if (horizon is None) == (epsilon is None):
-        raise DimensionMismatch("give exactly one of horizon / epsilon")
-    return GridValue(model, resolution).iterate(epsilon, horizon)
-
-
 def _lovejoy_resolution(model: PomdpModel, max_points: int) -> int:
     """Largest lattice resolution whose size fits the point budget."""
     X = model.num_states
@@ -411,18 +399,10 @@ def _lovejoy_resolution(model: PomdpModel, max_points: int) -> int:
 @dataclass
 class LovejoyBounds:
     upper_sets: list          # stagewise pruned vector sets, N..0
-    lower_tables: list        # stagewise grid values, N..0
-    grid_points: np.ndarray
-    resolution: int
-    model: PomdpModel
+    lower: GridValue          # the stage-0 lower table on its lattice
 
     def upper_value(self, pi) -> float:
         return evaluate_value(self.upper_sets[-1], pi)[0]
-
-    def lower_value(self, pi) -> float:
-        idx, w = barycentric_weights(
-            np.asarray(pi, dtype=float)[None, :], self.resolution)
-        return float((self.lower_tables[-1][idx] * w).sum())
 
 
 def lovejoy_bounds(model: PomdpModel, grid_points: int,
@@ -431,18 +411,20 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
 
     The upper recursion prunes each backed-up set to the argmin vectors
     at the grid beliefs (at most ``grid_points`` survive), which can only
-    raise the envelope.  The lower recursion runs :class:`GridValue`
-    sweeps with barycentric interpolation on the lattice; interpolating a
-    concave function never overestimates it, so the table underestimates
-    the exact value at all stages.
+    raise the envelope.  The lower bound is :meth:`GridValue.iterate`
+    over the horizon with barycentric interpolation on the lattice;
+    interpolating a concave function never overestimates it, so the table
+    underestimates the exact value.  Raises
+    :class:`DimensionMismatch` when there is no horizon or it is negative.
     """
     N = horizon if horizon is not None else model.horizon
     if N is None:
         raise DimensionMismatch("lovejoy_bounds needs a horizon")
+    check_at_least("horizon", N, 0)
     X = model.num_states
     res = _lovejoy_resolution(model, max(grid_points, X))
-    lower_grid = GridValue(model, res, interpolation="freudenthal")
-    pts = lower_grid.points
+    lower = GridValue(model, res, interpolation="freudenthal")
+    pts = lower.points
     if grid_points < X:
         # too few points for a lattice: prune at the barycenter plus the
         # first vertices (the lower interpolant keeps the full lattice)
@@ -450,15 +432,12 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
                                np.eye(X)[:max(grid_points - 1, 0)]])
     else:
         upper_pts = pts
-    terminal = model.terminal_vector()
-    upper = [vector_set(terminal[None, :], [1], stage=N)]
-    lower = [pts @ terminal]
+    upper = [vector_set(model.terminal_vector()[None, :], [1], stage=N)]
     pool = BeliefPool(X)
-    for k in range(N):
+    for _ in range(N):
         full = bellman_backup_step(upper[-1], model, pool=pool)
         vals = upper_pts @ full.vectors.T
         mask = sorted(set(np.argmin(vals, axis=1).tolist()))
         upper.append(VectorSet(full.vectors[mask], full.actions[mask],
                                stage=full.stage))
-        lower.append(lower_grid.sweep(lower[-1])[0])
-    return LovejoyBounds(upper, lower, pts, res, model)
+    return LovejoyBounds(upper, lower.iterate(horizon=N))

@@ -360,7 +360,7 @@ def compare_mdp_costs(mdp1: PomdpModel, mdp2: PomdpModel) -> OrderVerdict:
         raise DimensionMismatch("compare_mdp_costs needs a horizon")
     if not np.allclose(mdp1.costs, mdp2.costs):
         raise PreconditionFailed("models must share their costs")
-    report = mdp_monotone_report(mdp2, "finite")
+    report = mdp_monotone_report(mdp2)
     for key in ("A1", "A2"):
         if report[key].status is Verdict.FAILS:
             raise PreconditionFailed(f"({key}) fails: {report[key].witness}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_at_least
 from .model import StoppingModel
 from .rng import make_rng, uniform_simplex
 from .stopgrid import batched_stopping_costs
@@ -132,6 +132,7 @@ def spsa_fit(sm: StoppingModel, iterations: int, seed: int,
     policies on common paths.  ``objective(phi_matrix, rng)`` may
     replace the default sampled-trajectory cost for testing.
     """
+    check_at_least("restarts", restarts, 1)
     hyper = hyper or SpsaHyper()
     dim = (sm.num_states - 1) if objective is None else objective.dim
     K = truncation_horizon(sm) if objective is None else 0
@@ -187,6 +188,7 @@ def evaluate_threshold_policy(sm: StoppingModel, theta, n_paths: int,
 def evaluate_stop_policy(sm: StoppingModel, actions_fn, n_paths: int,
                          seed: int) -> np.ndarray:
     """Per-path costs of an arbitrary batched stop/continue policy."""
+    check_at_least("n_paths", n_paths, 1)
     rng = make_rng(seed)
     pi0 = uniform_simplex(rng, n_paths, sm.num_states)
 

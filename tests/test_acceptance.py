@@ -57,7 +57,6 @@ from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import (
     bellman_backup_step,
     evaluate_value,
-    grid_value_oracle,
     solve_finite_horizon,
     sup_difference,
     value_iteration_discounted,
@@ -401,7 +400,7 @@ class TestCriterion4SolverCrossValidation:
         gap_methods = max(
             abs(evaluate_value(r_ip.final, pi)[0]
                 - evaluate_value(r_mo.final, pi)[0]) for pi in pis)
-        grid = grid_value_oracle(m, 10_000, horizon=10)
+        grid = GridValue(m, 10_000).iterate(horizon=10)
         gap_grid = max(abs(evaluate_value(r_ip.final, pi)[0]
                            - grid.value(pi)) for pi in pis)
         # per-stage interpolation error of a piecewise-linear concave
@@ -572,7 +571,7 @@ class TestCriterion9SocialLearning:
     def test_double_threshold_and_nonconcavity(self):
         res = solve_social_learning_stop(
             [[4.57, 5.57], [2.57, 0.0]], [[0.9, 0.1], [0.1, 0.9]],
-            d=1.8, beta=2.0, rho=0.9, grid_size=500)
+            d=1.8, beta=2.0, rho=0.9, resolution=499)
         V = res.values
         nonconcave = any(V[i] < 0.5 * (V[i - 1] + V[i + 1]) - 1e-9
                          for i in range(1, len(V) - 1))

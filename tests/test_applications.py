@@ -191,7 +191,7 @@ class TestSocialLearning:
 
     def test_double_threshold_and_nonconcave_value(self):
         res = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
-                                         beta=2.0, rho=0.9, grid_size=500)
+                                         beta=2.0, rho=0.9, resolution=499)
         assert len(res.stop_intervals) >= 2
         V = res.values
         nonconcave = any(
@@ -201,7 +201,7 @@ class TestSocialLearning:
 
     def test_intervals_end_at_stopping_points(self):
         res = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
-                                         beta=2.0, rho=0.9, grid_size=500)
+                                         beta=2.0, rho=0.9, resolution=499)
         ts = list(res.grid)
         for lo, hi in res.stop_intervals:
             a, b = ts.index(lo), ts.index(hi)
@@ -213,12 +213,12 @@ class TestSocialLearning:
         ) == res.stop_mask.sum()
         everywhere = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
                                                 beta=0.0, rho=0.9,
-                                                grid_size=200)
+                                                resolution=199)
         assert everywhere.stop_intervals == [(0.0, 1.0)]
 
     def test_free_stop_stops_everywhere(self):
         res = solve_social_learning_stop(self.COSTS, self.B, d=1.8,
-                                         beta=0.0, rho=0.9, grid_size=200)
+                                         beta=0.0, rho=0.9, resolution=199)
         assert res.stop_mask.all()
 
     def test_iteration_cap_raises(self, monkeypatch):
@@ -238,17 +238,17 @@ class TestGittins:
                           tol_m=1e-7)
         assert g == pytest.approx(0.7 / 0.2, abs=1e-6)
 
-    @pytest.mark.parametrize("grid_size", [0, 1])
-    def test_table_needs_two_grid_points(self, grid_size):
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_table_needs_two_grid_points(self, resolution):
         with pytest.raises(DimensionMismatch):
             gittins_index_table_2state(self.P, self.B, [0.2, 1.0], 0.8,
-                                       grid_size=grid_size)
+                                       resolution=resolution)
 
     def test_matches_grid_bisection_oracle(self):
         r = [0.2, 1.0]
         rho = 0.8
         ts, gamma = gittins_index_table_2state(self.P, self.B, r, rho,
-                                               grid_size=401, m_steps=400)
+                                               resolution=400, m_steps=400)
         for t in (0.25, 0.75):
             a = gittins_index(self.P, self.B, r, rho, [1 - t, t],
                               tol_m=1e-4)

@@ -106,6 +106,29 @@ def assert_one_error_line(capsys, error):
     return err
 
 
+# counts and horizons that once ended in a traceback, printed NaN or a
+# stage -2 set, or fell back to the model's horizon, all with no error
+BAD_COUNTS = [
+    "solve --model example1 --method grid --resolution 5 --horizon 0",
+    "solve --model example1 --method grid --resolution 5 --horizon -3",
+    "solve --model machine-replacement --horizon -2",
+    "solve --model machine-replacement --method lovejoy --horizon -1",
+    "solve --model machine-replacement --method lovejoy --horizon 0",
+    "spsa --restarts 0",
+    "spsa --iterations 2 --paths 0",
+    "myopic --table1d --samples 0",
+    "myopic --table1a --loss --paths 0",
+    "bandit --episodes 1",
+]
+
+
+@pytest.mark.parametrize("command", BAD_COUNTS)
+def test_bad_count_exit_code(command, capsys):
+    # no traceback: an uncaught error would escape main(), and stderr
+    # holds one JSON line
+    assert main(command.split()) == 2
+    assert_one_error_line(capsys, "DimensionMismatch")
+
 class TestSolveCommand:
     def test_preset_stagewise_json(self, capsys):
         rc = main(["solve", "--model", "machine-replacement",
@@ -173,8 +196,9 @@ class TestSolveCommand:
          "--horizon", "2"],
         ["qd-classical", "--resolution", "0"],
         ["social", "--resolution", "0"],
-        ["social", "--resolution", "1"],
-    ], ids=["grid-0", "grid-negative", "stopping-0", "social-0", "social-1"])
+        ["social", "--resolution", "-1"],
+    ], ids=["grid-0", "grid-negative", "stopping-0", "social-0",
+            "social-negative"])
     def test_degenerate_resolution_exit_code(self, argv, capsys):
         # resolution 0 once printed a nan grid with exit code 0, and a
         # negative one or a social grid of 0 points ended in a traceback
@@ -422,7 +446,9 @@ class TestSocialAndLovejoyPaths:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "pi2,value,stop"
-        assert len(lines) == 301
+        assert len(lines) == 302
+        # nodes k / 300, as for every other model kind
+        assert lines[2].split(",")[0] == f"{1 / 300:.12g}"
 
     @pytest.mark.parametrize("resolution", [999, 1000, 1001])
     def test_social_explicit_resolution_is_used(self, resolution, capsys):
@@ -430,7 +456,7 @@ class TestSocialAndLovejoyPaths:
                    "--resolution", str(resolution)])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == resolution + 1
+        assert len(lines) == resolution + 2
 
     def test_lovejoy_emits_bounds(self, capsys):
         rc = main(["solve", "--model", "machine-replacement",

@@ -34,7 +34,7 @@ _RESTART = ("the table-versus-restart comparison at 401 points and 400 "
 KEPT_PARAMS = {
     "spsa_fit.hyper": _QUAD,
     "spsa_fit.objective": _QUAD,
-    "gittins_index_table_2state.grid_size": _RESTART,
+    "gittins_index_table_2state.resolution": _RESTART,
     "gittins_index_table_2state.m_steps": _RESTART,
 }
 

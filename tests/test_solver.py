@@ -1,5 +1,5 @@
 """Vector-set machinery: cross-sums, pruning, backups, solvers, bounds
-and the grid oracle, with independent oracles for each."""
+and grid value iteration, with independent oracles for each."""
 
 from fractions import Fraction
 from math import comb, floor
@@ -15,8 +15,8 @@ from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.cli import load_model
 from pomdpkit.errors import Blowup, DimensionMismatch, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
-from pomdpkit.grid import (_comb_table, barycentric_weights, converge,
-                           lattice_rank, nearest_lattice_index,
+from pomdpkit.grid import (GridValue, _comb_table, barycentric_weights,
+                           converge, lattice_rank, nearest_lattice_index,
                            segment_weights, simplex_lattice)
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
@@ -31,7 +31,6 @@ from pomdpkit.solver import (
     cross_sum,
     evaluate_value,
     gap_within,
-    grid_value_oracle,
     lovejoy_bounds,
     lp_prune,
     solve_finite_horizon,
@@ -526,6 +525,11 @@ class TestFiniteHorizon:
         res = solve_finite_horizon(m, 0)
         assert res.value([0.2, 0.8]) == pytest.approx(0.0)
 
+    def test_negative_horizon_rejected(self):
+        # this once returned one set at stage -2
+        with pytest.raises(DimensionMismatch):
+            solve_finite_horizon(replacement(horizon=4), -2)
+
     def test_against_brute_force(self):
         m = replacement(horizon=4)
         res = solve_finite_horizon(m, 4)
@@ -693,8 +697,12 @@ class TestLovejoy:
         rng = make_rng(13)
         for pi in uniform_simplex(rng, 1000, 2):
             v = evaluate_value(exact.final, pi)[0]
-            assert lb.lower_value(pi) <= v + 1e-9
+            assert lb.lower.value(pi) <= v + 1e-9
             assert v <= lb.upper_value(pi) + 1e-9
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            lovejoy_bounds(replacement(horizon=4), 5, horizon=-1)
 
 
 class TestGridOracle:
@@ -709,15 +717,23 @@ class TestGridOracle:
     def test_zero_cost_zero_table(self):
         m = PomdpModel(np.stack([np.eye(2)]), np.full((1, 2, 2), 0.5),
                        np.zeros((2, 1)), 1.0, horizon=3)
-        g = grid_value_oracle(m, 50, horizon=3)
+        g = GridValue(m, 50).iterate(horizon=3)
         assert np.allclose(g.values, 0.0)
 
     def test_horizon_zero_is_terminal(self):
         m = PomdpModel(np.stack([np.eye(2)]), np.full((1, 2, 2), 0.5),
                        np.zeros((2, 1)), 1.0, horizon=3,
                        terminal_cost=[2.0, 5.0])
-        g = grid_value_oracle(m, 10, horizon=0)
+        g = GridValue(m, 10).iterate(horizon=0)
         assert np.allclose(g.values, g.points @ np.array([2.0, 5.0]))
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"epsilon": 1e-6, "horizon": 3}, {"horizon": -1}],
+        ids=["neither", "both", "negative-horizon"])
+    def test_iterate_rejects_bad_arguments(self, kwargs):
+        # with neither argument this was a raw TypeError
+        with pytest.raises(DimensionMismatch):
+            GridValue(replacement(horizon=3), 5).iterate(**kwargs)
 
     def test_resolution_refinement_converges(self):
         m = build_machine_replacement(0.37, 0.83, 0.77, 0.45,
@@ -727,7 +743,7 @@ class TestGridOracle:
         pis = uniform_simplex(rng, 100, 2)
         errs = []
         for res in (37, 203, 1013):
-            g = grid_value_oracle(m, res, horizon=5)
+            g = GridValue(m, res).iterate(horizon=5)
             errs.append(max(abs(g.value(p)
                                 - evaluate_value(exact.final, p)[0])
                             for p in pis))
