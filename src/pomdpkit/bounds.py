@@ -7,8 +7,6 @@ exact posterior between cheap lower/upper filters.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +87,11 @@ class SandwichRun:
     def steps(self) -> list:
         return [SandwichStep(*p) for p in self.posteriors]
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["k", "map_lower", "map_exact", "map_upper",
-                    "mean_lower", "mean_exact", "mean_upper"])
-        maps = self.posteriors.argmax(axis=-1) + 1
-        for k, (m, mean) in enumerate(zip(maps.tolist(),
-                                          _means(self.posteriors)), 1):
-            w.writerow([k, *m, *(f"{v:.12g}" for v in mean)])
-        return out.getvalue()
+    @property
+    def means(self) -> np.ndarray:
+        """(steps, 3) conditional means of the lower, exact and upper
+        posteriors."""
+        return _means(self.posteriors)
 
 
 MEAN_TOL = 1e-9   # slack of the conditional-mean bracket

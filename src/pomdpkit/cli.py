@@ -1,16 +1,18 @@
 """Batch command-line front end.
 
 Subcommands load a model (named preset or JSON file), run solvers,
-checkers or estimators, and emit CSV/JSON artifacts.  All numeric CSV
-output carries 12 significant digits and every stochastic run takes an
-explicit ``--seed``, so identical invocations produce byte-identical
-artifacts.  Exit codes: 0 ok, 2 validation error, 3 infeasible, 4 vector
-budget exceeded.
+checkers or estimators, and emit CSV/JSON artifacts; this module writes
+every one of them.  All numeric CSV output carries 12 significant digits
+and every stochastic run takes an explicit ``--seed``, so identical
+invocations produce byte-identical artifacts.  Exit codes: 0 ok, 2
+validation error, 3 infeasible, 4 vector budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -115,6 +117,49 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _csv(header, rows) -> str:
+    """``csv`` module rows (CRLF line ends) under ``header``; a float is
+    written at 12 significant digits and ``None`` as an empty field."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(header)
+    w.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                for row in rows)
+    return out.getvalue()
+
+
+def _trajectory_csv(traj) -> str:
+    """Rows (k, x_k, y_k, u_k, pi_k(1..X), cost to date); no y_0."""
+    X = traj.beliefs.shape[1]
+    ys = [None, *traj.observations]
+    running = np.cumsum(traj.cost_terms)
+    return _csv(["k", "x", "y", "u", *(f"pi{i + 1}" for i in range(X)),
+                 "cost_to_date"],
+                ([k, traj.states[k], ys[k], u, *traj.beliefs[k], running[k]]
+                 for k, u in enumerate(traj.actions)))
+
+
+def _sandwich_csv(run) -> str:
+    """Rows (k, MAP state and posterior mean under lower, exact, upper)."""
+    maps = run.posteriors.argmax(axis=-1) + 1
+    return _csv(["k", "map_lower", "map_exact", "map_upper",
+                 "mean_lower", "mean_exact", "mean_upper"],
+                ([k, *m, *mean] for k, (m, mean) in
+                 enumerate(zip(maps.tolist(), run.means), 1)))
+
+
+def _report_json(report) -> str:
+    """The assumption report as one JSON object: status, and the witness
+    when there is one."""
+    doc = {}
+    for key, verdict in report.items():
+        doc[key] = {"status": verdict.status.value}
+        if verdict.witness is not None:
+            doc[key]["witness"] = verdict.witness
+    # a witness may hold numpy scalars and arrays
+    return json.dumps(doc, default=lambda x: x.tolist())
+
+
 def cmd_solve(args) -> int:
     if args.epsilon is not None and not args.epsilon > 0:
         raise DimensionMismatch(f"--epsilon must be positive, got "
@@ -175,7 +220,16 @@ def cmd_solve(args) -> int:
         _emit(json.dumps({"value": value, "action": action}) + "\n",
               args.out)
         return 0
-    _emit(res.to_json() + "\n", args.out)
+    doc = {
+        "error_bound": res.error_bound,
+        "discounted": res.discounted,
+        "stages": [
+            {"stage": vs.stage,
+             "vectors": [{"gamma": g, "action": a} for g, a in
+                         zip(vs.vectors.tolist(), vs.actions.tolist())]}
+            for vs in res.stage_sets],
+    }
+    _emit(json.dumps(doc) + "\n", args.out)
     return 0
 
 
@@ -197,17 +251,17 @@ def cmd_filter(args) -> int:
             x, y = sampler.draw(0, x, rng)
             ys.append(int(y[0]) + 1)
         run = sandwich_filter(lo, P, hi, B, ys, np.full(X, 1.0 / X))
-        _emit(run.to_csv(), args.out)
+        _emit(_sandwich_csv(run), args.out)
         return 0
     traj = simulate_trajectory(model, lambda pi: 1, args.steps, args.seed)
-    _emit(traj.to_csv(), args.out)
+    _emit(_trajectory_csv(traj), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
     model, _ = _load(args, "pomdp", "stopping")
     report = structural.pomdp_assumption_report(model)
-    _emit(structural.report_to_json(report) + "\n", args.out)
+    _emit(_report_json(report) + "\n", args.out)
     return 0
 
 
@@ -274,7 +328,9 @@ def cmd_myopic(args) -> int:
         rows = _table_rows(lambda r: model, [model.discount],
                            samples, args.seed,
                            per_belief=model.num_actions > 2)
-    _emit(myopic.table_csv(rows), args.out)
+    _emit(_csv(["rho", "vol", "L1", "L2"],
+               ([r["rho"], r["vol"], r.get("L1"), r.get("L2")] for r in rows)),
+          args.out)
     return 0
 
 
@@ -289,11 +345,17 @@ def cmd_spsa(args) -> int:
             model, r.theta, args.paths, args.seed + 999).mean()
         if cost < best_cost:
             best, best_cost = r, cost
+    if args.trace:
+        dim = best.phi_trace.shape[1]
+        _emit(_csv(["n", *(f"phi{i + 1}" for i in range(dim)), "cost"],
+                   ([n, *phi, cost] for n, (phi, cost) in
+                    enumerate(zip(best.phi_trace, best.cost_trace)))),
+              args.out)
+        return 0
     doc = {"theta": [float(t) for t in best.theta],
            "sampled_cost": float(best_cost),
            "hyper": vars(best.hyper)}
-    _emit(best.trace_csv() if args.trace else json.dumps(doc) + "\n",
-          args.out)
+    _emit(json.dumps(doc) + "\n", args.out)
     return 0
 
 
@@ -311,7 +373,7 @@ def cmd_simulate(args) -> int:
         if model.discount < 1 else solve_finite_horizon(
             model, args.steps, method="ip")
     traj = simulate_trajectory(model, res.policy(), args.steps, args.seed)
-    _emit(traj.to_csv(), args.out)
+    _emit(_trajectory_csv(traj), args.out)
     return 0
 
 

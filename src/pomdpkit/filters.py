@@ -20,8 +20,6 @@ and every simulated path through :class:`PathSampler`.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,22 +162,6 @@ class Trajectory:
     beliefs: np.ndarray       # (N+1, X) pi_0..pi_N
     cost_terms: np.ndarray    # (N,) discounted per-step costs
     discounted_cost: float
-
-    def to_csv(self) -> str:
-        """Dump as CSV rows (k, x_k, y_k, u_k, pi_k(1..X), cost-to-date)."""
-        out = io.StringIO()
-        w = csv.writer(out)
-        X = self.beliefs.shape[1]
-        w.writerow(["k", "x", "y", "u"] + [f"pi{i+1}" for i in range(X)]
-                   + ["cost_to_date"])
-        running = np.cumsum(self.cost_terms)
-        for k in range(len(self.actions)):
-            w.writerow([k, self.states[k],
-                        self.observations[k - 1] if k > 0 else "",
-                        self.actions[k]]
-                       + [f"{v:.12g}" for v in self.beliefs[k]]
-                       + [f"{running[k]:.12g}"])
-        return out.getvalue()
 
 
 def simulate_trajectory(model: PomdpModel, policy, horizon: int,

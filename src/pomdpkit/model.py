@@ -342,7 +342,3 @@ class StoppingModel:
     @property
     def num_obs(self) -> int:
         return np.asarray(self.B).shape[1]
-
-    def cost(self, pi: np.ndarray, u: int) -> float:
-        """Belief-stage cost of 1-indexed action ``u`` (1 stop, 2 continue)."""
-        return (self.stop_cost if u == 1 else self.continue_cost)(pi)

@@ -12,8 +12,6 @@ without loss of generality to keep the LPs bounded.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +35,6 @@ class MyopicPair:
     f_lower: np.ndarray
     C_upper: np.ndarray  # (X, U), strictly increasing columns
     C_lower: np.ndarray  # (X, U), strictly decreasing columns
-
-    def upper_action(self, pi) -> int:
-        return int(self.upper_actions(np.asarray(pi)[None])[0])
-
-    def lower_action(self, pi) -> int:
-        return int(self.lower_actions(np.asarray(pi)[None])[0])
 
     def upper_actions(self, pis: np.ndarray) -> np.ndarray:
         return (pis @ self.C_upper).argmin(axis=1) + 1
@@ -357,6 +349,7 @@ def percent_loss(model: PomdpModel, pair: MyopicPair, pi0,
     paths of the given horizon with paired random streams.
     """
     check_at_least("n_runs", n_runs, 1)
+    check_at_least("horizon", horizon, 1)
     pi0 = np.asarray(pi0, dtype=float)
     actual = np.asarray(model.costs)
 
@@ -411,15 +404,3 @@ def blackwell_myopic_region(model: PomdpModel) -> BlackwellRegion:
     if R is None:
         raise PreconditionFailed("kernel 2 does not Blackwell dominate 1")
     return BlackwellRegion(R, model.cost_vector(1), model.cost_vector(2))
-
-
-def table_csv(rows: list[dict]) -> str:
-    """CSV emitter for Table-1 style myopic summaries."""
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["rho", "vol", "L1", "L2"])
-    for r in rows:
-        w.writerow([f"{r['rho']:.12g}", f"{r['vol']:.12g}",
-                    "" if r.get("L1") is None else f"{r['L1']:.12g}",
-                    "" if r.get("L2") is None else f"{r['L2']:.12g}"])
-    return out.getvalue()

@@ -13,7 +13,6 @@ platforms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -271,7 +270,7 @@ class SolveResult:
     stage_sets: list            # Gamma_N .. Gamma_0 (finite) or [final]
     error_bound: float
     discounted: bool
-    # prune counters of the solve, not written by ``to_json``: keeps that
+    # prune counters of the solve, not in the CLI's JSON: keeps that
     # only a pooled belief settled, and the prune LPs left
     pool_keeps: int = 0
     prune_lps: int = 0
@@ -288,33 +287,6 @@ class SolveResult:
 
     def policy(self):
         return lambda pi: self.action(pi)
-
-    def to_json(self) -> str:
-        doc = {
-            "error_bound": self.error_bound,
-            "discounted": self.discounted,
-            "stages": [
-                {
-                    "stage": vs.stage,
-                    "vectors": [
-                        {"gamma": list(map(float, g)), "action": int(a)}
-                        for g, a in zip(vs.vectors, vs.actions)
-                    ],
-                }
-                for vs in self.stage_sets
-            ],
-        }
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_json(text: str) -> "SolveResult":
-        doc = json.loads(text)
-        sets = []
-        for st in doc["stages"]:
-            V = [e["gamma"] for e in st["vectors"]]
-            a = [e["action"] for e in st["vectors"]]
-            sets.append(vector_set(V, a, stage=st["stage"]))
-        return SolveResult(sets, doc["error_bound"], doc["discounted"])
 
 
 def solve_finite_horizon(model: PomdpModel, horizon: int,
@@ -415,12 +387,14 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
     over the horizon with barycentric interpolation on the lattice;
     interpolating a concave function never overestimates it, so the table
     underestimates the exact value.  Raises
-    :class:`DimensionMismatch` when there is no horizon or it is negative.
+    :class:`DimensionMismatch` when there is no horizon or it is negative,
+    or when ``grid_points`` is below 1.
     """
     N = horizon if horizon is not None else model.horizon
     if N is None:
         raise DimensionMismatch("lovejoy_bounds needs a horizon")
     check_at_least("horizon", N, 0)
+    check_at_least("grid_points", grid_points, 1)
     X = model.num_states
     res = _lovejoy_resolution(model, max(grid_points, X))
     lower = GridValue(model, res, interpolation="freudenthal")
@@ -429,7 +403,7 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
         # too few points for a lattice: prune at the barycenter plus the
         # first vertices (the lower interpolant keeps the full lattice)
         upper_pts = np.vstack([np.full((1, X), 1.0 / X),
-                               np.eye(X)[:max(grid_points - 1, 0)]])
+                               np.eye(X)[:grid_points - 1]])
     else:
         upper_pts = pts
     upper = [vector_set(model.terminal_vector()[None, :], [1], stage=N)]

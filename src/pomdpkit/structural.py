@@ -8,9 +8,6 @@ stop sets, and cost-ordering comparisons between models.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,28 +160,6 @@ def _belief_cost_difference(q2: QuadraticCost,
     return QuadraticCost(q2.lin - q1.lin, q2.h, q2.alpha)
 
 
-def report_to_json(report: dict) -> str:
-    doc = {}
-    for key, verdict in report.items():
-        entry = {"status": verdict.status.value}
-        if verdict.witness is not None:
-            entry["witness"] = _plain(verdict.witness)
-        doc[key] = entry
-    return json.dumps(doc)
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (tuple, list, np.ndarray)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def sample_mlr_pair(rng: np.random.Generator, dim: int) -> tuple:
     """An MLR-comparable belief pair, larger one first.
 
@@ -257,15 +232,6 @@ def extract_thresholds_2state(policy_fn, grid_size: int) -> ThresholdScan:
 class SwitchingCurveProbe:
     verdict: OrderVerdict
     curve: list  # (line id, anchor, eps*, belief at switch)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["line", "anchor", "eps_star", "belief"])
-        for line_id, anchor, eps, pi in self.curve:
-            w.writerow([line_id, anchor, f"{eps:.12g}",
-                        " ".join(f"{v:.12g}" for v in pi)])
-        return out.getvalue()
 
 
 def probe_switching_curve(policy_fn, dim: int, n_lines: int,

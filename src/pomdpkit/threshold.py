@@ -9,8 +9,6 @@ gradient iterate is admissible.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,16 +107,6 @@ class SpsaRun:
     theta: np.ndarray
     hyper: SpsaHyper
     seed: int
-
-    def trace_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        dim = self.phi_trace.shape[1]
-        w.writerow(["n"] + [f"phi{i+1}" for i in range(dim)] + ["cost"])
-        for n in range(len(self.cost_trace)):
-            w.writerow([n] + [f"{v:.12g}" for v in self.phi_trace[n]]
-                       + [f"{self.cost_trace[n]:.12g}"])
-        return out.getvalue()
 
 
 def spsa_fit(sm: StoppingModel, iterations: int, seed: int,

@@ -53,8 +53,8 @@ class TestQuickestDetection:
             [0.0, 1.0], [[0.9]], [0.1], [[0.7, 0.3], [0.2, 0.8]],
             d=0.05, beta=1.0, alpha=0.0, delay_kind="classical")
         pi = np.array([0.3, 0.7])
-        assert sm.cost(pi, 1) == pytest.approx(1.0 * 0.7)   # false alarm
-        assert sm.cost(pi, 2) == pytest.approx(0.05 * 0.3)  # delay
+        assert sm.stop_cost(pi) == pytest.approx(1.0 * 0.7)  # false alarm
+        assert sm.continue_cost(pi) == pytest.approx(0.05 * 0.3)  # delay
 
     def test_precondition_errors(self):
         with pytest.raises(PriorMassOnState1):

@@ -13,9 +13,12 @@ from pomdpkit.cli import load_model, main
 from pomdpkit.model import model_to_json
 from pomdpkit.apps import build_machine_replacement
 from pomdpkit.orders import ORDER_TOL
+from pomdpkit.rng import make_rng, uniform_simplex
+from pomdpkit.solver import evaluate_value, solve_finite_horizon, vector_set
 
 # stdout sha256 of the nine README commands, the social-learning stop, the
-# Lovejoy bounds and two trajectory commands, as recorded in CHANGES.md
+# Lovejoy bounds, two trajectory commands, an SPSA trace, a Fails report
+# with witnesses and a Monte Carlo table, as recorded in CHANGES.md
 GOLDEN = [
     ("solve --model machine-replacement --horizon 5 --method ip",
      "6d3a4fcef939db4ffceb7376c4e0ab54ef2d2e9820b49f01cc880c39f0189cde"),
@@ -46,6 +49,12 @@ GOLDEN = [
      "ad5de1233b7af9e2a7668d1e282c992901e3bbe83ae46ac92763beaa9388ada7"),
     ("myopic --model machine-replacement",
      "ea845d3c88a1bd0e3c88eb59bc71d28a464972e7198831eb6ea82368f91234d7"),
+    ("spsa --model qd-ph --iterations 200 --restarts 2 --seed 11 --trace",
+     "993f1e5d97b6496955d880acedaaa024c293ba679c39c8f42a2246b434969ce2"),
+    ("check --model example2",
+     "ea4cbaff6c4566625e3692e7d6afc69ddceec3e83bf071aa0eee95c5586d6fdc"),
+    ("myopic --table1c --samples 2000 --seed 1",
+     "44c48308a2348fe0eb9427e3372c227373608ff5d2b735d5313d5a509f12426c"),
 ]
 
 
@@ -118,6 +127,9 @@ BAD_COUNTS = [
     "spsa --iterations 2 --paths 0",
     "myopic --table1d --samples 0",
     "myopic --table1a --loss --paths 0",
+    "myopic --table1a --loss --horizon 0 --paths 10",
+    "solve --model machine-replacement --method lovejoy --horizon 3 "
+    "--grid-points 0",
     "bandit --episodes 1",
 ]
 
@@ -135,8 +147,26 @@ class TestSolveCommand:
                    "--horizon", "5", "--method", "ip"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
+        # the solve's prune counters are not part of the artifact
+        assert set(doc) == {"error_bound", "discounted", "stages"}
         assert len(doc["stages"]) == 6
         assert doc["stages"][0]["stage"] == 5
+
+    def test_serialization_round_trip(self, capsys):
+        # the written sets rebuild the solve's value and policy
+        assert main(["solve", "--model", "machine-replacement",
+                     "--horizon", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        res = solve_finite_horizon(load_model("machine-replacement"), 3)
+        sets = [vector_set([e["gamma"] for e in st["vectors"]],
+                           [e["action"] for e in st["vectors"]],
+                           stage=st["stage"])
+                for st in doc["stages"]]
+        assert [s.stage for s in sets] == [s.stage for s in res.stage_sets]
+        for pi in uniform_simplex(make_rng(8), 20, 2):
+            value, _, action = evaluate_value(sets[-1], pi)
+            assert value == pytest.approx(res.value(pi))
+            assert action == res.action(pi)
 
     def test_policy_query(self, capsys):
         rc = main(["solve", "--model", "machine-replacement",
@@ -409,6 +439,15 @@ class TestSpsaCommand:
         assert len(doc["theta"]) == 2
         assert doc["sampled_cost"] > 0
 
+    def test_trace_csv(self, capsys):
+        rc = main(["spsa", "--model", "qd-ph", "--iterations", "20",
+                   "--restarts", "1", "--paths", "10", "--seed", "7",
+                   "--trace"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,phi1,phi2,cost"
+        assert len(lines) == 21
+
 
 class TestBanditCommand:
     def test_benchmark_overlap(self, capsys):
@@ -437,6 +476,7 @@ class TestSimulateCommand:
                    "--rho", "0.9", "--steps", "25", "--seed", "8"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("k,x,y,u,pi1")
         assert len(lines) == 26
 
 

@@ -9,6 +9,7 @@ from pomdpkit.bounds import (
     rank1_bounds,
     sandwich_filter,
 )
+from pomdpkit.cli import _sandwich_csv
 from pomdpkit.errors import NotTP2, OrderingViolation
 from pomdpkit.orders import (
     Comparison,
@@ -159,7 +160,7 @@ class TestSandwichFilter:
         P, B, ys = self._chain(rng, 3)
         lo, hi = rank1_bounds(P)
         run = sandwich_filter(lo, P, hi, B, ys[:5], np.full(3, 1 / 3))
-        lines = run.to_csv().strip().splitlines()
+        lines = _sandwich_csv(run).strip().splitlines()
         assert lines[0].startswith("k,map_lower")
         assert len(lines) == 6
 

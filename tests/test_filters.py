@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import P_TP2_3, random_belief_pair, random_tp2_stochastic
-from pomdpkit.cli import load_model
+from pomdpkit.cli import _trajectory_csv, load_model
 from pomdpkit.errors import ZeroLikelihood
 from pomdpkit.filters import (
     PathSampler,
@@ -366,6 +366,6 @@ class TestSimulateTrajectory:
     def test_csv_dump_shape(self):
         m = reference_model()
         traj = simulate_trajectory(m, lambda pi: 1, 5, seed=3)
-        lines = traj.to_csv().strip().splitlines()
+        lines = _trajectory_csv(traj).strip().splitlines()
         assert lines[0].startswith("k,x,y,u,pi1")
         assert len(lines) == 6

@@ -208,8 +208,8 @@ class TestStoppingModel:
             discount=1.0,
         )
         pi = np.array([0.2, 0.2, 0.6])
-        assert sm.cost(pi, 1) == pytest.approx(0.8)
-        assert sm.cost(pi, 2) == pytest.approx(0.2)
+        assert sm.stop_cost(pi) == pytest.approx(0.8)
+        assert sm.continue_cost(pi) == pytest.approx(0.2)
 
     def test_vector_costs_are_stored_as_linear_quadratic_costs(self):
         sm = StoppingModel(P=P_TP2_3, B=P_TP2_3,

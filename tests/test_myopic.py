@@ -124,7 +124,8 @@ class TestMyopicActions:
         rng = make_rng(4)
         m, pair = sandwich_model(rng)
         for pi in uniform_simplex(rng, 100, 3):
-            lo, hi = pair.lower_action(pi), pair.upper_action(pi)
+            lo = pair.lower_actions(pi[None])[0]
+            hi = pair.upper_actions(pi[None])[0]
             assert lo == int(np.argmin(pi @ pair.C_lower)) + 1
             assert hi == int(np.argmin(pi @ pair.C_upper)) + 1
             assert lo <= hi
@@ -134,7 +135,7 @@ class TestMyopicActions:
         m, pair = sandwich_model(rng)
         eX = np.zeros(3)
         eX[-1] = 1.0
-        hi = pair.upper_action(eX)
+        hi = pair.upper_actions(eX[None])[0]
         assert hi == int(np.argmin(pair.C_upper[-1])) + 1
 
 
@@ -146,7 +147,8 @@ class TestPerBeliefBounds:
         for pi in uniform_simplex(rng, 30, 3):
             lo, hi, fu, fl = engine.bounds(pi)
             # per-belief optimization can only widen the overlap
-            plo, phi = pair.lower_action(pi), pair.upper_action(pi)
+            plo = pair.lower_actions(pi[None])[0]
+            phi = pair.upper_actions(pi[None])[0]
             assert lo is not None and hi is not None
             assert hi <= phi and lo >= plo
 

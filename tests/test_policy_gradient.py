@@ -106,12 +106,12 @@ class TestSampleCost:
         pi0 = np.array([0.0, 0.4, 0.6])
         c = batched_stopping_costs(sm, lambda b, idx: np.ones(len(b), int),
                                    pi0, truncation_horizon(sm), make_rng(2))
-        assert c == pytest.approx([sm.cost(pi0, 1)])
+        assert c == pytest.approx([sm.stop_cost(pi0)])
 
     def test_zero_horizon_pays_stop_cost_at_prior(self):
         sm = qd3_model()
         pis = uniform_simplex(make_rng(1), 3, 3)
-        stop = [sm.cost(p, 1) for p in pis]
+        stop = [sm.stop_cost(p) for p in pis]
         assert batched_stopping_costs(
             sm, lambda b, idx: np.full(len(b), 2), pis, 0, make_rng(1)) \
             == pytest.approx(stop)
@@ -178,10 +178,3 @@ class TestSpsa:
             sm, spherical_to_theta(best.phi_trace[0]), 2000, seed=99)
         final = evaluate_threshold_policy(sm, best.theta, 2000, seed=99)
         assert final.mean() <= first.mean() + 1e-9
-
-    def test_trace_csv(self):
-        sm = qd3_model()
-        runs = spsa_fit(sm, 20, seed=7, restarts=1)
-        lines = runs[0].trace_csv().strip().splitlines()
-        assert lines[0] == "n,phi1,phi2,cost"
-        assert len(lines) == 21

@@ -25,7 +25,6 @@ from pomdpkit.solver import (
     DEDUP_TOL,
     PRUNE_TOL,
     BeliefPool,
-    SolveResult,
     VectorSet,
     bellman_backup_step,
     cross_sum,
@@ -383,9 +382,6 @@ class TestPruneDecisions:
     def test_sampling_horizon_7_pool_counters(self):
         res = solve_finite_horizon(load_model("sampling"), 7)
         assert (res.pool_keeps, res.prune_lps) == (169, 144)
-        assert "pool_keeps" not in res.to_json()
-        back = SolveResult.from_json(res.to_json())
-        assert (back.pool_keeps, back.prune_lps) == (0, 0)
 
     def test_replacement_vi_stop_test_lp_count(self, monkeypatch):
         # the witness settles all 236 "not yet" stop tests; the LP-only
@@ -557,15 +553,6 @@ class TestFiniteHorizon:
             blend = lam * evaluate_value(res.final, p1)[0] \
                 + (1 - lam) * evaluate_value(res.final, p2)[0]
             assert v_mid >= blend - 1e-9
-
-    def test_serialization_round_trip(self):
-        m = replacement(horizon=3)
-        res = solve_finite_horizon(m, 3)
-        back = SolveResult.from_json(res.to_json())
-        rng = make_rng(8)
-        for pi in uniform_simplex(rng, 20, 2):
-            assert back.value(pi) == pytest.approx(res.value(pi))
-            assert back.action(pi) == res.action(pi)
 
 
 class TestDiscounted:
