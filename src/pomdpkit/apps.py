@@ -20,12 +20,14 @@ from .errors import (
 )
 from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
-from .grid import continuation, converge, posterior_maps, segment_weights
+from .grid import continuation, converge, segment_weights
 from .model import PomdpModel, QuadraticCost, StoppingModel, belief
 from .rng import make_rng
 from .solver import value_iteration_discounted
 
-GRID_TOL = 1e-9   # sweep tolerance of the social-learning and index grids
+GRID_TOL = 1e-9   # sweep tolerance of the social-learning grid
+BANDIT_NODES = 10   # the bandit's index is solved at pi(2) = k / BANDIT_NODES
+BANDIT_INDEX_TOL = 1e-4   # tol_m of each of those restart solves
 
 
 def build_machine_replacement(theta: float, p: float, q: float, R: float,
@@ -264,50 +266,18 @@ def gittins_index(P, B, r, rho: float, pi, tol_m: float = 1e-4) -> float:
     return -value_iteration_discounted(model, tol_m * (1.0 - rho)).value(pi)
 
 
-def gittins_index_table_2state(P, B, r, rho: float, resolution: int = 200,
-                               m_steps: int = 96) -> tuple:
-    """Retirement index over a pi(2) grid via a shared M-sweep.
+def _bandit_index(P, B, r, rho: float):
+    """The index policy's score: :func:`gittins_index` at the nodes
+    ``k / BANDIT_NODES`` of pi(2), linearly interpolated between them."""
+    nodes = np.array([gittins_index(P, B, r, rho, [1.0 - t, t],
+                                    tol_m=BANDIT_INDEX_TOL)
+                      for t in _pi2_nodes(BANDIT_NODES)])
 
-    For each retirement reward M on a grid the whole value table
-    ``V(., M)`` comes from one vectorized solve; the index at a node is
-    where ``V - M`` crosses zero (linearly interpolated between sweep
-    points).  Returns ``(pi2_grid, gamma_values)`` on the nodes
-    ``k / resolution``.
-    """
-    ts = _pi2_nodes(resolution)
-    P = np.asarray(P, dtype=float)
-    B = np.asarray(B, dtype=float)
-    r = np.asarray(r, dtype=float)
-    pts = np.column_stack([1 - ts, ts])
-    maps = list(posterior_maps(
-        pts, P, B, lambda post: segment_weights(post[:, 1], resolution)))
-    base = pts @ r
+    def index(pi2: np.ndarray) -> np.ndarray:
+        idx, w = segment_weights(pi2, BANDIT_NODES)
+        return (nodes[idx] * w).sum(axis=1)
 
-    def solve(M: float) -> np.ndarray:
-        def step(V):
-            return np.maximum(M, base + rho * continuation(V, maps)), None
-
-        return converge(step, np.full(len(ts), M), GRID_TOL)[0]
-
-    M_hi = float(r.max() / (1.0 - rho))
-    Ms = np.linspace(0.0, M_hi, m_steps)
-    slack = np.empty((m_steps, len(ts)))
-    for k, M in enumerate(Ms):
-        slack[k] = solve(M) - M
-    gamma = np.full(len(ts), M_hi)
-    tol = 10 * GRID_TOL / (1 - rho)
-    for g in range(len(ts)):
-        below = np.flatnonzero(slack[:, g] <= tol)
-        if below.size == 0:
-            continue
-        j = below[0]
-        if j == 0:
-            gamma[g] = 0.0
-            continue
-        a, b = slack[j - 1, g], slack[j, g]
-        w = a / (a - b) if a > b else 0.0
-        gamma[g] = Ms[j - 1] + w * (Ms[j] - Ms[j - 1])
-    return ts, gamma
+    return index
 
 
 def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
@@ -316,18 +286,15 @@ def run_bandit_benchmark(P, B, r, rho: float, episodes: int = 1000,
 
     Both policies run on paired random streams; returns per-policy mean
     discounted rewards with 95% confidence intervals and their overlap.
-    The index policy interpolates a precomputed 2-state index table.
+    The index policy reads the restart index at ``BANDIT_NODES + 1``
+    nodes of pi(2) and interpolates between them.
     """
     check_at_least("episodes", episodes, 2)   # a sample std needs two
+    check_at_least("horizon", horizon, 1)
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     r = np.asarray(r, dtype=float)
-    ts, gamma = gittins_index_table_2state(P, B, r, rho)
-
-    def gamma_of(pi2: np.ndarray) -> np.ndarray:
-        idx, w = segment_weights(pi2, len(ts) - 1)
-        return (gamma[idx] * w).sum(axis=1)
-
+    gamma_of = _bandit_index(P, B, r, rho)
     sampler = PathSampler(P[None], B[None])
 
     def run(policy: str) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .filters import PathSampler, simulate_trajectory
 from .grid import GridValue
-from .model import PomdpModel, StoppingModel, model_from_json, \
+from .model import PomdpModel, StoppingModel, belief, model_from_json, \
     quantized_gaussian_observation
 from .rng import make_rng, uniform_simplex
 from .solver import evaluate_value, lovejoy_bounds, solve_finite_horizon, \
@@ -160,6 +160,21 @@ def _report_json(report) -> str:
     return json.dumps(doc, default=lambda x: x.tolist())
 
 
+def _query_belief(text: str, num_states: int) -> np.ndarray:
+    """The ``--query`` belief: comma-separated numbers, one per state,
+    that :func:`belief` accepts."""
+    try:
+        entries = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise DimensionMismatch(f"--query must be comma-separated numbers, "
+                                f"got {text!r}") from None
+    pi = belief(entries)
+    if pi.size != num_states:
+        raise DimensionMismatch(f"--query has {pi.size} entries, the model "
+                                f"has {num_states} states")
+    return pi
+
+
 def cmd_solve(args) -> int:
     if args.epsilon is not None and not args.epsilon > 0:
         raise DimensionMismatch(f"--epsilon must be positive, got "
@@ -208,6 +223,8 @@ def cmd_solve(args) -> int:
         }
         _emit(json.dumps(doc) + "\n", args.out)
         return 0
+    if args.query:
+        pi = _query_belief(args.query, model.num_states)
     if args.horizon is not None:
         res = solve_finite_horizon(model, args.horizon, method=args.method)
     else:
@@ -215,7 +232,6 @@ def cmd_solve(args) -> int:
             model, 1e-6 if args.epsilon is None else args.epsilon,
             method=args.method)
     if args.query:
-        pi = np.asarray([float(t) for t in args.query.split(",")])
         value, _, action = evaluate_value(res.final, pi)
         _emit(json.dumps({"value": value, "action": action}) + "\n",
               args.out)
@@ -238,6 +254,7 @@ def cmd_filter(args) -> int:
     model, kind = _load(args, *kinds)
     rng = make_rng(args.seed)
     if args.sandwich:
+        check_at_least("--steps", args.steps, 1)
         if kind == "stopping":
             P, B = np.asarray(model.P), np.asarray(model.B)
         else:

@@ -43,7 +43,7 @@ def belief(probs) -> np.ndarray:
     if (pi < -1e-15).any() or (pi > 1 + 1e-12).any():
         raise NegativeEntry(f"belief entries outside [0,1]: {pi}")
     total = pi.sum()
-    if abs(total - 1.0) > BELIEF_TOL:
+    if not abs(total - 1.0) <= BELIEF_TOL:   # NaN fails too
         raise NonStochasticRow(0, 0, float(total))
     return _frozen(np.clip(pi, 0.0, None) / total)
 

@@ -120,6 +120,7 @@ def spsa_fit(sm: StoppingModel, iterations: int, seed: int,
     policies on common paths.  ``objective(phi_matrix, rng)`` may
     replace the default sampled-trajectory cost for testing.
     """
+    check_at_least("iterations", iterations, 1)
     check_at_least("restarts", restarts, 1)
     hyper = hyper or SpsaHyper()
     dim = (sm.num_states - 1) if objective is None else objective.dim

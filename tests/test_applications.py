@@ -7,15 +7,17 @@ import pytest
 from helpers import count_calls
 from pomdpkit import grid, solver
 from pomdpkit.apps import (
+    BANDIT_NODES,
+    _bandit_index,
     build_machine_replacement,
     build_quickest_detection,
     build_sampling_control,
     build_search_pomdp,
     gittins_index,
-    gittins_index_table_2state,
     run_bandit_benchmark,
     solve_social_learning_stop,
 )
+from pomdpkit.cli import BANDIT
 from pomdpkit.errors import (
     DimensionMismatch,
     InvalidProbability,
@@ -238,23 +240,6 @@ class TestGittins:
                           tol_m=1e-7)
         assert g == pytest.approx(0.7 / 0.2, abs=1e-6)
 
-    @pytest.mark.parametrize("resolution", [0, -1])
-    def test_table_needs_two_grid_points(self, resolution):
-        with pytest.raises(DimensionMismatch):
-            gittins_index_table_2state(self.P, self.B, [0.2, 1.0], 0.8,
-                                       resolution=resolution)
-
-    def test_matches_grid_bisection_oracle(self):
-        r = [0.2, 1.0]
-        rho = 0.8
-        ts, gamma = gittins_index_table_2state(self.P, self.B, r, rho,
-                                               resolution=400, m_steps=400)
-        for t in (0.25, 0.75):
-            a = gittins_index(self.P, self.B, r, rho, [1 - t, t],
-                              tol_m=1e-4)
-            b = float(np.interp(t, ts, gamma))
-            assert abs(a - b) < 2e-2  # table resolution dominates
-
     P3 = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]
     B3 = [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]]
 
@@ -326,6 +311,29 @@ class TestOpportunisticPolicy:
         res = run_bandit_benchmark(self.p(), self.b(), [0.2, 1.0], 0.8,
                                    episodes=800, horizon=40, seed=6)
         assert res["ci_overlap"]
+
+    @pytest.mark.parametrize("seed", [2, 6, 12])
+    def test_index_policy_is_the_opportunistic_policy(self, seed):
+        # the index rises in pi(2), so among identical arms it plays the
+        # arm with the larger pi(2), as the opportunistic policy does
+        res = run_bandit_benchmark(BANDIT["P"], BANDIT["B"], BANDIT["r"],
+                                   BANDIT["rho"], seed=seed)
+        assert res["gittins"] == res["opportunistic"]
+
+    def test_interpolated_index_tracks_the_restart_index(self):
+        P, B, r, rho = BANDIT["P"], BANDIT["B"], BANDIT["r"], BANDIT["rho"]
+        index = _bandit_index(P, B, r, rho)
+        nodes = np.arange(BANDIT_NODES + 1) / BANDIT_NODES
+        assert (np.diff(index(nodes)) > 0.1).all()
+        # off the nodes: the quarter points of each cell
+        ts = (np.arange(2 * BANDIT_NODES) + 0.5) / (2 * BANDIT_NODES)
+        exact = [gittins_index(P, B, r, rho, [1 - t, t]) for t in ts]
+        gap = index(ts) - exact
+        # the index is neither convex nor concave in pi(2): at 10 nodes
+        # the chords overstate it by up to 0.017 and understate it by
+        # up to 0.002
+        assert gap.max() <= 0.02
+        assert gap.min() >= -0.005
 
     @staticmethod
     def p():

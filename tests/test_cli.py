@@ -36,7 +36,7 @@ GOLDEN = [
     ("spsa --model qd-ph --iterations 2000 --restarts 5 --seed 11",
      "35f26a3a6ce49d9a4099bac496b78683ba989629a32595cf410b9b6e65c6d399"),
     ("bandit --episodes 1000 --seed 2",
-     "69bb00a276ec1247041395c9b5bbd80661acd45b7927fc8a009c5ff2ff7e48a6"),
+     "24e02b9e522b4bd191ebdd2552dc1baf265077c1204ae4ba17783b4c433eff1a"),
     ("compare --kind blackwell --seed 0",
      "34163f331e9fd4591a184bc1ba007f441bff041a8744269a11f3c2fadef51a08"),
     ("solve --model social",
@@ -131,6 +131,11 @@ BAD_COUNTS = [
     "solve --model machine-replacement --method lovejoy --horizon 3 "
     "--grid-points 0",
     "bandit --episodes 1",
+    "bandit --steps 0",
+    "bandit --steps -3",
+    "filter --model qd-ph --sandwich --steps 0",
+    "filter --model example1 --sandwich --steps 0",
+    "spsa --iterations 0 --trace",
 ]
 
 
@@ -140,6 +145,24 @@ def test_bad_count_exit_code(command, capsys):
     # holds one JSON line
     assert main(command.split()) == 2
     assert_one_error_line(capsys, "DimensionMismatch")
+
+
+# `solve --query` points that once ended in a traceback or were evaluated
+# though they are not beliefs of the model
+BAD_QUERIES = [
+    ("0.4", "DimensionMismatch"),
+    ("0.2,0.3,0.5", "DimensionMismatch"),
+    ("1.5,-0.5", "NegativeEntry"),
+    ("nan,nan", "NonStochasticRow"),
+    ("0.4,x", "DimensionMismatch"),
+]
+
+
+@pytest.mark.parametrize("query, error", BAD_QUERIES)
+def test_bad_query_exit_code(query, error, capsys):
+    assert main(["solve", "--model", "machine-replacement",
+                 "--query", query]) == 2
+    assert_one_error_line(capsys, error)
 
 class TestSolveCommand:
     def test_preset_stagewise_json(self, capsys):

@@ -21,7 +21,6 @@ KEPT = {
     "normalizer_vector": "acceptance criterion 7",
     "blackwell_myopic_region": "acceptance criterion 10",
     "threshold_constraints_ok": "acceptance criterion 11",
-    "gittins_index": "acceptance criterion 12",
     "linear_threshold_action": "one-belief case of linear_threshold_actions",
     "social_learning_step": "one-belief case of the social-learning update",
     "model_to_json": "package-root export",
@@ -29,13 +28,9 @@ KEPT = {
 }
 
 _QUAD = "test seam: SPSA fits a known quadratic"
-_RESTART = ("the table-versus-restart comparison at 401 points and 400 "
-            "rewards")
 KEPT_PARAMS = {
     "spsa_fit.hyper": _QUAD,
     "spsa_fit.objective": _QUAD,
-    "gittins_index_table_2state.resolution": _RESTART,
-    "gittins_index_table_2state.m_steps": _RESTART,
 }
 
 
