@@ -49,6 +49,9 @@ def _preset(name: str, rho: float | None):
             0.3, 0.9, 0.8, 0.5, [1.0, 0.0],
             rho=0.95 if rho is None else rho)
     if name == "qd-classical":
+        if rho is not None:
+            raise DimensionMismatch("qd-classical is undiscounted; "
+                                    "--rho does not apply")
         return apps.build_quickest_detection(
             [0.0, 1.0], [[0.9]], [0.1], [[0.7, 0.3], [0.2, 0.8]],
             d=0.05, beta=1.0, alpha=0.0, delay_kind="classical", rho=1.0)
@@ -86,6 +89,9 @@ def _preset(name: str, rho: float | None):
 
 def load_model(spec: str, rho: float | None = None):
     if spec.endswith(".json"):
+        if rho is not None:
+            raise DimensionMismatch(f"{spec} carries its own rho; "
+                                    f"--rho does not apply")
         try:
             with open(spec) as fh:
                 text = fh.read()
@@ -182,6 +188,12 @@ def cmd_solve(args) -> int:
     if args.horizon is not None:
         check_at_least("--horizon", args.horizon, 1)
     model, kind = _load(args, "pomdp", "stopping", "social")
+    if args.query is not None:
+        if kind != "pomdp" or args.method in ("grid", "lovejoy"):
+            raise DimensionMismatch("--query needs a vector-set solve "
+                                    "(--method ip or monahan) of a pomdp "
+                                    "model")
+        pi = _query_belief(args.query, model.num_states)
     if kind == "social":
         res = apps.solve_social_learning_stop(
             model["local_costs"], model["B"], model["d"], model["beta"],
@@ -223,15 +235,13 @@ def cmd_solve(args) -> int:
         }
         _emit(json.dumps(doc) + "\n", args.out)
         return 0
-    if args.query:
-        pi = _query_belief(args.query, model.num_states)
     if args.horizon is not None:
         res = solve_finite_horizon(model, args.horizon, method=args.method)
     else:
         res = value_iteration_discounted(
             model, 1e-6 if args.epsilon is None else args.epsilon,
             method=args.method)
-    if args.query:
+    if args.query is not None:
         value, _, action = evaluate_value(res.final, pi)
         _emit(json.dumps({"value": value, "action": action}) + "\n",
               args.out)
@@ -301,7 +311,7 @@ def _table_rows(example, rhos, samples, seed, per_belief=False,
                                        seed=seed)
         row = {"rho": rho, "vol": 100 * vol}
         if loss_rho is not None and abs(rho - loss_rho) < 1e-12:
-            g = GridValue(model, 100, interpolation="freudenthal")
+            g = GridValue(model, 100)
             g.iterate(epsilon=1e-8)
             X = model.num_states
             e_last = np.zeros(X)
@@ -324,6 +334,12 @@ def _table_rows(example, rhos, samples, seed, per_belief=False,
 
 def cmd_myopic(args) -> int:
     rhos = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    if args.delta is not None and not args.table1a:
+        raise DimensionMismatch("--delta applies to --table1a only")
+    if args.rho is not None and (args.table1a or args.table1c
+                                 or args.table1d):
+        raise DimensionMismatch("--rho does not apply to the tables, "
+                                "which run at rho = 0.4, ..., 0.9")
     samples = args.samples
     if samples is None:
         samples = 20_000 if args.table1d else 1_000_000

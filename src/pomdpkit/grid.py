@@ -4,11 +4,12 @@ and retirement-index grids.
 
 Grid nodes are the lattice points ``k / resolution`` (all compositions of
 ``resolution`` into X parts, in lexicographic order).  Off-grid beliefs
-are evaluated by linear interpolation for X = 2 (:func:`segment_weights`,
-which also serves the 2-state grids over pi(2)), by nearest neighbor for
-X >= 3 (the :class:`GridValue` default), or by barycentric interpolation
-on the standard simplicial subdivision of the lattice, which is exact for
-piecewise linear functions and never overshoots a concave one.
+are evaluated by barycentric interpolation on the standard simplicial
+subdivision of the lattice (:func:`barycentric_weights`, whose X = 2
+case is the linear interpolation of :func:`segment_weights`, which also
+serves the 2-state grids over pi(2)).  It is exact for piecewise linear
+functions and never overshoots a concave one, so the values of
+:class:`GridValue` are lower bounds on the exact value (Lovejoy 1991).
 
 Every grid backup runs on one engine in two parts.
 :func:`posterior_maps` builds once, through :func:`filters.bayes_batch`,
@@ -70,37 +71,19 @@ def _comb_table(n: int, k: int) -> np.ndarray:
     return T
 
 
-def lattice_rank(comps: np.ndarray, resolution: int) -> np.ndarray:
-    """Lexicographic row index of integer compositions, vectorized.
-
-    ``comps`` has shape (..., X) with rows summing to ``resolution``; the
-    index is :func:`_cumulative_rank` of their cumulative coordinates.
-    """
-    comps = np.asarray(comps, dtype=np.int64)
-    return _cumulative_rank(
-        resolution - np.cumsum(comps[..., :-1], axis=-1), resolution)
-
-
-def _cumulative_rank(v: np.ndarray, M: int) -> np.ndarray:
-    """Lexicographic lattice index from integer cumulative coordinates.
-
-    ``v`` has shape (..., X-1) and holds ``v_i = k_{i+1} + ... + k_X``,
-    ``i = 1..X-1``, of a composition ``k`` of ``M``.  The index is the
-    last one, ``comb(M + X - 1, X - 1) - 1``, minus the number of
-    compositions that exceed ``k``; by the hockey-stick identity those
-    whose first larger coordinate is i number
-    ``comb(v_i + X - i - 1, X - i)``.
-    """
-    X = v.shape[-1] + 1
-    flat = _comb_table(M + X, X).ravel()
-    return _rank_from_terms(flat[_rank_positions(v)], M)
-
-
 def _rank_positions(v: np.ndarray) -> np.ndarray:
     """Flat positions of the rank terms ``T[v_i + r_i - 1, r_i]``,
-    ``r_i = X - i`` for ``i = 1..X-1`` as in :func:`_cumulative_rank`, in
-    the comb table ``T = _comb_table(M + X, X)``, whose entry ``T[a, b]``
-    is ``flat[a * (X + 1) + b]``.
+    ``r_i = X - i`` for ``i = 1..X-1``, in the comb table
+    ``T = _comb_table(M + X, X)``, whose entry ``T[a, b]`` is
+    ``flat[a * (X + 1) + b]``.
+
+    ``v`` has shape (..., X-1) and holds the integer cumulative
+    coordinates ``v_i = k_{i+1} + ... + k_X`` of a composition ``k`` of
+    ``M``.  Its lexicographic lattice index is the last one,
+    ``comb(M + X - 1, X - 1) - 1``, minus the number of compositions
+    that exceed ``k``; by the hockey-stick identity those whose first
+    larger coordinate is i number ``comb(v_i + X - i - 1, X - i)``, the
+    rank term (see :func:`_rank_from_terms`).
 
     The entry just before each, ``T[v_i + r_i - 1, r_i - 1]``, is by
     Pascal's rule the drop in the rank term when ``v_i`` grows by one.
@@ -204,20 +187,6 @@ def barycentric_weights(pis: np.ndarray,
     return idx, w
 
 
-def nearest_lattice_index(pis: np.ndarray, resolution: int) -> np.ndarray:
-    """L1-nearest lattice node via largest-remainder apportionment."""
-    pis = np.atleast_2d(np.asarray(pis, dtype=float))
-    M = resolution
-    v = pis * M
-    base = np.floor(v).astype(np.int64)
-    rem = v - base
-    need = M - base.sum(axis=1)
-    order = np.argsort(-rem, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    comps = base + (rank < need[:, None])
-    return lattice_rank(comps, M)
-
-
 def posterior_maps(pis: np.ndarray, P: np.ndarray, B: np.ndarray, interp):
     """Interpolation data ``(idx, w, sigma)`` of the posteriors
     ``T(pi, y, u)`` of the beliefs ``pis``, one triple per observation.
@@ -263,38 +232,39 @@ def converge(step, values: np.ndarray, epsilon: float):
 
 
 class GridValue:
-    """Value table over the simplex lattice with a Bellman sweep engine;
-    ``interpolation`` defaults to linear at X = 2, nearest node at X >= 3."""
+    """Value table over the simplex lattice with a Bellman sweep engine.
+
+    The table is read off the lattice by barycentric interpolation, which
+    never overshoots a concave value, and the grid Bellman operator is
+    monotone; so a fixed-horizon table is a lower bound on the exact value
+    at every belief, and one iterated to ``epsilon`` is one up to
+    ``epsilon * rho / (1 - rho)``.  ``interpolation`` accepts only
+    ``"freudenthal"``, the default, for callers that still name it.
+    """
 
     def __init__(self, model: PomdpModel, resolution: int,
-                 interpolation: str | None = None):
-        X = model.num_states
-        if interpolation is None:
-            interpolation = "freudenthal" if X == 2 else "nearest"
+                 interpolation: str = "freudenthal"):
+        if interpolation != "freudenthal":
+            raise DimensionMismatch(f"interpolation must be 'freudenthal', "
+                                    f"got {interpolation!r}")
         self.model = model
         self.resolution = resolution
-        self.interpolation = interpolation
-        self.points = simplex_lattice(X, resolution)
+        self.points = simplex_lattice(model.num_states, resolution)
         self.values = np.zeros(len(self.points))
         self._maps = None
         self.policy_table = None
 
-    # -- interpolation ---------------------------------------------------
-    def _interp(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pis = np.atleast_2d(pis)
-        if self.interpolation == "nearest":
-            idx = nearest_lattice_index(pis, self.resolution)
-            return idx[:, None], np.ones((len(pis), 1))
+    def _weights(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return barycentric_weights(pis, self.resolution)
 
     def value(self, pi) -> float:
-        idx, w = self._interp(np.asarray(pi, dtype=float)[None, :])
+        idx, w = self._weights(np.asarray(pi, dtype=float)[None, :])
         return float((self.values[idx] * w).sum())
 
     # -- Bellman machinery -------------------------------------------------
     def _posterior_maps(self, pis: np.ndarray) -> list:
         m = self.model
-        return [posterior_maps(pis, m.P(u), m.B(u), self._interp)
+        return [posterior_maps(pis, m.P(u), m.B(u), self._weights)
                 for u in range(1, m.num_actions + 1)]
 
     def _q_values(self, costs: np.ndarray, maps: list,

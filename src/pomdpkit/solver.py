@@ -397,7 +397,7 @@ def lovejoy_bounds(model: PomdpModel, grid_points: int,
     check_at_least("grid_points", grid_points, 1)
     X = model.num_states
     res = _lovejoy_resolution(model, max(grid_points, X))
-    lower = GridValue(model, res, interpolation="freudenthal")
+    lower = GridValue(model, res)
     pts = lower.points
     if grid_points < X:
         # too few points for a lattice: prune at the barycenter plus the

@@ -137,7 +137,7 @@ class TestCriterion1TableA:
     def test_percent_loss_at_e3(self):
         m = example1(0.4)
         pair = optimize_overlap_2action(m, delta=self.DELTA)
-        g = GridValue(m, 100, interpolation="freudenthal")
+        g = GridValue(m, 100)
         g.iterate(epsilon=1e-8)
         loss = 100 * percent_loss(m, pair, np.array([0.0, 0.0, 1.0]),
                                   g.lookahead_actions, n_runs=1000,
@@ -552,7 +552,7 @@ class TestCriterion8QuickestDetection:
         m = build_sampling_control(
             [[1.0, 0.0], [0.1, 0.9]], [[0.7, 0.3], [0.2, 0.8]],
             intervals=[1, 2, 4, 8], m=0.05, d=0.08, rho=0.97)
-        g = GridValue(m, 150, interpolation="freudenthal")
+        g = GridValue(m, 150)
         g.iterate(epsilon=1e-10)
         ts = np.linspace(0, 1, 801)
         edge = np.column_stack([1 - ts, ts, np.zeros_like(ts)])
@@ -587,7 +587,7 @@ class TestCriterion10MyopicSandwich:
         violations = 0
         for _ in range(20):
             m, pair = sandwich_model(rng)
-            g = GridValue(m, 80, interpolation="freudenthal")
+            g = GridValue(m, 80)
             g.iterate(epsilon=1e-9)
             pis = uniform_simplex(rng, 1000, 3)
             star = g.lookahead_actions(pis)
@@ -607,7 +607,7 @@ class TestCriterion10MyopicSandwich:
         costs = np.column_stack([[1.1, 0.75, 0.5], [1.35, 0.9, 0.35]])
         m = PomdpModel(np.stack([P, P]), np.stack([B1, B2]), costs, 0.7)
         region = blackwell_myopic_region(m)
-        g = GridValue(m, 80, interpolation="freudenthal")
+        g = GridValue(m, 80)
         g.iterate(epsilon=1e-9)
         rng = make_rng(5)
         pis = uniform_simplex(rng, 2000, 3)

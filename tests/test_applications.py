@@ -150,7 +150,7 @@ class TestSamplingControl:
                                    rho=0.97)
         from pomdpkit.grid import GridValue
 
-        g = GridValue(m, 150, interpolation="freudenthal")
+        g = GridValue(m, 150)
         g.iterate(epsilon=1e-10)
         ts = np.linspace(0, 1, 601)
         edge = np.column_stack([1 - ts, ts, 0 * ts])

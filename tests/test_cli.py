@@ -18,7 +18,8 @@ from pomdpkit.solver import evaluate_value, solve_finite_horizon, vector_set
 
 # stdout sha256 of the nine README commands, the social-learning stop, the
 # Lovejoy bounds, two trajectory commands, an SPSA trace, a Fails report
-# with witnesses and a Monte Carlo table, as recorded in CHANGES.md
+# with witnesses, a Monte Carlo table and a discounted grid value table,
+# as recorded in CHANGES.md
 GOLDEN = [
     ("solve --model machine-replacement --horizon 5 --method ip",
      "6d3a4fcef939db4ffceb7376c4e0ab54ef2d2e9820b49f01cc880c39f0189cde"),
@@ -55,6 +56,8 @@ GOLDEN = [
      "ea4cbaff6c4566625e3692e7d6afc69ddceec3e83bf071aa0eee95c5586d6fdc"),
     ("myopic --table1c --samples 2000 --seed 1",
      "44c48308a2348fe0eb9427e3372c227373608ff5d2b735d5313d5a509f12426c"),
+    ("solve --model example1 --method grid --resolution 60 --epsilon 1e-8",
+     "5cfa2f4ca2e1cfd9b2ccc4fb8f39d84b0cf64685e9a529f676b94073d086294f"),
 ]
 
 
@@ -139,7 +142,25 @@ BAD_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("command", BAD_COUNTS)
+# options that once were accepted and ignored: stdout was the same bytes
+# with and without them
+IGNORED_OPTIONS = [
+    "solve --model social --query 0.3,0.7",
+    "solve --model qd-classical --resolution 4 --query 0.3,0.7",
+    "solve --model example1 --method grid --resolution 4 --horizon 2 "
+    "--query 0.2,0.3,0.5",
+    "solve --model machine-replacement --method lovejoy --horizon 2 "
+    "--query 0.3,0.7",
+    "solve --model qd-classical --resolution 4 --rho 0.5",
+    "spsa --model qd-classical --rho 0.5",
+    "myopic --table1c --delta 0.3",
+    "myopic --table1d --delta 0.3",
+    "myopic --model machine-replacement --delta 0.3",
+    "myopic --table1a --rho 0.5",
+]
+
+
+@pytest.mark.parametrize("command", BAD_COUNTS + IGNORED_OPTIONS)
 def test_bad_count_exit_code(command, capsys):
     # no traceback: an uncaught error would escape main(), and stderr
     # holds one JSON line
@@ -163,6 +184,20 @@ def test_bad_query_exit_code(query, error, capsys):
     assert main(["solve", "--model", "machine-replacement",
                  "--query", query]) == 2
     assert_one_error_line(capsys, error)
+
+
+@pytest.mark.parametrize("command, options", [
+    ("solve", ["--horizon", "2"]), ("check", [])], ids=["solve", "check"])
+def test_rho_on_model_file_exit_code(command, options, tmp_path, capsys):
+    # a model file carries its own discount factor
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(REPLACEMENT_JSON))
+    argv = [command, "--model", str(path), *options]
+    assert main(argv + ["--rho", "0.5"]) == 2
+    assert_one_error_line(capsys, "DimensionMismatch")
+    assert main(argv) == 0
+    assert load_model(str(path)).discount == 0.9
+
 
 class TestSolveCommand:
     def test_preset_stagewise_json(self, capsys):
@@ -293,13 +328,13 @@ class TestSolveCommand:
         assert stop == sorted(stop)
 
     def test_grid_method_on_three_states(self, monkeypatch, capsys):
-        nearest = count_calls(monkeypatch, grid, "nearest_lattice_index")
+        weights = count_calls(monkeypatch, grid, "barycentric_weights")
         assert main(["solve", "--model", "example1", "--method", "grid",
                      "--resolution", "20", "--horizon", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "index,value,action"
         assert len(lines) == 1 + 231     # comb(20 + 2, 2) lattice nodes
-        assert nearest
+        assert weights
 
 
 class TestCheckCommand:

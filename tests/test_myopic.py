@@ -308,7 +308,7 @@ class TestPercentLoss:
     def test_seed_reproducibility(self):
         m = example1(0.4)
         pair = optimize_overlap_2action(m)
-        g = GridValue(m, 60, interpolation="freudenthal")
+        g = GridValue(m, 60)
         g.iterate(epsilon=1e-7)
         e3 = np.array([0.0, 0.0, 1.0])
         a = percent_loss(m, pair, e3, g.lookahead_actions, 100, 50, seed=5)
@@ -402,12 +402,12 @@ class TestInvariances:
     def test_cost_transformation_leaves_policy_unchanged(self):
         rng = make_rng(15)
         m, pair = sandwich_model(rng)
-        g_plain = GridValue(m, 60, interpolation="freudenthal")
+        g_plain = GridValue(m, 60)
         g_plain.iterate(epsilon=1e-9)
         shifted = PomdpModel(
             np.asarray(m.transitions), np.asarray(m.observations),
             transformed_costs(m, pair.f_upper), m.discount)
-        g_shift = GridValue(shifted, 60, interpolation="freudenthal")
+        g_shift = GridValue(shifted, 60)
         g_shift.iterate(epsilon=1e-9)
         pis = uniform_simplex(rng, 300, 3)
         a = g_plain.lookahead_actions(pis)

@@ -15,8 +15,8 @@ from pomdpkit.apps import build_machine_replacement, build_quickest_detection
 from pomdpkit.cli import load_model
 from pomdpkit.errors import Blowup, DimensionMismatch, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
-from pomdpkit.grid import (GridValue, _comb_table, barycentric_weights,
-                           converge, lattice_rank, nearest_lattice_index,
+from pomdpkit.grid import (GridValue, _comb_table, _rank_from_terms,
+                           _rank_positions, barycentric_weights, converge,
                            segment_weights, simplex_lattice)
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
@@ -737,6 +737,44 @@ class TestGridOracle:
         assert errs[1] <= errs[0] and errs[2] <= errs[1]
         assert errs[2] < 1e-4
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3",
+                                      "example4", "sampling", "search"])
+    def test_grid_value_is_a_lower_bound(self, name):
+        # barycentric interpolation never overshoots the concave exact
+        # value, and the grid backup is monotone
+        m = load_model(name)
+        pis = uniform_simplex(make_rng(3), 500, m.num_states)
+        for horizon, resolution in ((2, 4), (3, 6)):
+            exact = solve_finite_horizon(m, horizon).final
+            g = GridValue(m, resolution).iterate(horizon=horizon)
+            for values, beliefs in ((g.values, g.points),
+                                    ([g.value(p) for p in pis], pis)):
+                gap = [v - evaluate_value(exact, p)[0]
+                       for v, p in zip(values, beliefs)]
+                assert max(gap) <= 1e-12
+
+    def test_discounted_grid_value_is_a_lower_bound(self):
+        # stopped at epsilon, value iteration is within epsilon rho / (1 -
+        # rho) of the grid's fixed point, which is below the exact value
+        m = load_model("example1")
+        ref = value_iteration_discounted(m, 1e-9)
+        epsilon, rho = 1e-8, m.discount
+        g = GridValue(m, 60).iterate(epsilon=epsilon)
+        slack = epsilon * rho / (1 - rho) + ref.error_bound
+        pis = np.vstack([g.points,
+                         uniform_simplex(make_rng(4), 500, m.num_states)])
+        for pi in pis:
+            assert g.value(pi) <= evaluate_value(ref.final, pi)[0] + slack
+
+    def test_only_barycentric_interpolation(self):
+        m = load_model("example1")
+        with pytest.raises(DimensionMismatch):
+            GridValue(m, 5, interpolation="nearest")
+        # the one accepted value may still be named
+        named = GridValue(m, 5, "freudenthal").iterate(horizon=2)
+        assert np.array_equal(named.values,
+                              GridValue(m, 5).iterate(horizon=2).values)
+
 
 class TestSegmentWeights:
     @pytest.mark.parametrize("resolution", [1, 2, 7, 200])
@@ -876,15 +914,13 @@ class TestConverge:
         assert not sweeps
 
 
-class TestNearestLatticeIndex:
-    @pytest.mark.parametrize("X, M", [(2, 7), (3, 6), (4, 5)])
-    def test_matches_brute_force_l1_nearest(self, X, M):
-        nodes = simplex_lattice(X, M)
-        pis = np.vstack([make_rng(40 + X).dirichlet(np.ones(X), 500),
-                         nodes])
-        dist = np.abs(pis[:, None, :] - nodes[None, :, :]).sum(axis=2)
-        got = dist[np.arange(len(pis)), nearest_lattice_index(pis, M)]
-        assert np.allclose(got, dist.min(axis=1), rtol=0, atol=1e-12)
+def _lattice_rank(comps, M):
+    """The rank that :func:`barycentric_weights` reads, from the rank
+    terms of the cumulative coordinates of integer compositions."""
+    X = comps.shape[-1]
+    v = M - np.cumsum(comps[..., :-1], axis=-1)
+    flat = _comb_table(M + X, X).ravel()
+    return _rank_from_terms(flat[_rank_positions(v)], M)
 
 
 class TestLatticeRank:
@@ -896,11 +932,12 @@ class TestLatticeRank:
             edges = np.concatenate([np.zeros((200, 1), dtype=np.int64), cuts,
                                     np.full((200, 1), M)], axis=1)
             comps = np.diff(edges, axis=1)
-            assert np.array_equal(lattice_rank(comps, M),
+            assert np.array_equal(_lattice_rank(comps, M),
                                   _composition_rank(comps, M))
         # the lattice itself is listed in rank order
         nodes = np.rint(simplex_lattice(X, 5) * 5).astype(np.int64)
-        assert np.array_equal(lattice_rank(nodes, 5), np.arange(len(nodes)))
+        assert np.array_equal(_lattice_rank(nodes, 5),
+                              np.arange(len(nodes)))
 
     def test_barycentric_vertices_rank_their_compositions(self):
         # each returned index is the rank of a lattice vertex whose
