@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTP2, OrderingViolation
+from .filters import bayes_batch
 from .orders import is_tp2, mlr_rows
 
 
@@ -128,25 +129,25 @@ def sandwich_filter(P_lower, P, P_upper, B, observations, pi0,
     exact mean and the MAP estimates must be ordered; a violation means
     the copositive-order preconditions did not actually hold and raises
     :class:`OrderingViolation` at the first failing step.  The checks run
-    over all steps after the recursion; an observation of zero
-    likelihood ends the recursion, and is reported only when the steps
-    before it pass.
+    over all steps after the recursion.  Each step is one three-row
+    :func:`filters.bayes_batch` call; an observation of zero likelihood
+    under any of the three filters ends the recursion, and is reported
+    only when the steps before it pass.
     """
     B = np.asarray(B, dtype=float)
     pi0 = np.asarray(pi0, dtype=float)
     preds = [CountingPredictor(M) for M in (P_lower, P, P_upper)]
     posteriors = np.empty((len(observations), 3, pi0.size))
-    prev = (pi0, pi0, pi0)
+    prev = np.stack([pi0, pi0, pi0])
     zero_step = None
     for k, y in enumerate(observations):
-        unnorm = B[:, int(y) - 1] * np.stack(
-            [pred.predict(p) for pred, p in zip(preds, prev)])
-        totals = unnorm.sum(axis=1)
-        if (totals <= 0).any():
+        post, sigma = bayes_batch(
+            np.stack([pred.predict(p) for pred, p in zip(preds, prev)]),
+            B[:, int(y) - 1], prev)
+        if not sigma.all():
             zero_step = k
             break
-        posteriors[k] = unnorm / totals[:, None]
-        prev = posteriors[k]
+        posteriors[k] = prev = post
     if check:
         _check_sandwich(posteriors[:zero_step])
     if zero_step is not None:

@@ -181,6 +181,17 @@ def _query_belief(text: str, num_states: int) -> np.ndarray:
     return pi
 
 
+# the options each kind of solve reads, besides --model, --rho and --out
+SOLVE_OPTIONS = {
+    "social": {"resolution"},
+    "stopping": {"resolution", "epsilon"},
+    "grid": {"method", "resolution", "epsilon", "horizon"},
+    "lovejoy": {"method", "grid_points", "horizon"},
+    "finite-horizon": {"method", "horizon", "query"},
+    "discounted": {"method", "epsilon", "query"},
+}
+
+
 def cmd_solve(args) -> int:
     if args.epsilon is not None and not args.epsilon > 0:
         raise DimensionMismatch(f"--epsilon must be positive, got "
@@ -188,11 +199,16 @@ def cmd_solve(args) -> int:
     if args.horizon is not None:
         check_at_least("--horizon", args.horizon, 1)
     model, kind = _load(args, "pomdp", "stopping", "social")
+    method = "ip" if args.method is None else args.method
+    solve = kind if kind != "pomdp" else (
+        method if method in ("grid", "lovejoy") else
+        "discounted" if args.horizon is None else "finite-horizon")
+    for name in sorted(set().union(*SOLVE_OPTIONS.values())
+                       - SOLVE_OPTIONS[solve]):
+        if getattr(args, name) is not None:
+            raise DimensionMismatch(f"--{name.replace('_', '-')} does not "
+                                    f"apply to a {solve} solve")
     if args.query is not None:
-        if kind != "pomdp" or args.method in ("grid", "lovejoy"):
-            raise DimensionMismatch("--query needs a vector-set solve "
-                                    "(--method ip or monahan) of a pomdp "
-                                    "model")
         pi = _query_belief(args.query, model.num_states)
     if kind == "social":
         res = apps.solve_social_learning_stop(
@@ -215,7 +231,7 @@ def cmd_solve(args) -> int:
             for i, (v, s) in enumerate(zip(sol.values, mask))]
         _emit("\n".join(rows) + "\n", args.out)
         return 0
-    if args.method == "grid":
+    if method == "grid":
         grid = GridValue(model, resolution).iterate(args.epsilon,
                                                     args.horizon)
         rows = ["index,value,action"]
@@ -223,8 +239,9 @@ def cmd_solve(args) -> int:
             rows.append(f"{i},{v:.12g},{int(grid.policy_table[i])}")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
-    if args.method == "lovejoy":
-        lb = lovejoy_bounds(model, args.grid_points, horizon=args.horizon)
+    if method == "lovejoy":
+        points = 20 if args.grid_points is None else args.grid_points
+        lb = lovejoy_bounds(model, points, horizon=args.horizon)
         pts = lb.lower.points
         doc = {
             "upper_sizes": [len(s) for s in lb.upper_sets],
@@ -236,11 +253,11 @@ def cmd_solve(args) -> int:
         _emit(json.dumps(doc) + "\n", args.out)
         return 0
     if args.horizon is not None:
-        res = solve_finite_horizon(model, args.horizon, method=args.method)
+        res = solve_finite_horizon(model, args.horizon, method=method)
     else:
         res = value_iteration_discounted(
             model, 1e-6 if args.epsilon is None else args.epsilon,
-            method=args.method)
+            method=method)
     if args.query is not None:
         value, _, action = evaluate_value(res.final, pi)
         _emit(json.dumps({"value": value, "action": action}) + "\n",
@@ -334,12 +351,22 @@ def _table_rows(example, rhos, samples, seed, per_belief=False,
 
 def cmd_myopic(args) -> int:
     rhos = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    if args.delta is not None and not args.table1a:
-        raise DimensionMismatch("--delta applies to --table1a only")
-    if args.rho is not None and (args.table1a or args.table1c
-                                 or args.table1d):
-        raise DimensionMismatch("--rho does not apply to the tables, "
-                                "which run at rho = 0.4, ..., 0.9")
+    tables = args.table1a + args.table1c + args.table1d
+    for ignored, message in (
+            (tables > 1, "give at most one table flag"),
+            (tables and args.model is not None,
+             "--model does not apply to the tables"),
+            (tables and args.rho is not None,
+             "--rho does not apply to the tables, which run at "
+             "rho = 0.4, ..., 0.9"),
+            (args.delta is not None and not args.table1a,
+             "--delta applies to --table1a only"),
+            (args.loss and not args.table1a,
+             "--loss applies to --table1a only"),
+            (not args.loss and (args.paths, args.horizon) != (None, None),
+             "--paths and --horizon apply to --loss only")):
+        if ignored:
+            raise DimensionMismatch(message)
     samples = args.samples
     if samples is None:
         samples = 20_000 if args.table1d else 1_000_000
@@ -349,7 +376,9 @@ def cmd_myopic(args) -> int:
         delta = 0.05 if args.delta is None else args.delta
         rows = _table_rows(presets.example1, rhos, samples, args.seed,
                            loss_rho=0.4 if args.loss else None,
-                           paths=args.paths, horizon=args.horizon,
+                           paths=1000 if args.paths is None else args.paths,
+                           horizon=100 if args.horizon is None
+                           else args.horizon,
                            delta=delta)
     elif args.table1c:
         rows = _table_rows(presets.example2, rhos, samples, args.seed)
@@ -464,12 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float)
     sp.add_argument("--horizon", type=int)
     sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--method", default="ip",
-                    choices=["ip", "monahan", "lovejoy", "grid"])
+    sp.add_argument("--method", choices=["ip", "monahan", "lovejoy", "grid"],
+                    help="default ip")
     sp.add_argument("--resolution", type=int,
                     help="grid resolution M, nodes spaced 1/M (default 1000; "
                          "499 for social)")
-    sp.add_argument("--grid-points", type=int, default=20)
+    sp.add_argument("--grid-points", type=int,
+                    help="Lovejoy upper-bound grid points (default 20)")
     sp.add_argument("--query", help="belief to evaluate, comma separated")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_solve)
@@ -504,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "ignore it")
     mp.add_argument("--delta", type=float,
                     help="strictness margin for the cost LPs")
-    mp.add_argument("--paths", type=int, default=1000)
-    mp.add_argument("--horizon", type=int, default=100)
+    mp.add_argument("--paths", type=int, help="--loss paths (default 1000)")
+    mp.add_argument("--horizon", type=int,
+                    help="--loss path length (default 100)")
     mp.add_argument("--seed", type=int, default=0)
     mp.add_argument("--out")
     mp.set_defaults(func=cmd_myopic)

@@ -2,17 +2,12 @@
 kernel, the batched path sampler, social-learning filter and seeded
 trajectory simulation.
 
-Every batched posterior in the package goes through :func:`bayes_batch`
-except those of :func:`bounds.sandwich_filter`, which raises at a
-zero-likelihood observation and whose per-step update of three rows is
-cheaper than the masking in :func:`bayes_batch` (through it, a
-10,000-step 8-state run gave bit-identical posteriors in 0.40-0.44 s
-instead of 0.27-0.31 s; best of 7, 2-core x86-64).  The zero-likelihood
-rule of :func:`bayes_batch`: a row whose normalizer is at most
+Every posterior in the package is normalized by :func:`bayes_batch`.
+Its zero-likelihood rule: a row whose normalizer is at most
 ``ZERO_LIKELIHOOD`` keeps its prior belief and reports ``sigma = 0``, so
 a continuation weighted by sigma drops it.  The single-belief updates
-below instead raise :class:`ZeroLikelihood`, because there the
-observation comes from the caller.
+below and :func:`bounds.sandwich_filter` instead raise at sigma 0,
+because there the observation comes from the caller.
 
 Every sampled state and observation goes through :func:`sample_index`,
 and every simulated path through :class:`PathSampler`.
@@ -37,11 +32,13 @@ class FilterStep:
     normalizer: float
 
 
-def _bayes(unnormalized: np.ndarray) -> FilterStep:
-    sigma = float(unnormalized.sum())
-    if sigma <= ZERO_LIKELIHOOD:
-        raise ZeroLikelihood(f"observation has zero mass (sigma={sigma!r})")
-    return FilterStep(unnormalized / sigma, sigma)
+def _bayes(pred: np.ndarray, lik: np.ndarray) -> FilterStep:
+    """One-row :func:`bayes_batch` that raises at zero likelihood."""
+    post, sigma = bayes_batch(pred[None], lik, pred[None])
+    if not sigma[0]:
+        total = float((pred * lik).sum())
+        raise ZeroLikelihood(f"observation has zero mass (sigma={total!r})")
+    return FilterStep(post[0], float(sigma[0]))
 
 
 def bayes_batch(pred: np.ndarray, lik: np.ndarray,
@@ -57,6 +54,8 @@ def bayes_batch(pred: np.ndarray, lik: np.ndarray,
     post = pred * lik
     sigma = post.sum(axis=1)
     zero = sigma <= ZERO_LIKELIHOOD
+    if not zero.any():
+        return post / sigma[:, None], sigma
     post = post / np.where(zero, 1.0, sigma)[:, None]
     post[zero] = prior[zero]
     return post, np.where(zero, 0.0, sigma)
@@ -110,7 +109,7 @@ class PathSampler:
 def hmm_filter_step(pi, y: int, u: int, model: PomdpModel) -> FilterStep:
     """One filter update ``T(pi, y, u) = B_y(u) P'(u) pi / sigma``."""
     pi = np.asarray(pi, dtype=float)
-    return _bayes(model.B(u)[:, y - 1] * (model.P(u).T @ pi))
+    return _bayes(model.P(u).T @ pi, model.B(u)[:, y - 1])
 
 
 def hmm_predictor_step(pi, u: int, model: PomdpModel) -> np.ndarray:
@@ -151,7 +150,7 @@ def social_action_likelihoods(pis, local_costs, B) -> np.ndarray:
 def social_learning_step(pi, a: int, local_costs, B) -> FilterStep:
     """Public-belief update driven by an observed action ``a``."""
     L = social_action_likelihoods(pi, local_costs, B)
-    return _bayes(L[:, a - 1] * np.asarray(pi, dtype=float))
+    return _bayes(np.asarray(pi, dtype=float), L[:, a - 1])
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,30 @@ IGNORED_OPTIONS = [
     "myopic --table1d --delta 0.3",
     "myopic --model machine-replacement --delta 0.3",
     "myopic --table1a --rho 0.5",
+    "solve --model social --horizon 3",
+    "solve --model social --method monahan",
+    "solve --model social --epsilon 0.5",
+    "solve --model qd-classical --resolution 4 --horizon 3",
+    "solve --model qd-classical --resolution 4 --method monahan",
+    "solve --model machine-replacement --horizon 3 --resolution 7",
+    "solve --model machine-replacement --horizon 3 --grid-points 3",
+    "solve --model machine-replacement --horizon 3 --epsilon 0.5",
+    "solve --model example1 --method grid --resolution 4 --horizon 2 "
+    "--grid-points 3",
+    "solve --model machine-replacement --method lovejoy --horizon 2 "
+    "--resolution 7",
+    "solve --model machine-replacement --method lovejoy --horizon 2 "
+    "--epsilon 0.5",
+    "myopic --table1c --loss",
+    "myopic --table1d --loss",
+    "myopic --model machine-replacement --loss",
+    "myopic --table1a --paths 10",
+    "myopic --table1a --horizon 10",
+    "myopic --model machine-replacement --paths 10",
+    "myopic --table1a --model example3",
+    "myopic --table1d --model example3",
+    "myopic --table1a --table1c",
+    "myopic --table1c --table1d",
 ]
 
 

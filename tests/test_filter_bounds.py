@@ -228,3 +228,16 @@ class TestSandwichFilter:
             3, "zero-likelihood observation")
         assert _raised(hi, P, lo, B, [3, 1], pi0) == (
             1, "zero-likelihood observation")
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_one_zero_row_stops_the_run(self, check):
+        # the lower filter always predicts state 1, which symbol 2 rules
+        # out; the exact and upper filters see symbol 2 with mass 1/4
+        lo = np.array([[1.0, 0.0], [1.0, 0.0]])
+        P = np.full((2, 2), 0.5)
+        B = np.array([[0.5, 0.0, 0.5], [0.25, 0.5, 0.25]])
+        pi0 = np.array([0.5, 0.5])
+        ys = [1, 3, 2, 1]
+        got = _raised(lo, P, P, B, ys, pi0, check=check)
+        assert got == (3, "zero-likelihood observation")
+        assert got == _reference_sandwich(lo, P, P, B, ys, pi0)

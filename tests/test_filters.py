@@ -197,6 +197,15 @@ class TestBayesBatch:
             assert np.allclose(p, ref.posterior, rtol=0, atol=1e-12)
             assert s == pytest.approx(ref.normalizer, rel=0, abs=1e-12)
 
+    def test_no_zero_row_is_plain_division(self):
+        rng = make_rng(3)
+        pred = rng.dirichlet(np.ones(5), 7)
+        lik = rng.uniform(0.1, 1.0, 5)
+        post, sigma = bayes_batch(pred, lik, np.zeros_like(pred))
+        assert np.array_equal(
+            post, (pred * lik) / (pred * lik).sum(axis=1)[:, None])
+        assert np.array_equal(sigma, (pred * lik).sum(axis=1))
+
     def test_zero_likelihood_returns_prior(self):
         prior = np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]])
         post, sigma = bayes_batch(prior, np.array([0.0, 1.0]), prior)
