@@ -20,7 +20,7 @@ from .errors import (
 )
 from .filters import (PathSampler, bayes_batch, cumulative, sample_index,
                       social_action_likelihoods)
-from .grid import continuation, converge, segment_weights
+from .grid import continuation, converge, segment_weights, vertex_major
 from .model import PomdpModel, QuadraticCost, StoppingModel, belief
 from .rng import make_rng
 from .solver import value_iteration_discounted
@@ -226,7 +226,8 @@ def solve_social_learning_stop(local_costs, B, d: float, beta: float,
     maps = []
     for a in range(L.shape[2]):
         post, sigma = bayes_batch(pis, L[:, :, a], pis)
-        maps.append((*segment_weights(post[:, 1], resolution), sigma))
+        maps.append(vertex_major(*segment_weights(post[:, 1], resolution),
+                                 sigma))
 
     def step(V):
         return np.minimum(0.0, cont_cost + rho * continuation(V, maps)), None

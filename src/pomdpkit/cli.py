@@ -277,6 +277,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    if args.sandwich and args.rho is not None:
+        raise DimensionMismatch("--rho does not apply to --sandwich, which "
+                                "reads no discount")
     kinds = ("pomdp", "stopping") if args.sandwich else ("pomdp",)
     model, kind = _load(args, *kinds)
     rng = make_rng(args.seed)

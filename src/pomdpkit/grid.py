@@ -15,9 +15,24 @@ Every grid backup runs on one engine in two parts.
 :func:`posterior_maps` builds once, through :func:`filters.bayes_batch`,
 the interpolation data of the posteriors ``T(pi, y, u)`` of a belief
 batch; :func:`continuation` then gives
-``sum_y sigma(pi, y, u) V(T(pi, y, u))`` for any value table.
-:func:`converge` iterates a sweep to a sup-norm tolerance.  Posteriors
-of zero-likelihood observations carry ``sigma = 0`` and drop out.
+``sum_y sigma(pi, y, u) V(T(pi, y, u))`` for any value table, and
+:func:`action_min` the minimum over actions.  :func:`converge` iterates
+a sweep to a sup-norm tolerance.  Posteriors of zero-likelihood
+observations carry ``sigma = 0`` and drop out.
+
+The maps are vertex-major (:func:`vertex_major`): ``idx`` and ``w`` are
+(X, n) arrays, one row per vertex of the interpolating simplex.  Below
+X = 8 they are contiguous, so a sweep works on whole rows of length n
+instead of reducing along a last axis of length X, and it keeps the bits
+of the row-major sum ``(V[idx] * w).sum(axis=1)``: numpy (2.4.6) adds a
+row of up to 7 entries in order, which is the order in which
+:func:`continuation` adds its vertex rows.  A zero sum may differ in sign
+only, and the sigma-weighted total, which starts at +0, absorbs that.
+numpy adds longer rows pairwise, so from X = 8 on the maps are
+transposed views of the row-major arrays and :func:`continuation` takes
+numpy's row sum on those as they are.  The cut-off is an internal of
+numpy; ``TestVertexMajorSweep::test_continuation_keeps_the_row_major_bits``
+guards it and is the test to re-run when numpy changes.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ from .filters import bayes_batch
 from .model import PomdpModel
 
 MAX_SWEEPS = 100_000   # sweeps before every grid loop gives up
+PAIRWISE_ROW = 8       # numpy 2.4.6 sums a row this long or longer pairwise
 
 
 def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
@@ -40,17 +56,17 @@ def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
     Raises :class:`DimensionMismatch` unless ``resolution >= 1``.
     """
     check_at_least("grid resolution", resolution, 1)
-    pts = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], resolution, dim)
-    return np.asarray(pts, dtype=float) / resolution
+    # one coordinate at a time: each prefix with r units left is followed
+    # by its r + 1 choices 0..r of the next coordinate, in order
+    cols = []
+    left = np.array([resolution])
+    for _ in range(dim - 1):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        k = np.arange(len(starts)) - starts
+        cols = [np.repeat(c, counts) for c in cols] + [k]
+        left = np.repeat(left, counts) - k
+    return np.column_stack(cols + [left]) / resolution
 
 
 @lru_cache(maxsize=32)     # a few (resolution, X) pairs per process
@@ -187,9 +203,20 @@ def barycentric_weights(pis: np.ndarray,
     return idx, w
 
 
+def vertex_major(idx: np.ndarray, w: np.ndarray, sigma: np.ndarray):
+    """One posterior map ``(idx, w, sigma)`` in the layout that
+    :func:`continuation` reads: the (n, X) ``idx`` and ``w`` of an
+    interpolation as (X, n) arrays, contiguous copies below X = 8 and
+    transposed views from X = 8 on (see the module docstring)."""
+    if idx.shape[1] < PAIRWISE_ROW:
+        return np.ascontiguousarray(idx.T), np.ascontiguousarray(w.T), sigma
+    return idx.T, w.T, sigma
+
+
 def posterior_maps(pis: np.ndarray, P: np.ndarray, B: np.ndarray, interp):
-    """Interpolation data ``(idx, w, sigma)`` of the posteriors
-    ``T(pi, y, u)`` of the beliefs ``pis``, one triple per observation.
+    """Vertex-major interpolation data ``(idx, w, sigma)`` of the
+    posteriors ``T(pi, y, u)`` of the beliefs ``pis``, one triple per
+    observation (see :func:`vertex_major`).
 
     ``P`` and ``B`` are the kernels of action u and ``interp`` maps an
     (n, X) belief array to lattice ``(idx, w)``.  The triples come one at
@@ -198,17 +225,43 @@ def posterior_maps(pis: np.ndarray, P: np.ndarray, B: np.ndarray, interp):
     pred = pis @ P
     for y in range(B.shape[1]):
         post, sigma = bayes_batch(pred, B[:, y], pis)
-        yield (*interp(post), sigma)
+        yield vertex_major(*interp(post), sigma)
+
+
+def _interpolate(values: np.ndarray, idx: np.ndarray,
+                 w: np.ndarray) -> np.ndarray:
+    """``V`` at the posteriors of one vertex-major map, with the bits of
+    the row-major sum (see the module docstring)."""
+    if len(idx) >= PAIRWISE_ROW:
+        return (values[idx.T] * w.T).sum(axis=1)
+    p = values.take(idx)
+    p *= w
+    v = p[0]
+    for row in p[1:]:
+        v += row
+    return v
 
 
 def continuation(values: np.ndarray, maps) -> np.ndarray:
-    """``sum_y sigma(pi, y, u) V(T(pi, y, u))`` over one action's maps."""
+    """``sum_y sigma(pi, y, u) V(T(pi, y, u))`` over one action's
+    vertex-major maps."""
     total = 0.0
     for idx, w, sigma in maps:
-        total = total + (values[idx] * w).sum(axis=1) * sigma
+        total = total + _interpolate(values, idx, w) * sigma
         # release this map before a lazy ``maps`` builds the next one
         del idx, w, sigma
     return total
+
+
+def action_min(columns: list) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum over per-action value columns and the action (1-based)
+    that attains it, the lowest one on a tie, as ``argmin`` picks."""
+    best = columns[0]
+    act = np.ones(len(best), dtype=np.int64)
+    for u, q in enumerate(columns[1:], start=2):
+        act[q < best] = u
+        best = np.minimum(best, q)
+    return best, act
 
 
 def converge(step, values: np.ndarray, epsilon: float):
@@ -268,10 +321,11 @@ class GridValue:
                 for u in range(1, m.num_actions + 1)]
 
     def _q_values(self, costs: np.ndarray, maps: list,
-                  values: np.ndarray) -> np.ndarray:
+                  values: np.ndarray) -> list:
+        """The per-action columns of the Bellman backup."""
         rho = self.model.discount
-        return np.column_stack([costs[:, u] + rho * continuation(values, mu)
-                                for u, mu in enumerate(maps)])
+        return [costs[:, u] + rho * continuation(values, mu)
+                for u, mu in enumerate(maps)]
 
     def _build_maps(self):
         """Posterior maps and stage costs of every grid backup."""
@@ -282,8 +336,7 @@ class GridValue:
         """One min-over-actions Bellman backup on the grid."""
         if self._maps is None:
             self._build_maps()
-        Q = self._q_values(self._costs, self._maps, values)
-        return Q.min(axis=1), Q.argmin(axis=1) + 1
+        return action_min(self._q_values(self._costs, self._maps, values))
 
     def iterate(self, epsilon: float | None = None,
                 horizon: int | None = None) -> "GridValue":
@@ -308,6 +361,6 @@ class GridValue:
     def lookahead_actions(self, pis: np.ndarray) -> np.ndarray:
         """Vectorized one-step Bellman actions for many beliefs."""
         pis = np.atleast_2d(pis)
-        Q = self._q_values(pis @ self.model.costs,
-                           self._posterior_maps(pis), self.values)
-        return Q.argmin(axis=1) + 1
+        return action_min(self._q_values(pis @ self.model.costs,
+                                         self._posterior_maps(pis),
+                                         self.values))[1]

@@ -17,9 +17,10 @@ from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.solver import evaluate_value, solve_finite_horizon, vector_set
 
 # stdout sha256 of the nine README commands, the social-learning stop, the
-# Lovejoy bounds, two trajectory commands, an SPSA trace, a Fails report
-# with witnesses, a Monte Carlo table and a discounted grid value table,
-# as recorded in CHANGES.md
+# Lovejoy bounds (once on an 8-state grid), two trajectory commands, an
+# SPSA trace, a Fails report with witnesses, a Monte Carlo table, a
+# discounted grid value table and a stopping grid, as recorded in
+# CHANGES.md
 GOLDEN = [
     ("solve --model machine-replacement --horizon 5 --method ip",
      "6d3a4fcef939db4ffceb7376c4e0ab54ef2d2e9820b49f01cc880c39f0189cde"),
@@ -58,6 +59,10 @@ GOLDEN = [
      "44c48308a2348fe0eb9427e3372c227373608ff5d2b735d5313d5a509f12426c"),
     ("solve --model example1 --method grid --resolution 60 --epsilon 1e-8",
      "5cfa2f4ca2e1cfd9b2ccc4fb8f39d84b0cf64685e9a529f676b94073d086294f"),
+    ("solve --model example3 --method lovejoy --horizon 3 --grid-points 40",
+     "260c895b2d00d65a6d1221f17a03787db3f833d95e392cf9f118ff130256c450"),
+    ("solve --model qd-ph --resolution 140",
+     "713e83f3577386c5cd24e42d78ac0dae4cc196ebf5675b7d811ceb0b53e12c0b"),
 ]
 
 
@@ -181,6 +186,8 @@ IGNORED_OPTIONS = [
     "myopic --table1d --model example3",
     "myopic --table1a --table1c",
     "myopic --table1c --table1d",
+    "filter --model machine-replacement --sandwich --steps 50 --seed 3 "
+    "--rho 0.5",
 ]
 
 

@@ -16,8 +16,9 @@ from pomdpkit.cli import load_model
 from pomdpkit.errors import Blowup, DimensionMismatch, PreconditionFailed
 from pomdpkit.filters import hmm_filter_step, normalizer_vector
 from pomdpkit.grid import (GridValue, _comb_table, _rank_from_terms,
-                           _rank_positions, barycentric_weights, converge,
-                           segment_weights, simplex_lattice)
+                           _rank_positions, action_min, barycentric_weights,
+                           continuation, converge, segment_weights,
+                           simplex_lattice, vertex_major)
 from pomdpkit.model import PomdpModel
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.simplexlp import solve_lp
@@ -912,6 +913,95 @@ class TestConverge:
         with pytest.raises(DimensionMismatch):
             converge(step, np.ones(3), epsilon)
         assert not sweeps
+
+
+def _recursive_lattice(dim, resolution):
+    """Reference lattice: every composition of ``resolution`` into
+    ``dim`` parts, listed by a recursion over the first part."""
+    pts = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            pts.append(prefix + [remaining])
+            return
+        for k in range(remaining + 1):
+            rec(prefix + [k], remaining - k, slots - 1)
+
+    rec([], resolution, dim)
+    return np.asarray(pts, dtype=float) / resolution
+
+
+class TestVertexMajorSweep:
+    @pytest.mark.parametrize("X", range(2, 10))
+    def test_continuation_keeps_the_row_major_bits(self, X):
+        # rows of 8 or more are summed pairwise by numpy, so X = 8 and 9
+        # check the kernel's fallback and X <= 7 its in-order sum
+        rng = make_rng(60 + X)
+        n, nodes = 2000, 500
+        values = rng.standard_normal(nodes) * 10.0 ** rng.integers(
+            -6, 7, nodes)
+        values[rng.random(nodes) < 0.05] = -0.0
+        maps = []
+        for _ in range(3):
+            idx = rng.integers(0, nodes, size=(n, X))
+            w = rng.dirichlet(np.ones(X), n)
+            w[rng.random((n, X)) < 0.2] = 0.0
+            sigma = rng.random(n)
+            sigma[rng.random(n) < 0.1] = 0.0
+            maps.append((idx, w, sigma))
+        ref = 0.0
+        for idx, w, sigma in maps:
+            ref = ref + (values[idx] * w).sum(axis=1) * sigma
+        got = continuation(values, [vertex_major(*m) for m in maps])
+        assert np.array_equal(got, ref)
+        # the same bits, the sign of every zero included
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_posterior_maps_are_vertex_major(self, name):
+        # contiguous rows below X = 8; from X = 8 on, views of the
+        # row-major arrays that numpy's row sum reads without a copy
+        m = load_model(name)
+        X = m.num_states
+        pis = uniform_simplex(make_rng(7), 50, X)
+        for idx, w, sigma in grid.posterior_maps(
+                pis, m.P(1), m.B(1),
+                lambda p: barycentric_weights(p, 6)):
+            assert idx.shape == w.shape == (X, 50)
+            rows = (idx, w) if X < 8 else (idx.T, w.T)
+            assert all(a.flags.c_contiguous for a in rows)
+            assert sigma.shape == (50,)
+
+    def test_action_min_keeps_the_first_tie(self):
+        a = np.array([1.0, 2.0, 3.0, 0.0, 5.0])
+        b = np.array([1.0, 1.0, 3.0, 0.0, 6.0])
+        c = np.array([0.5, 1.0, 3.0, 1.0, 5.0])
+        best, act = action_min([a, b, c])
+        Q = np.column_stack([a, b, c])
+        assert np.array_equal(best, Q.min(axis=1))
+        assert act.tolist() == (Q.argmin(axis=1) + 1).tolist()
+        assert act.tolist() == [3, 2, 1, 1, 1]
+
+    def test_duplicated_action_never_wins(self):
+        # two copies of one action tie exactly at every belief, so the
+        # sweep and the lookahead both keep action 1, as argmin does
+        m = load_model("example1")
+        dup = PomdpModel(np.stack([m.P(1), m.P(1)]),
+                         np.stack([m.B(1), m.B(1)]),
+                         np.column_stack([m.costs[:, 0], m.costs[:, 0]]),
+                         m.discount)
+        g = GridValue(dup, 12).iterate(horizon=3)
+        assert (g.policy_table == 1).all()
+        pis = uniform_simplex(make_rng(8), 100, dup.num_states)
+        assert (g.lookahead_actions(pis) == 1).all()
+
+    @pytest.mark.parametrize("X", range(2, 7))
+    def test_lattice_matches_the_recursive_builder(self, X):
+        for M in (1, 2, 7, 40):
+            got = simplex_lattice(X, M)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _recursive_lattice(X, M))
+            assert len(got) == comb(M + X - 1, X - 1)
 
 
 def _lattice_rank(comps, M):
