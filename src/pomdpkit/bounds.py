@@ -32,11 +32,11 @@ def rank1_bounds(P) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CountingPredictor:
-    """Belief prediction with an explicit multiply counter.
+    """Belief prediction with an explicit multiply count.
 
     Rows of the transition matrix are grouped by value, so a rank-r
-    bracket (r distinct rows) costs r * X multiplies per step instead of
-    X * X for a dense matrix.
+    bracket (r distinct rows) costs ``multiplies = r * X`` multiplies per
+    prediction instead of X * X for a dense matrix.
     """
 
     def __init__(self, P):
@@ -53,13 +53,13 @@ class CountingPredictor:
             self.group_of[i] = rows[key]
         self.rows = np.asarray(reps)
         self.rank = len(reps)
-        self.multiplies = 0
+        self.multiplies = self.rank * self.X
 
-    def predict(self, pi: np.ndarray) -> np.ndarray:
+    def predict(self, pi: np.ndarray, out=None) -> np.ndarray:
+        """``P' pi``, written into ``out`` when given."""
         # bincount adds pi into its row groups in state order
         mass = np.bincount(self.group_of, weights=pi, minlength=self.rank)
-        self.multiplies += self.rank * self.X
-        return mass @ self.rows
+        return np.matmul(mass, self.rows, out=out)
 
 
 @dataclass
@@ -134,16 +134,19 @@ def sandwich_filter(P_lower, P, P_upper, B, observations, pi0,
     under any of the three filters ends the recursion, and is reported
     only when the steps before it pass.
     """
-    B = np.asarray(B, dtype=float)
     pi0 = np.asarray(pi0, dtype=float)
+    ys = np.asarray(observations, dtype=int)
+    liks = np.asarray(B, dtype=float).T[ys - 1]   # one row per step
     preds = [CountingPredictor(M) for M in (P_lower, P, P_upper)]
-    posteriors = np.empty((len(observations), 3, pi0.size))
+    steps = len(liks)
+    posteriors = np.empty((steps, 3, pi0.size))
+    predicted = np.empty((3, pi0.size))
     prev = np.stack([pi0, pi0, pi0])
     zero_step = None
-    for k, y in enumerate(observations):
-        post, sigma = bayes_batch(
-            np.stack([pred.predict(p) for pred, p in zip(preds, prev)]),
-            B[:, int(y) - 1], prev)
+    for k in range(steps):
+        for f, pred in enumerate(preds):
+            pred.predict(prev[f], out=predicted[f])
+        post, sigma = bayes_batch(predicted, liks[k], prev)
         if not sigma.all():
             zero_step = k
             break
@@ -152,4 +155,5 @@ def sandwich_filter(P_lower, P, P_upper, B, observations, pi0,
         _check_sandwich(posteriors[:zero_step])
     if zero_step is not None:
         raise OrderingViolation(zero_step + 1, "zero-likelihood observation")
-    return SandwichRun(posteriors, preds[0].multiplies, preds[1].multiplies)
+    return SandwichRun(posteriors, steps * preds[0].multiplies,
+                       steps * preds[1].multiplies)

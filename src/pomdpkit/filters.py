@@ -9,12 +9,16 @@ a continuation weighted by sigma drops it.  The single-belief updates
 below and :func:`bounds.sandwich_filter` instead raise at sigma 0,
 because there the observation comes from the caller.
 
-Every sampled state and observation goes through :func:`sample_index`,
-and every simulated path through :class:`PathSampler`.
+Every sampled state and observation follows :func:`sample_index`'s rule,
+the number of CDF entries ``<= u``.  :func:`simulate_trajectory`, which
+draws one row at a time, applies it in its scalar form
+``bisect.bisect_right(row, u)``.  Every simulated path runs on the CDF
+rows and filter of :class:`PathSampler`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +76,9 @@ def sample_index(cdf: np.ndarray, rng) -> np.ndarray:
 
     Draws ``u ~ U[0, 1)`` per row, in row order, and returns the number
     of entries ``<= u``: the rule of ``Generator.choice``.  An index of
-    probability zero is never returned, even for ``u = 0``.
+    probability zero is never returned, even for ``u = 0``.  A CDF row
+    never decreases, so for one row and one ``u`` the rule is
+    ``bisect.bisect_right(row, u)``.
     """
     return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
 
@@ -168,41 +174,53 @@ def simulate_trajectory(model: PomdpModel, policy, horizon: int,
     """Simulate the POMDP dynamics for ``horizon`` steps from the uniform
     belief.
 
-    ``policy`` maps a belief vector to a 1-indexed action.  The belief
+    ``policy`` maps a belief vector to a 1-indexed action; an action
+    outside ``1..U`` raises :class:`DimensionMismatch`.  The belief
     sequence follows the filter recursion step by step and the returned
     cost is ``sum_k rho^k c(x_k, u_k)`` plus the terminal cost when the
     model carries a finite horizon.
+
+    The uniforms come from one ``rng.random`` call, in the order of the
+    draws: ``x_0``, then ``x_{k+1}`` and ``y_{k+1}`` for each step.  Each
+    draw is :func:`sample_index`'s rule on one CDF row, in its scalar
+    form ``bisect_right(row, u)``.
     """
     if horizon < 1:
         raise DimensionMismatch("horizon must be >= 1")
-    rng = make_rng(seed)
-    X = model.num_states
-    pi = np.full(X, 1.0 / X)
+    X, U = model.num_states, model.num_actions
     sampler = PathSampler(model.transitions, model.observations)
-    x = sample_index(cumulative(pi[None]), rng)
-    states = [int(x[0]) + 1]
-    beliefs = [pi.copy()]
-    observations = []
-    actions = []
-    cost_terms = []
+    Pc, Bc = sampler._Pc.tolist(), sampler._Bc.tolist()
+    costs = model.costs.tolist()
+    draws = make_rng(seed).random(1 + 2 * horizon).tolist()
+    beliefs = np.empty((horizon + 1, X))
+    beliefs[0] = 1.0 / X
+    states = np.empty(horizon + 1, dtype=int)
+    observations = np.empty(horizon, dtype=int)
+    actions = np.empty(horizon, dtype=int)
+    cost_terms = np.empty(horizon)
+    x = bisect_right(cumulative(beliefs[0]).tolist(), draws[0])
+    states[0] = x + 1
     rho = model.discount
     for k in range(horizon):
-        u = int(policy(pi))
-        actions.append(u)
-        cost_terms.append(rho ** k * model.costs[x[0], u - 1])
-        x, y = sampler.draw(u - 1, x, rng)
-        pi = sampler.filter(u - 1, pi[None], y)[0]
-        states.append(int(x[0]) + 1)
-        observations.append(int(y[0]) + 1)
-        beliefs.append(pi)
+        u = int(policy(beliefs[k]))
+        if not 1 <= u <= U:
+            raise DimensionMismatch(
+                f"step {k}: policy returned action {u}, not in 1..{U}")
+        cost_terms[k] = rho ** k * costs[x][u - 1]
+        x = bisect_right(Pc[u - 1][x], draws[2 * k + 1])
+        y = bisect_right(Bc[u - 1][x], draws[2 * k + 2])
+        beliefs[k + 1] = sampler.filter(u - 1, beliefs[k:k + 1], [y])[0]
+        states[k + 1] = x + 1
+        observations[k] = y + 1
+        actions[k] = u
     total = float(np.sum(cost_terms))
     if model.horizon is not None and horizon >= model.horizon:
-        total += rho ** horizon * float(model.terminal_vector()[x[0]])
+        total += rho ** horizon * float(model.terminal_vector()[x])
     return Trajectory(
-        states=np.asarray(states),
-        observations=np.asarray(observations),
-        actions=np.asarray(actions),
-        beliefs=np.asarray(beliefs),
-        cost_terms=np.asarray(cost_terms),
+        states=states,
+        observations=observations,
+        actions=actions,
+        beliefs=beliefs,
+        cost_terms=cost_terms,
         discounted_cost=total,
     )

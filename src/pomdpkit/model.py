@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -342,3 +343,9 @@ class StoppingModel:
     @property
     def num_obs(self) -> int:
         return np.asarray(self.B).shape[1]
+
+    @cached_property
+    def sampler(self):
+        """The continue chain's :class:`filters.PathSampler`, built once."""
+        from .filters import PathSampler   # filters imports this module
+        return PathSampler(self.P[None], self.B[None])

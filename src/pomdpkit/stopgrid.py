@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import PathSampler, cumulative, sample_index
+from .errors import DimensionMismatch
+from .filters import cumulative, sample_index
 from .grid import (barycentric_weights, continuation, converge,
                    posterior_maps, simplex_lattice)
 from .model import StoppingModel
@@ -77,31 +78,35 @@ def batched_stopping_costs(sm: StoppingModel, policy_values, pi0s,
 
     ``policy_values(pis, path_idx)`` returns stop/continue decisions
     (1/2) per alive path; paths absorb at the stop decision with the
-    stop cost paid once.
+    stop cost paid once.  Any other decision raises
+    :class:`DimensionMismatch`.
     """
-    beliefs = np.atleast_2d(np.asarray(pi0s, dtype=float)).copy()
-    n = len(beliefs)
-    sampler = PathSampler(sm.P[None], sm.B[None])
+    beliefs = np.atleast_2d(np.asarray(pi0s, dtype=float))
+    total = np.zeros(len(beliefs))
     states = sample_index(cumulative(beliefs), rng)
-    total = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    # the alive paths; ``beliefs`` and ``states`` hold their rows only
+    idx = np.arange(len(beliefs))
     disc = 1.0
     for k in range(horizon):
-        if not alive.any():
+        if not len(idx):
             break
-        idx = np.flatnonzero(alive)
-        acts = policy_values(beliefs[idx], idx)
-        stopping = idx[acts == 1]
-        if stopping.size:
-            total[stopping] += disc * sm.stop_cost.batch(beliefs[stopping])
-            alive[stopping] = False
-        going = idx[acts == 2]
-        if going.size:
-            total[going] += disc * sm.continue_cost.batch(beliefs[going])
-            states[going], ys = sampler.draw(0, states[going], rng)
-            beliefs[going] = sampler.filter(0, beliefs[going], ys)
+        acts = policy_values(beliefs, idx)
+        stop, go = acts == 1, acts == 2
+        stopping, going = idx[stop], idx[go]
+        if len(stopping) + len(going) != len(idx):
+            raise DimensionMismatch(
+                f"step {k}: stop/continue decisions must be 1 or 2, "
+                f"got {np.unique(acts[~(stop | go)]).tolist()}")
+        if len(stopping):
+            total[stopping] += disc * sm.stop_cost.batch(beliefs[stop])
+        if len(going):
+            beliefs = beliefs[go]
+            total[going] += disc * sm.continue_cost.batch(beliefs)
+            states, ys = sm.sampler.draw(0, states[go], rng)
+            beliefs = sm.sampler.filter(0, beliefs, ys)
+        idx = going
         disc *= sm.discount
     # paths still alive at the horizon stop and pay the stop cost
-    if alive.any():
-        total[alive] += disc * sm.stop_cost.batch(beliefs[alive])
+    if len(idx):
+        total[idx] += disc * sm.stop_cost.batch(beliefs)
     return total

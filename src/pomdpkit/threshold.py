@@ -19,6 +19,7 @@ from .rng import make_rng, uniform_simplex
 from .stopgrid import batched_stopping_costs
 
 TRUNCATION_TOL = 1e-6   # discounted cost left beyond the truncation horizon
+_PAIR_SIGNS = np.array([[1.0], [-1.0]])   # the two sides of an SPSA step
 
 
 def threshold_constraints_ok(theta: np.ndarray) -> bool:
@@ -46,7 +47,9 @@ def linear_threshold_actions(theta, pis: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     pis = np.atleast_2d(pis)
     X = pis.shape[1]
-    slopes = np.broadcast_to(theta[..., :X - 2], (pis.shape[0], X - 2))
+    slopes = theta[..., :X - 2]
+    if theta.ndim == 1:
+        slopes = np.broadcast_to(slopes, (pis.shape[0], X - 2))
     decision = pis[:, 1] + np.einsum("ij,ij->i", pis[:, 2:], slopes) \
         - theta[..., X - 2]
     return np.where(decision < 0, 1, 2)
@@ -128,14 +131,15 @@ def spsa_fit(sm: StoppingModel, iterations: int, seed: int,
     rngs = [make_rng(seed, shard=r + 1) for r in range(restarts)]
     init_rng = make_rng(seed)
     phis = init_rng.normal(scale=1.0, size=(restarts, dim))
-    traces = [[phis[r].copy()] for r in range(restarts)]
-    costs = [[] for _ in range(restarts)]
+    phi_trace = np.empty((restarts, iterations + 1, dim))
+    phi_trace[:, 0] = phis
+    cost_trace = np.empty((restarts, iterations))
 
     def eval_costs(phi_mat: np.ndarray, rng) -> np.ndarray:
         if objective is not None:
             return objective(phi_mat, rng)
-        thetas = np.stack([spherical_to_theta(p) for p in phi_mat])
-        pi0 = uniform_simplex(rng, phi_mat.shape[0], sm.num_states)
+        thetas = np.array([spherical_to_theta(p) for p in phi_mat])
+        pi0 = uniform_simplex(rng, len(phi_mat), dim + 1)
         return batched_stopping_costs(
             sm, lambda pis, idx: linear_threshold_actions(thetas[idx], pis),
             pi0, K, rng)
@@ -146,23 +150,17 @@ def spsa_fit(sm: StoppingModel, iterations: int, seed: int,
         for r in range(restarts):
             rng = rngs[r]
             omega = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-            pair = np.stack([phis[r] + delta * omega,
-                             phis[r] - delta * omega])
-            j = eval_costs(pair, rng)
+            # rows phi + delta omega and phi - delta omega (negation is
+            # exact, so the second row is the difference itself)
+            j = eval_costs(phis[r] + _PAIR_SIGNS * (delta * omega), rng)
             grad = (j[0] - j[1]) / (2.0 * delta) * omega
             phis[r] = phis[r] - gain * grad
-            traces[r].append(phis[r].copy())
-            costs[r].append(0.5 * (j[0] + j[1]))
-    runs = []
-    for r in range(restarts):
-        runs.append(SpsaRun(
-            phi_trace=np.asarray(traces[r]),
-            cost_trace=np.asarray(costs[r]),
-            theta=spherical_to_theta(phis[r]),
-            hyper=hyper,
-            seed=seed,
-        ))
-    return runs
+            phi_trace[r, n + 1] = phis[r]
+            cost_trace[r, n] = 0.5 * (j[0] + j[1])
+    return [SpsaRun(phi_trace=phi_trace[r], cost_trace=cost_trace[r],
+                    theta=spherical_to_theta(phis[r]), hyper=hyper,
+                    seed=seed)
+            for r in range(restarts)]
 
 
 def evaluate_threshold_policy(sm: StoppingModel, theta, n_paths: int,

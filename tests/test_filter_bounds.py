@@ -11,6 +11,7 @@ from pomdpkit.bounds import (
 )
 from pomdpkit.cli import _sandwich_csv
 from pomdpkit.errors import NotTP2, OrderingViolation
+from pomdpkit.filters import bayes_batch
 from pomdpkit.orders import (
     Comparison,
     copositive_order_transitions,
@@ -70,6 +71,37 @@ def _reference_sandwich(P_lower, P, P_upper, B, observations, pi0):
         if not maps[0] <= maps[1] <= maps[2]:
             return k + 1, "MAP estimates out of order"
     return None
+
+
+def _reference_run(P_lower, P, P_upper, B, observations, pi0):
+    """The loop that ``sandwich_filter`` replaced: the likelihood column
+    read per step, the three predictions stacked from a list, and
+    ``rank * X`` multiplies counted per prediction."""
+    B = np.asarray(B, dtype=float)
+    pi0 = np.asarray(pi0, dtype=float)
+    groups, reps = [], []
+    for M in (P_lower, P, P_upper):
+        distinct = {}   # first occurrence of each row, in row order
+        for row in np.asarray(M, dtype=float):
+            distinct.setdefault(row.tobytes(), row)
+        keys = list(distinct)
+        groups.append([keys.index(row.tobytes())
+                       for row in np.asarray(M, dtype=float)])
+        reps.append(np.asarray(list(distinct.values())))
+    counts = [0, 0, 0]
+    posteriors = np.empty((len(observations), 3, pi0.size))
+    prev = np.stack([pi0, pi0, pi0])
+    for k, y in enumerate(observations):
+        preds = []
+        for f in range(3):
+            mass = np.bincount(groups[f], weights=prev[f],
+                               minlength=len(reps[f]))
+            counts[f] += len(reps[f]) * pi0.size
+            preds.append(mass @ reps[f])
+        post, sigma = bayes_batch(np.stack(preds), B[:, int(y) - 1], prev)
+        assert sigma.all()
+        posteriors[k] = prev = post
+    return posteriors, counts[0], counts[1]
 
 
 def _raised(*args, **kwargs):
@@ -147,6 +179,21 @@ class TestSandwichFilter:
         # rank-1 predictor: r * X per step; dense: X * X per step
         assert run.lower_multiplies == 1 * 6 * 100
         assert run.exact_multiplies == 6 * 6 * 100
+
+    @pytest.mark.parametrize("X", [2, 3, 5, 8])
+    def test_posteriors_and_counters_match_reference_loop(self, X):
+        rng = make_rng(20 + X)
+        for _ in range(3):
+            P, B, ys = self._chain(rng, X)
+            lo, hi = rank1_bounds(P)
+            pi0 = rng.dirichlet(np.ones(X))
+            for bounds in ((lo, P, hi), (P, P, P)):
+                run = sandwich_filter(*bounds, B, ys, pi0)
+                posteriors, lower, exact = _reference_run(*bounds, B, ys,
+                                                          pi0)
+                assert np.array_equal(run.posteriors, posteriors)
+                assert (run.lower_multiplies, run.exact_multiplies) == (
+                    lower, exact)
 
     def test_counting_predictor_groups_rows(self):
         P = np.array([[0.7, 0.3], [0.7, 0.3]])

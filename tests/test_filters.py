@@ -1,6 +1,8 @@
 """Belief recursions: reference values, invariance properties and
 trajectory simulation."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import P_TP2_3, random_belief_pair, random_tp2_stochastic
 from pomdpkit.cli import _trajectory_csv, load_model
-from pomdpkit.errors import ZeroLikelihood
+from pomdpkit.errors import DimensionMismatch, ZeroLikelihood
 from pomdpkit.filters import (
     PathSampler,
     bayes_batch,
@@ -243,6 +245,24 @@ class TestPathSampler:
         assert states.tolist() == [1, 0]
         assert ys.tolist() == [1, 0]
 
+    def test_bisect_matches_sample_index(self):
+        # the scalar form of the rule, which simulate_trajectory uses
+        p = np.array([[0.0, 0.25, 0.0, 0.75],
+                      [0.5, 0.0, 0.5, 0.0],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.1, 0.2, 0.3, 0.4]])
+        uniforms = make_rng(5).random(200)
+        for cdf in cumulative(p):
+            for u in np.concatenate([[0.0], cdf[cdf < 1.0], uniforms]):
+                want = sample_index(cdf[None], _PresetUniforms([u]))[0]
+                assert bisect_right(cdf.tolist(), float(u)) == want, (cdf, u)
+
+    def test_one_draw_call_is_the_per_draw_stream(self):
+        for seed in (0, 1, 7):
+            rng = make_rng(seed)
+            single = [rng.random(1)[0] for _ in range(301)]
+            assert np.array_equal(make_rng(seed).random(301), single)
+
     def test_draw_frequencies_match_kernels(self):
         sm = load_model("qd-ph")
         P, B = np.asarray(sm.P), np.asarray(sm.B)
@@ -331,7 +351,80 @@ class TestSocialLearning:
         assert np.allclose(step.posterior, pi)
 
 
+def _reference_trajectory(model, policy, horizon, seed):
+    """The per-step loop that ``simulate_trajectory`` replaced: one
+    ``random(1)`` call per draw and lists grown step by step."""
+    rng = make_rng(seed)
+    X = model.num_states
+    pi = np.full(X, 1.0 / X)
+    sampler = PathSampler(model.transitions, model.observations)
+    x = sample_index(cumulative(pi[None]), rng)
+    states, beliefs = [int(x[0]) + 1], [pi.copy()]
+    observations, actions, cost_terms = [], [], []
+    rho = model.discount
+    for k in range(horizon):
+        u = int(policy(pi))
+        actions.append(u)
+        cost_terms.append(rho ** k * model.costs[x[0], u - 1])
+        x, y = sampler.draw(u - 1, x, rng)
+        pi = sampler.filter(u - 1, pi[None], y)[0]
+        states.append(int(x[0]) + 1)
+        observations.append(int(y[0]) + 1)
+        beliefs.append(pi)
+    total = float(np.sum(cost_terms))
+    if model.horizon is not None and horizon >= model.horizon:
+        total += rho ** horizon * float(model.terminal_vector()[x[0]])
+    return {"states": np.asarray(states),
+            "observations": np.asarray(observations),
+            "actions": np.asarray(actions), "beliefs": np.asarray(beliefs),
+            "cost_terms": np.asarray(cost_terms), "discounted_cost": total}
+
+
+def _finite_horizon_example1():
+    m = load_model("example1")
+    return PomdpModel(m.transitions, m.observations, m.costs, 1.0,
+                      horizon=40, terminal_cost=[3.0, 1.0, 2.0])
+
+
 class TestSimulateTrajectory:
+    # X = 2, 3, 3 (five actions), 5 and 8, plus a finite horizon with a
+    # terminal cost
+    MODELS = ["machine-replacement", "example1", "sampling", "search",
+              "example3", "example1-horizon40"]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_per_step_reference(self, name):
+        m = (_finite_horizon_example1() if name == "example1-horizon40"
+             else load_model(name))
+        U = m.num_actions
+        costs = np.asarray(m.costs)
+        policies = [lambda pi: int(np.argmin(pi @ costs)) + 1,
+                    lambda pi: int(pi[0] * 1e6) % U + 1]
+        for policy in policies:
+            for seed in (0, 3, 11):
+                traj = simulate_trajectory(m, policy, 150, seed)
+                want = _reference_trajectory(m, policy, 150, seed)
+                for key, value in want.items():
+                    got = getattr(traj, key)
+                    assert np.asarray(got).dtype == np.asarray(value).dtype
+                    assert np.array_equal(got, value), (name, seed, key)
+
+    @pytest.mark.parametrize("action", [0, -1, 3])
+    def test_action_outside_range_raises(self, action):
+        m = load_model("example1")   # U = 2
+        with pytest.raises(DimensionMismatch,
+                           match=rf"step 0: .*action {action}\b"):
+            simulate_trajectory(m, lambda pi: action, 5, 1)
+        # a valid start does not hide a later bad action
+        calls = []
+
+        def late(pi):
+            calls.append(pi)
+            return 1 if len(calls) < 3 else action
+
+        with pytest.raises(DimensionMismatch, match="step 2: "):
+            simulate_trajectory(m, late, 5, 1)
+
     def test_deterministic_chain_tracks_state(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         B = np.eye(2)

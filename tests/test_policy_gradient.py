@@ -1,9 +1,14 @@
 """Linear threshold policies, the spherical parametrization and SPSA."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from pomdpkit.apps import build_quickest_detection
+from pomdpkit.cli import load_model
+from pomdpkit.errors import DimensionMismatch
+from pomdpkit.filters import PathSampler, cumulative, sample_index
 from pomdpkit.rng import make_rng, uniform_simplex
 from pomdpkit.stopgrid import batched_stopping_costs, solve_stopping_grid
 from pomdpkit.threshold import (
@@ -88,6 +93,143 @@ class TestSphericalParametrization:
         assert not threshold_constraints_ok([1.0, 0.0])   # theta(X-1) = 0
         assert not threshold_constraints_ok([-0.1, 2.0, 1.0])
         assert threshold_constraints_ok([1.5, 2.0, 1.0])
+
+
+def _reference_stopping_costs(sm, policy_values, pi0s, horizon, rng):
+    """The boolean-mask loop that ``batched_stopping_costs`` replaced:
+    full-length arrays, written back row by row."""
+    beliefs = np.atleast_2d(np.asarray(pi0s, dtype=float)).copy()
+    n = len(beliefs)
+    sampler = PathSampler(sm.P[None], sm.B[None])
+    states = sample_index(cumulative(beliefs), rng)
+    total = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    disc = 1.0
+    for k in range(horizon):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        acts = policy_values(beliefs[idx], idx)
+        stopping = idx[acts == 1]
+        if stopping.size:
+            total[stopping] += disc * sm.stop_cost.batch(beliefs[stopping])
+            alive[stopping] = False
+        going = idx[acts == 2]
+        if going.size:
+            total[going] += disc * sm.continue_cost.batch(beliefs[going])
+            states[going], ys = sampler.draw(0, states[going], rng)
+            beliefs[going] = sampler.filter(0, beliefs[going], ys)
+        disc *= sm.discount
+    if alive.any():
+        total[alive] += disc * sm.stop_cost.batch(beliefs[alive])
+    return total
+
+
+def _reference_threshold_actions(theta, pis):
+    X = pis.shape[1]
+    slopes = np.broadcast_to(theta[..., :X - 2], (pis.shape[0], X - 2))
+    decision = pis[:, 1] + np.einsum("ij,ij->i", pis[:, 2:], slopes) \
+        - theta[..., X - 2]
+    return np.where(decision < 0, 1, 2)
+
+
+def _reference_spsa(sm, iterations, seed, restarts):
+    """The SPSA loop as it stood before its traces were preallocated,
+    on the reference path costs and threshold rule."""
+    hyper = SpsaHyper()
+    dim = sm.num_states - 1
+    K = truncation_horizon(sm)
+    rngs = [make_rng(seed, shard=r + 1) for r in range(restarts)]
+    phis = make_rng(seed).normal(scale=1.0, size=(restarts, dim))
+    traces = [[phis[r].copy()] for r in range(restarts)]
+    costs = [[] for _ in range(restarts)]
+    for n in range(iterations):
+        delta = hyper.perturbation(n)
+        gain = hyper.gain_at(n)
+        for r in range(restarts):
+            rng = rngs[r]
+            omega = rng.integers(0, 2, size=dim) * 2.0 - 1.0
+            pair = np.stack([phis[r] + delta * omega,
+                             phis[r] - delta * omega])
+            thetas = np.stack([spherical_to_theta(p) for p in pair])
+            pi0 = uniform_simplex(rng, 2, sm.num_states)
+            j = _reference_stopping_costs(
+                sm, lambda pis, idx: _reference_threshold_actions(
+                    thetas[idx], pis), pi0, K, rng)
+            grad = (j[0] - j[1]) / (2.0 * delta) * omega
+            phis[r] = phis[r] - gain * grad
+            traces[r].append(phis[r].copy())
+            costs[r].append(0.5 * (j[0] + j[1]))
+    return [(np.asarray(t), np.asarray(c)) for t, c in zip(traces, costs)]
+
+
+class TestStoppingCostsReference:
+    @pytest.mark.parametrize("name", ["qd-ph", "qd-classical"])
+    def test_per_row_and_shared_theta(self, name):
+        sm = load_model(name)
+        X = sm.num_states
+        K = truncation_horizon(sm)
+        for seed in (1, 4, 9):
+            rng = make_rng(seed)
+            thetas = np.stack([spherical_to_theta(rng.normal(size=X - 1))
+                               for _ in range(40)])
+            pis = uniform_simplex(rng, 40, X)
+            policies = [
+                lambda b, idx: linear_threshold_actions(thetas[idx], b),
+                lambda b, idx: linear_threshold_actions(thetas[0], b)]
+            # a short horizon leaves paths alive at its end
+            for policy, horizon in itertools.product(policies, (3, K)):
+                got = batched_stopping_costs(sm, policy, pis, horizon,
+                                             make_rng(seed + 100))
+                want = _reference_stopping_costs(sm, policy, pis, horizon,
+                                                 make_rng(seed + 100))
+                assert np.array_equal(got, want), (name, seed, horizon)
+
+    def test_all_stop_zero_horizon_and_all_continue(self):
+        sm = load_model("qd-ph")
+        pis = uniform_simplex(make_rng(2), 7, 3)
+        cases = [(lambda b, idx: np.ones(len(b), int), 5),
+                 (lambda b, idx: np.full(len(b), 2), 0),
+                 (lambda b, idx: np.full(len(b), 2), 4)]
+        for policy, horizon in cases:
+            got = batched_stopping_costs(sm, policy, pis, horizon,
+                                         make_rng(3))
+            want = _reference_stopping_costs(sm, policy, pis, horizon,
+                                             make_rng(3))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("decision", [0, 3, -1])
+    def test_decision_other_than_stop_or_continue_raises(self, decision):
+        sm = load_model("qd-ph")
+        pis = uniform_simplex(make_rng(1), 3, 3)
+        with pytest.raises(DimensionMismatch,
+                           match=rf"step 0: .*\[{decision}\]"):
+            batched_stopping_costs(
+                sm, lambda b, idx: np.full(len(b), decision), pis, 5,
+                make_rng(1))
+        # one bad path among continuing ones, a step in
+        calls = []
+
+        def late(b, idx):
+            calls.append(idx)
+            acts = np.full(len(b), 2)
+            if len(calls) == 2:
+                acts[-1] = decision
+            return acts
+
+        with pytest.raises(DimensionMismatch, match="step 1: "):
+            batched_stopping_costs(sm, late, pis, 5, make_rng(1))
+
+    @pytest.mark.parametrize("name", ["qd-ph", "qd-classical"])
+    def test_spsa_traces_match_reference(self, name):
+        sm = load_model(name)
+        runs = spsa_fit(sm, 60, seed=11, restarts=3)
+        want = _reference_spsa(sm, 60, seed=11, restarts=3)
+        for run, (phi_trace, cost_trace) in zip(runs, want):
+            assert np.array_equal(run.phi_trace, phi_trace)
+            assert np.array_equal(run.cost_trace, cost_trace)
+            assert np.array_equal(run.theta,
+                                  spherical_to_theta(phi_trace[-1]))
 
 
 class TestSampleCost:
